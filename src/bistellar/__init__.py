@@ -55,6 +55,7 @@ from .generators import (
 from .moves import (
     BistellarMove,
     FlipSequence,
+    MoveIndex,
     apply_move,
     apply_z2_move,
     enumerate_moves,

@@ -77,16 +77,31 @@ def dumps_canonical(doc):
     return _render(doc, 0) + "\n"
 
 
+def _integer_rows(rows, what, width=None):
+    """``rows`` if it is a list of lists (of ``width``) of JSON integers."""
+    for row in rows if isinstance(rows, list) else [rows]:
+        if type(row) is not list or width not in (None, len(row)):
+            raise BistellarError(f"{what}: {json.dumps(row)} is not a "
+                                 f"{'pair' if width else 'list'} of integers")
+        for v in row:
+            if type(v) is not int:
+                raise BistellarError(f"{what}: {json.dumps(v)} is not an integer")
+    return rows
+
+
 def parse_complex_document(text):
-    """Parse a document into (complex, z2complex-or-None, labelling-or-None)."""
+    """Parse a document into (complex, z2complex-or-None, labelling-or-None).
+
+    Vertex ids and labels must be JSON integers; nothing is coerced.
+    """
     doc = json.loads(text)
     if not isinstance(doc, dict) or "facets" not in doc:
         raise BistellarError("document must be an object with a 'facets' list")
-    complex_ = SimplicialComplex.from_facets(doc["facets"])
+    complex_ = SimplicialComplex.from_facets(_integer_rows(doc["facets"], "facets"))
     signed = make_signed(complex_) if doc.get("z2") else None
     labelling = None
     if "labels" in doc:
-        labelling = FanLabelling({int(v): int(x) for v, x in doc["labels"]})
+        labelling = FanLabelling(dict(_integer_rows(doc["labels"], "labels", 2)))
     return complex_, signed, labelling
 
 
@@ -159,17 +174,23 @@ def _emit(doc, path=None):
         sys.stdout.write(text)
 
 
-def _load(path):
+def _load(path, pure=False):
     try:
-        return parse_complex_document(_read(path))
+        loaded = parse_complex_document(_read(path))
     except json.JSONDecodeError as exc:
         raise BistellarError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    if pure and not loaded[0].is_pure():
+        raise BistellarError(f"{path}: moves need a pure complex")
+    return loaded
 
 
 def _parse_face(text):
-    return tuple(int(part) for part in text.replace(",", " ").split())
+    try:
+        return tuple(int(part) for part in text.replace(",", " ").split())
+    except ValueError:
+        raise BistellarError(f"face {text!r} is not a list of integers") from None
 
 
 def _need_z2(signed, path):
@@ -212,7 +233,7 @@ def cmd_info(args):
 
 
 def cmd_moves(args):
-    complex_, signed, _ = _load(args.file)
+    complex_, signed, _ = _load(args.file, pure=True)
     if args.z2:
         found = enumerate_z2_moves(_need_z2(signed, args.file))
     else:
@@ -224,7 +245,7 @@ def cmd_moves(args):
 
 
 def cmd_flip(args):
-    complex_, signed, _ = _load(args.file)
+    complex_, signed, _ = _load(args.file, pure=True)
     move = BistellarMove(_parse_face(args.removed), _parse_face(args.inserted))
     if signed is not None:
         result, _ = apply_z2_move(signed, move)
@@ -236,7 +257,7 @@ def cmd_flip(args):
 
 
 def cmd_walk(args):
-    _, signed, _ = _load(args.file)
+    _, signed, _ = _load(args.file, pure=True)
     signed = _need_z2(signed, args.file)
     final, sequence = random_z2_walk(signed, args.steps, args.seed)
     _emit(complex_document(final.complex, z2=True), args.output)

@@ -6,26 +6,28 @@ itself a face, the star of ``A`` (which equals ``A * boundary(B)``)
 may be replaced by ``boundary(A) * B``.  On a centrally symmetric
 complex the move and its antipodal image are applied together so the
 result stays symmetric.
+
+Enumeration order is a contract: moves are listed by ``(len(removed),
+removed, inserted)``, and seeded walks and searches draw from that list
+by position.  On a symmetric complex a pair is listed once, under the
+move whose removed face is smaller than its antipode, if its inserted
+simplex is disjoint from its own antipode.  Walks and searches keep a
+:class:`MoveIndex` that each flip updates in the star of the move.
 """
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .complexes import (
-    SimplicialComplex,
-    boundary_of_simplex,
-    complex_digest,
-    normalize_face,
-)
+from .complexes import SimplicialComplex, complex_digest, normalize_face
 from .errors import (
     BistellarError,
     CorruptSequence,
     FaceNotPresent,
     InterferingAntipodalMove,
     MoveNotAdmissible,
-    NoAdmissibleMove,
 )
 from .z2 import Z2Complex, antipode
 
@@ -53,11 +55,6 @@ class BistellarMove:
 
     def antipodal(self):
         return BistellarMove(antipode(self.removed), antipode(self.inserted))
-
-    def fresh_ids(self, complex_):
-        """Ids of ``inserted`` not present in ``complex_`` (the fresh vertices)."""
-        present = set(complex_.vertices)
-        return tuple(v for v in self.inserted if v not in present)
 
     def facet_delta(self):
         """Change in facet count when applied: |removed| - |inserted|."""
@@ -91,36 +88,20 @@ def fresh_vertex(complex_):
     return k
 
 
-def _move_at(complex_, face, containing, dimension, fresh):
-    """The admissible move removing ``face``, or None.
-
-    ``containing`` lists the facets containing the face; admissibility
-    requires exactly ``dimension + 2 - |face|`` of them with pairwise
-    distinct complements whose union is a simplex absent from the
-    complex.  Assumes the complex is pure.
-    """
+def _link_simplex(face, containing, dimension):
+    """The simplex whose boundary is the link of ``face``, ``()`` for a
+    top facet (its move inserts a fresh vertex), or None.  The one
+    admissibility predicate: the move is admissible iff that simplex is
+    not a face.  ``containing`` lists the facets containing ``face``."""
     need = dimension + 2 - len(face)
     if len(containing) != need:
         return None
     if need == 1:
-        if len(face) != dimension + 1:
-            return None
-        return BistellarMove(face, (fresh,))
-    fs = set(face)
-    complements = [tuple(v for v in f if v not in fs) for f in containing]
-    if any(len(c) != need - 1 for c in complements):
+        return ()
+    if any(len(f) != dimension + 1 for f in containing):
         return None
-    if len(set(complements)) != need:
-        return None
-    candidate = set()
-    for c in complements:
-        candidate.update(c)
-    if len(candidate) != need:
-        return None
-    inserted = tuple(sorted(candidate))
-    if inserted in complex_:
-        return None
-    return BistellarMove(face, inserted)
+    apex = set().union(*containing).difference(face)
+    return tuple(sorted(apex)) if len(apex) == need else None
 
 
 def find_move(complex_, face):
@@ -134,42 +115,135 @@ def find_move(complex_, face):
     if face not in complex_:
         raise FaceNotPresent(f"face {face} is not in the complex")
     containing = [complex_.facets[i] for i in complex_.facets_containing(face)]
-    return _move_at(complex_, face, containing, complex_.dimension,
-                    fresh_vertex(complex_))
-
-
-def enumerate_moves(complex_):
-    """All admissible moves, sorted by (dimension of removed face, faces).
-
-    The complex must be pure.  Facet moves all propose the same fresh
-    vertex id; they are alternatives, not a batch.
-    """
-    n = complex_.dimension
-    fresh = fresh_vertex(complex_)
-    cofacets = {}
-    for f in complex_.facets:
-        for k in range(1, len(f) + 1):
-            for c in combinations(f, k):
-                cofacets.setdefault(c, []).append(f)
-    out = []
-    for face, containing in cofacets.items():
-        move = _move_at(complex_, face, containing, n, fresh)
-        if move is not None:
-            out.append(move)
-    out.sort(key=lambda m: (len(m.removed), m.removed, m.inserted))
-    return out
+    inserted = _link_simplex(face, containing, complex_.dimension)
+    if inserted is None or (inserted and inserted in complex_):
+        return None
+    return BistellarMove(face, inserted or (fresh_vertex(complex_),))
 
 
 def is_admissible(complex_, move):
     """Check a move against the complex without applying it."""
     A, B = move.removed, move.inserted
-    if not A or not B or A not in complex_:
+    if not A or not B or A not in complex_ or B in complex_:
         return False
-    if B in complex_:
-        return False
-    if len(A) + len(B) != complex_.dimension + 2:
-        return False
-    return complex_.link(A) == boundary_of_simplex(B)
+    containing = [complex_.facets[i] for i in complex_.facets_containing(A)]
+    link = _link_simplex(A, containing, complex_.dimension)
+    return link == B or (link == () and len(B) == 1)
+
+
+class MoveIndex:
+    """The moves of a pure complex (symmetric pairs for a
+    :class:`Z2Complex`); ``index[i]`` is the ``i``-th in enumeration order.
+
+    :meth:`apply` flips through :func:`apply_move` or :func:`apply_z2_move`
+    with all their checks, then rechecks only the faces of the removed and
+    added facets and the faces that would insert one of those.  Invariants:
+    ``_cofacets`` maps each face to the facets containing it; ``_links``
+    maps each face to :func:`_link_simplex` where that is not None (the
+    fresh vertex of ``()`` is chosen on reading, so new vertices never
+    dirty facet moves); ``_owners`` inverts ``_links``, so a face blocked
+    by a present simplex is rechecked when it goes; ``_buckets[k]`` sorts
+    the listed ``k``-vertex faces.
+    """
+
+    def __init__(self, state):
+        self.state = state
+        self.z2 = isinstance(state, Z2Complex)
+        self.complex = state.complex if self.z2 else state
+        self.fresh = fresh_vertex(self.complex)
+        self._cofacets, self._links, self._owners = {}, {}, {}
+        self._buckets = [[] for _ in range(self.complex.dimension + 2)]
+        self._recheck(self._swap((), self.complex.facets))
+
+    def __len__(self):
+        return sum(map(len, self._buckets))
+
+    def __getitem__(self, position):
+        for bucket in self._buckets:
+            if 0 <= position < len(bucket):
+                face = bucket[position]
+                return BistellarMove(face, self._links[face] or (self.fresh,))
+            position -= len(bucket)
+        raise IndexError(position)
+
+    def lowest(self):
+        """``(facet_delta, count)`` of the first, most downhill moves:
+        ``facet_delta`` is ``2 * len(removed) - (dimension + 2)``."""
+        k = next(k for k, bucket in enumerate(self._buckets) if bucket)
+        return 2 * k - self.complex.dimension - 2, len(self._buckets[k])
+
+    def apply(self, move):
+        """Apply ``move`` (and its antipodal image) and update the index."""
+        halves = [move]
+        if self.z2:
+            self.state, _ = apply_z2_move(self.state, move)
+            self.complex = self.state.complex
+            halves.append(move.antipodal())
+        else:
+            self.state = self.complex = apply_move(self.state, move)[0]
+        self.fresh = fresh_vertex(self.complex)
+        touched = set()
+        for m in halves:
+            touched |= self._swap(list(self._cofacets[m.removed]), [
+                tuple(sorted(set(m.removed).difference((v,)).union(m.inserted)))
+                for v in m.removed])
+        self._recheck(touched.union(*(self._owners.get(face, ())
+                                      for face in touched)))
+
+    def _swap(self, gone, added):
+        """Replace facets in the cofacet map; returns the faces touched."""
+        touched = set()
+        for facet in gone:
+            for k in range(1, len(facet) + 1):
+                for face in combinations(facet, k):
+                    containing = self._cofacets[face]
+                    containing.remove(facet)
+                    if not containing:
+                        del self._cofacets[face]
+                    touched.add(face)
+        for facet in added:
+            for k in range(1, len(facet) + 1):
+                for face in combinations(facet, k):
+                    self._cofacets.setdefault(face, []).append(facet)
+                    touched.add(face)
+        return touched
+
+    def _recheck(self, faces):
+        for face in faces:
+            link = self._links.pop(face, None)
+            if link:
+                owners = self._owners[link]
+                owners.remove(face)
+                if not owners:
+                    del self._owners[link]
+            bucket = self._buckets[len(face)]
+            i = bisect_left(bucket, face)
+            if i < len(bucket) and bucket[i] == face:
+                del bucket[i]
+            containing = self._cofacets.get(face)
+            if containing is None:
+                continue
+            link = _link_simplex(face, containing, self.complex.dimension)
+            if link is None:
+                continue
+            self._links[face] = link
+            if link:
+                self._owners.setdefault(link, []).append(face)
+                if link in self._cofacets:
+                    continue
+            if self.z2 and (antipode(face) < face
+                            or not set(link).isdisjoint(antipode(link))):
+                continue
+            insort(bucket, face)
+
+
+def enumerate_moves(complex_):
+    """All admissible moves of a pure complex, in enumeration order.
+
+    Facet moves all propose the same fresh vertex id; they are
+    alternatives, not a batch.
+    """
+    return list(MoveIndex(complex_))
 
 
 def apply_move(complex_, move):
@@ -204,11 +278,11 @@ def apply_z2_move(z2complex, move):
     :class:`InterferingAntipodalMove` (the one reachable case is an
     inserted edge of the form ``{v, -v}``, which also breaks freeness).
     """
-    A, B = move.removed, move.inserted
-    if len(B) == 1 and B[0] not in set(z2complex.vertices):
-        if -B[0] in set(z2complex.vertices):
-            raise MoveNotAdmissible(
-                f"fresh vertex {B[0]} needs {-B[0]} free as well")
+    B = move.inserted
+    vertices = set(z2complex.vertices)
+    if len(B) == 1 and B[0] not in vertices and -B[0] in vertices:
+        raise MoveNotAdmissible(
+            f"fresh vertex {B[0]} needs {-B[0]} free as well")
     first, _ = apply_move(z2complex.complex, move)
     try:
         second, _ = apply_move(first, move.antipodal())
@@ -220,47 +294,37 @@ def apply_z2_move(z2complex, move):
 
 
 def enumerate_z2_moves(z2complex):
-    """All admissible symmetric move pairs, one representative each.
+    """All admissible symmetric move pairs, one representative each, in
+    enumeration order.
 
-    A plain move extends to a symmetric pair iff its inserted simplex
-    is disjoint from its own antipode; of the two descriptions of a
-    pair, the lexicographically smaller is kept.
+    A plain move extends to a symmetric pair iff its inserted simplex is
+    disjoint from its own antipode; the pair is listed under the move
+    whose removed face is smaller than its antipode.
     """
-    out = []
-    for m in enumerate_moves(z2complex.complex):
-        ins = set(m.inserted)
-        if any(-v in ins for v in ins):
-            continue
-        anti = m.antipodal()
-        if (m.removed, m.inserted) <= (anti.removed, anti.inserted):
-            out.append(m)
-    return out
+    return list(MoveIndex(z2complex))
 
 
 def random_z2_walk(z2complex, steps, seed):
     """Walk the symmetric flip graph with uniformly chosen admissible moves.
 
-    Fully reproducible: candidates come in deterministic enumeration
-    order and the choice is driven by a private ``random.Random(seed)``.
-    Returns the final complex and the replayable flip sequence.
+    Fully reproducible: candidates come in enumeration order and the
+    choice is driven by a private ``random.Random(seed)``.  Returns the
+    final complex and the replayable flip sequence.
     """
     rng = random.Random(seed)
-    current = z2complex
+    index = MoveIndex(z2complex)
     log = []
     for _ in range(int(steps)):
-        candidates = enumerate_z2_moves(current)
-        if not candidates:
-            raise NoAdmissibleMove("no admissible symmetric move from here")
-        move = candidates[rng.randrange(len(candidates))]
-        current, _ = apply_z2_move(current, move)
+        move = index[rng.randrange(len(index))]
+        index.apply(move)
         log.append(move)
     sequence = FlipSequence(
         moves=tuple(log),
         z2=True,
         source_digest=complex_digest(z2complex.complex),
-        target_digest=complex_digest(current.complex),
+        target_digest=complex_digest(index.complex),
     )
-    return current, sequence
+    return index.state, sequence
 
 
 # -- flip logs ----------------------------------------------------------------

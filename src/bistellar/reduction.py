@@ -27,14 +27,7 @@ from .errors import (
 )
 from .fan import alternating_counts, relabel_move, validate_fan
 from .generators import cross_polytope, simplex_boundary
-from .moves import (
-    FlipSequence,
-    apply_move,
-    apply_z2_move,
-    enumerate_moves,
-    enumerate_z2_moves,
-    replay,
-)
+from .moves import FlipSequence, MoveIndex, apply_z2_move, replay
 from .z2 import Z2Complex, find_z2_isomorphism
 
 
@@ -91,84 +84,64 @@ class ReductionReport:
         return self.outcome == "reduced"
 
 
-def _search(start, z2, target, budget, seed, t_start, t_decay, t_floor):
+def _search(start, target, budget, seed, t_start, t_decay, t_floor):
     rng = random.Random(seed)
-    if z2:
-        list_moves, multiplier = enumerate_z2_moves, 2
-        shell = lambda state: state.complex
-        same = lambda state: find_z2_isomorphism(state, target) is not None
-        step = lambda state, m: apply_z2_move(state, m)[0]
-    else:
-        list_moves, multiplier = enumerate_moves, 1
-        shell = lambda state: state
-        same = lambda state: find_isomorphism(state, target) is not None
-        step = lambda state, m: apply_move(state, m)[0]
-
+    index = MoveIndex(start)
+    multiplier = 2 if index.z2 else 1
+    same = find_z2_isomorphism if index.z2 else find_isomorphism
     target_f = list(target.f_vector().counts)
-    state = start
-    counts = list(shell(state).f_vector().counts)
-    dimension = len(counts) - 1
+    counts = list(index.complex.f_vector().counts)
+    source_digest = complex_digest(index.complex)
 
-    def matched(state, counts):
-        return counts == target_f and same(state)
+    def matched():
+        return counts == target_f and same(index.state, target) is not None
 
-    def report(outcome, final, log, flips, applied, restarts, best_f):
+    def report(outcome, final, log, best_f):
         sequence = FlipSequence(
-            moves=tuple(log), z2=z2,
-            source_digest=complex_digest(shell(start)),
-            target_digest=complex_digest(shell(final)))
+            moves=tuple(log), z2=index.z2, source_digest=source_digest,
+            target_digest=complex_digest(final))
         return ReductionReport(outcome, sequence, flips, applied, restarts,
                                tuple(best_f), budget, seed)
 
     log = []
     best_energy = tuple(reversed(counts))
-    best = (state, [], list(counts))
+    best = (index.state, index.complex, [], list(counts))
     flips = applied = restarts = 0
-    if matched(state, counts):
-        return report("reduced", state, log, flips, applied, restarts, counts)
+    if matched():
+        return report("reduced", index.complex, log, counts)
 
     temperature = t_start
-    moves = None
     while flips < budget:
-        if moves is None:
-            moves = list_moves(state)
-            if not moves:
-                break
         flips += 1
-        deltas = [m.facet_delta() for m in moves]
-        dmin = min(deltas)
-        if dmin < 0:
-            pool = [m for m, d in zip(moves, deltas) if d == dmin]
-            move, delta = pool[rng.randrange(len(pool))], dmin
+        # Moves come sorted by facet delta, so the downhill pool is a prefix.
+        delta, pool = index.lowest()
+        if delta < 0:
+            move = index[rng.randrange(pool)]
             accepted = True
         else:
-            i = rng.randrange(len(moves))
-            move, delta = moves[i], deltas[i]
+            move = index[rng.randrange(len(index))]
+            delta = move.facet_delta()
             accepted = delta <= 0 or rng.random() < math.exp(
                 -delta * multiplier / temperature)
         if accepted:
-            state = step(state, move)
+            index.apply(move)
             counts = [c + multiplier * d
-                      for c, d in zip(counts, move.f_delta(dimension))]
+                      for c, d in zip(counts, move.f_delta(index.complex.dimension))]
             log.append(move)
             applied += 1
-            moves = None
             energy = tuple(reversed(counts))
             if energy < best_energy:
                 best_energy = energy
-                best = (state, list(log), list(counts))
-            if matched(state, counts):
-                return report("reduced", state, log, flips, applied,
-                              restarts, best[2])
+                best = (index.state, index.complex, list(log), list(counts))
+            if matched():
+                return report("reduced", index.complex, log, best[3])
         temperature *= t_decay
         if temperature < t_floor:
             temperature = t_start
             restarts += 1
-            state, log, counts = best[0], list(best[1]), list(best[2])
-            moves = None
-    final, final_log = best[0], best[1]
-    return report("inconclusive", final, final_log, flips, applied,
-                  restarts, best[2])
+            index = MoveIndex(best[0])
+            log, counts = list(best[2]), list(best[3])
+    return report("inconclusive", best[1], best[2], best[3])
 
 
 def reduce_to_boundary_simplex(complex_, budget=100_000, seed=0,
@@ -183,7 +156,7 @@ def reduce_to_boundary_simplex(complex_, budget=100_000, seed=0,
         raise NotClosedPseudomanifold(
             "reduction needs a pure, closed, strongly connected complex")
     target = simplex_boundary(complex_.dimension + 1)
-    return _search(complex_, False, target, budget, seed,
+    return _search(complex_, target, budget, seed,
                    t_start, t_decay, t_floor)
 
 
@@ -196,7 +169,7 @@ def z2_reduce_to_cross_polytope(z2complex, budget=100_000, seed=0,
         raise NotClosedPseudomanifold(
             "reduction needs a pure, closed, strongly connected complex")
     target = cross_polytope(z2complex.dimension + 1)
-    return _search(z2complex, True, target, budget, seed,
+    return _search(z2complex, target, budget, seed,
                    t_start, t_decay, t_floor)
 
 

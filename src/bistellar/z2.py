@@ -62,8 +62,9 @@ class Z2Complex:
             hit = [v for v in f if -v in fs]
             if hit:
                 raise ActionNotFree(f"facet {f} contains the antipodal pair ±{abs(hit[0])}")
+        vertices = set(complex_.vertices)
         for v in complex_.vertices:
-            if -v not in set(complex_.vertices):
+            if -v not in vertices:
                 raise UnpairedVertex(f"vertex {v} has no partner {-v}")
         return cls(complex_, subdivided=subdivided)
 

@@ -176,3 +176,53 @@ class TestCommands:
         path = tmp_path / "plain.json"
         path.write_text(dumps_canonical(doc))
         assert main(["walk", str(path), "--steps", "1", "--seed", "1"]) == 2
+
+
+class TestMalformedInput:
+    def _write(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["moves"],
+        ["flip", "--removed", "1,2,3", "--inserted", "9"],
+        ["walk", "--steps", "1", "--seed", "1"],
+    ])
+    def test_non_pure_complex_rejected(self, tmp_path, capsys, argv):
+        # triangles with dangling edges used to list facet moves
+        path = self._write(tmp_path, {"facets": [[1, 2, 3], [-3, -2, -1],
+                                                 [3, 4], [-4, -3]], "z2": True})
+        assert main([argv[0], path] + argv[1:]) == 2
+        assert "moves need a pure complex" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("facets, needle", [
+        ("abc", '"abc" is not a list of integers'),
+        ([[1, "x"]], '"x" is not an integer'),
+        ([[1, 2.5]], "2.5 is not an integer"),
+        ([7], "7 is not a list of integers"),
+    ])
+    def test_malformed_facets_rejected(self, tmp_path, capsys, facets, needle):
+        path = self._write(tmp_path, {"facets": facets})
+        assert main(["info", path]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: facets")
+        assert needle in out
+
+    @pytest.mark.parametrize("entry", [[2, 0.5], [1, 1.7], [1], [1, "3"]])
+    def test_non_integer_labels_rejected(self, tmp_path, capsys, entry):
+        # int() used to truncate 1.7 to 1 and 0.5 to 0
+        doc = complex_document(cross_polytope(3).complex, z2=True,
+                               labelling=canonical_cross_labelling(3))
+        doc["labels"] = [entry if v == entry[0] else [v, x]
+                         for v, x in doc["labels"]]
+        path = self._write(tmp_path, doc)
+        assert main(["fan-check", path]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: labels")
+        assert "zero" not in out
+
+    def test_non_integer_face_argument_rejected(self, octa_file, capsys):
+        assert main(["flip", octa_file, "--removed", "1,2.5",
+                     "--inserted", "7"]) == 2
+        assert "not a list of integers" in capsys.readouterr().out

@@ -1,0 +1,122 @@
+"""The incremental move index against its from-scratch definitions.
+
+Hypothesis drives plain and symmetric walks; after every flip the index's
+move list must equal a fresh enumeration, the naive oracle and, for
+symmetric complexes, the antipodal-pair filter that the index replaced.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bistellar import (
+    BistellarMove,
+    MoveIndex,
+    antipode,
+    cross_polytope,
+    enumerate_moves,
+    enumerate_z2_moves,
+    simplex_boundary,
+)
+from conftest import naive_admissible_moves
+
+choices = st.lists(st.integers(0, 10**6), min_size=1, max_size=25)
+
+
+def old_z2_filter(moves):
+    """Symmetric representatives, chosen by building each antipodal move."""
+    out = []
+    for m in moves:
+        ins = set(m.inserted)
+        if any(-v in ins for v in ins):
+            continue
+        anti = m.antipodal()
+        if (m.removed, m.inserted) <= (anti.removed, anti.inserted):
+            out.append(m)
+    return out
+
+
+def naive_pairs(moves, dimension):
+    return [(m.removed, "fresh" if len(m.removed) == dimension + 1 else m.inserted)
+            for m in moves]
+
+
+def check_index(index):
+    listed = list(index)
+    cx = index.complex
+    plain = enumerate_moves(cx)
+    oracle = naive_admissible_moves(cx.facets)
+    if index.z2:
+        assert listed == old_z2_filter(plain)
+        assert listed == enumerate_z2_moves(index.state)
+        oracle = [(a, b) for a, b in oracle if a < antipode(a)
+                  and (b == "fresh" or set(b).isdisjoint(antipode(b)))]
+    else:
+        assert listed == plain
+    assert naive_pairs(listed, cx.dimension) == oracle
+    assert listed == sorted(listed, key=lambda m: (len(m.removed), m.removed,
+                                                   m.inserted))
+    delta, count = index.lowest()
+    assert [m.facet_delta() for m in listed[:count + 1]].count(delta) == count
+    assert delta == min(m.facet_delta() for m in listed)
+    rebuilt = MoveIndex(index.state)
+    assert list(rebuilt) == listed
+    assert rebuilt._cofacets.keys() == index._cofacets.keys()
+    assert all(sorted(rebuilt._cofacets[f]) == sorted(index._cofacets[f])
+               for f in index._cofacets)
+    assert rebuilt._links == index._links
+    assert {k: sorted(v) for k, v in rebuilt._owners.items()} \
+        == {k: sorted(v) for k, v in index._owners.items()}
+
+
+def walk_and_check(start, picks):
+    index = MoveIndex(start)
+    check_index(index)
+    for pick in picks:
+        move = index[pick % len(index)]
+        index.apply(move)
+        check_index(index)
+        if pick % 5 == 0:
+            # a search rebuilds its index from the best state on restart
+            index = MoveIndex(index.state)
+
+
+@pytest.mark.parametrize("base", [simplex_boundary(3), simplex_boundary(4)],
+                         ids=["tetrahedron", "4-simplex"])
+@given(picks=choices)
+@settings(max_examples=25, deadline=None)
+def test_plain_walks_keep_index_exact(base, picks):
+    walk_and_check(base, picks)
+
+
+@pytest.mark.parametrize("base", [cross_polytope(3), cross_polytope(4)],
+                         ids=["octahedron", "cross-4"])
+@given(picks=choices)
+@settings(max_examples=25, deadline=None)
+def test_symmetric_walks_keep_index_exact(base, picks):
+    walk_and_check(base, picks)
+
+
+def test_blocked_face_is_released_when_its_simplex_goes():
+    # In the tetrahedron boundary every edge is blocked: the edge spanned
+    # by its link is present.  After a facet split, flipping edge (1, 2)
+    # away releases edge (3, 4), whose own star the flip does not touch;
+    # only the map from simplices to the faces that would insert them
+    # finds it.
+    index = MoveIndex(simplex_boundary(3))
+    assert all(len(m.removed) == 3 for m in list(index))
+    index.apply(BistellarMove((1, 2, 3), (5,)))
+    edges = [m for m in list(index) if len(m.removed) == 2]
+    assert [(m.removed, m.inserted) for m in edges] == \
+        [((1, 2), (4, 5)), ((1, 3), (4, 5)), ((2, 3), (4, 5))]
+    index.apply(BistellarMove((1, 2), (4, 5)))
+    assert BistellarMove((3, 4), (1, 2)) in list(index)
+    check_index(index)
+
+
+def test_reads_past_the_end():
+    index = MoveIndex(simplex_boundary(3))
+    assert len(index) == 4
+    for position in (len(index), -1):
+        with pytest.raises(IndexError):
+            index[position]
