@@ -29,12 +29,10 @@ from .errors import (
     InvalidLabelling,
     InvalidVertexId,
     MoveNotAdmissible,
-    NoAdmissibleMove,
     NotClosedPseudomanifold,
     NotEquivariant,
     NoWitness,
     QuotientRequiresSubdivision,
-    UnpairedVertex,
     VertexCollision,
 )
 from .fan import (
@@ -78,8 +76,6 @@ from .z2 import (
     Z2Complex,
     antipode,
     find_z2_isomorphism,
-    is_z2_isomorphic,
-    make_signed,
 )
 
 __version__ = "0.1.0"

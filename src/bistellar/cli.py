@@ -26,6 +26,7 @@ from .moves import (
     apply_z2_move,
     enumerate_moves,
     enumerate_z2_moves,
+    fresh_vertex,
     random_z2_walk,
 )
 from .reduction import (
@@ -35,7 +36,7 @@ from .reduction import (
     replay_verify,
     z2_reduce_to_cross_polytope,
 )
-from .z2 import Z2Complex, make_signed
+from .z2 import Z2Complex
 
 FORMAT_VERSION = 1
 
@@ -92,16 +93,25 @@ def _integer_rows(rows, what, width=None):
 def parse_complex_document(text):
     """Parse a document into (complex, z2complex-or-None, labelling-or-None).
 
-    Vertex ids and labels must be JSON integers; nothing is coerced.
+    Vertex ids and labels must be JSON integers and "z2" a JSON boolean;
+    nothing is coerced, and no vertex may be labelled twice.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict) or "facets" not in doc:
         raise BistellarError("document must be an object with a 'facets' list")
     complex_ = SimplicialComplex.from_facets(_integer_rows(doc["facets"], "facets"))
-    signed = make_signed(complex_) if doc.get("z2") else None
+    z2 = doc.get("z2", False)
+    if type(z2) is not bool:
+        raise BistellarError(f"z2: {json.dumps(z2)} is not true or false")
+    signed = Z2Complex.from_complex(complex_) if z2 else None
     labelling = None
     if "labels" in doc:
-        labelling = FanLabelling(dict(_integer_rows(doc["labels"], "labels", 2)))
+        labels = {}
+        for v, x in _integer_rows(doc["labels"], "labels", 2):
+            if v in labels:
+                raise BistellarError(f"labels: vertex {v} is labelled twice")
+            labels[v] = x
+        labelling = FanLabelling(labels)
     return complex_, signed, labelling
 
 
@@ -270,12 +280,7 @@ def cmd_subdivide(args):
     complex_, signed, _ = _load(args.file)
     if args.stellar:
         face = _parse_face(args.stellar)
-        fresh = args.fresh
-        if fresh is None:
-            used = {abs(v) for v in complex_.vertices}
-            fresh = 1
-            while fresh in used:
-                fresh += 1
+        fresh = fresh_vertex(complex_) if args.fresh is None else args.fresh
         result = complex_.stellar_subdivide(face, fresh)
         _emit(complex_document(result), args.output)
         face_map = {fresh: list(face)}
@@ -304,25 +309,23 @@ def cmd_quotient(args):
 
 
 def cmd_fan_check(args):
-    complex_, signed, labelling = _load(args.file)
+    complex_, _, labelling = _load(args.file)
     labelling = _need_labels(labelling, args.file)
-    target = signed if signed is not None else complex_
-    violations = validate_fan(target, labelling)
+    violations = validate_fan(complex_, labelling)
     if violations:
         for kind, where in violations:
             print(f"violation {kind}: {where}")
         return 2
-    counts = alternating_counts(target, labelling)
+    counts = alternating_counts(complex_, labelling)
     print("valid Fan labelling")
     print(f"alternating facets: +{counts.positive} / -{counts.negative}")
     return 0
 
 
 def cmd_tucker(args):
-    complex_, signed, labelling = _load(args.file)
+    complex_, _, labelling = _load(args.file)
     labelling = _need_labels(labelling, args.file)
-    target = signed if signed is not None else complex_
-    edge = tucker_witness(target, labelling)
+    edge = tucker_witness(complex_, labelling)
     print(f"complementary edge: {list(edge)} "
           f"(labels {labelling[edge[0]]} and {labelling[edge[1]]})")
     return 0

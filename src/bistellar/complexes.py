@@ -95,7 +95,8 @@ class SimplicialComplex:
         """Build the complex generated by ``facet_list``.
 
         Subset-dominated members are pruned so the stored facet set is
-        an antichain.  Vertex ids must be nonzero integers.
+        an antichain.  Vertex ids must be nonzero integers, and at least
+        one vertex must occur.
 
         >>> SimplicialComplex.from_facets([[1, 2, 3], [1, 2]]).facets
         ((1, 2, 3),)
@@ -106,8 +107,8 @@ class SimplicialComplex:
             if 0 in t:
                 raise InvalidVertexId(f"vertex id 0 is reserved, got face {t}")
             faces.append(t)
-        if not faces:
-            raise EmptyComplex("cannot build a complex from an empty facet list")
+        if not any(faces):
+            raise EmptyComplex("cannot build a complex without vertices")
         return cls(_canonical_facets(faces))
 
     # -- basic queries -----------------------------------------------------
@@ -251,10 +252,10 @@ class SimplicialComplex:
                        for f in self.facets]
             return SimplicialComplex(_canonical_facets(renamed))
 
-        out = [f for i, f in enumerate(self.facets)
-               if i not in set(self.facets_containing(face))]
+        doomed = set(self.facets_containing(face))
+        out = [f for i, f in enumerate(self.facets) if i not in doomed]
         fs = frozenset(face)
-        for i in self.facets_containing(face):
+        for i in doomed:
             rest = tuple(v for v in self.facets[i] if v not in fs)
             for drop in face:
                 kept = tuple(v for v in face if v != drop)

@@ -38,10 +38,6 @@ class ActionNotFree(BistellarError):
     """Some face contains an antipodal vertex pair {v, -v}."""
 
 
-class UnpairedVertex(BistellarError):
-    """A vertex occurs without its negated partner."""
-
-
 class QuotientRequiresSubdivision(BistellarError):
     """Quotients are only taken after an equivariant barycentric subdivision."""
 
@@ -54,10 +50,6 @@ class MoveNotAdmissible(BistellarError):
 
 class InterferingAntipodalMove(BistellarError):
     """Applying one half of a symmetric move pair invalidated the other half."""
-
-
-class NoAdmissibleMove(BistellarError):
-    """A walk was asked to continue but no admissible move exists."""
 
 
 # -- labellings ------------------------------------------------------------

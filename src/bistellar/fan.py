@@ -34,6 +34,16 @@ def _underlying(complex_or_z2):
     return complex_or_z2.complex if isinstance(complex_or_z2, Z2Complex) else complex_or_z2
 
 
+def _complementary_edges(cx, labelling):
+    """Lazily, in canonical order, the edges whose labels sum to zero;
+    an unlabelled vertex raises :class:`IncompleteLabelling` at once."""
+    for v in cx.vertices:
+        if v not in labelling:
+            raise IncompleteLabelling(f"vertex {v} is unlabelled")
+    return (edge for edge in cx.faces(1)
+            if labelling[edge[0]] + labelling[edge[1]] == 0)
+
+
 class FanLabelling:
     """An immutable vertex -> nonzero rational label mapping."""
 
@@ -122,18 +132,13 @@ def validate_fan(complex_or_z2, labelling):
     without it.
     """
     cx = _underlying(complex_or_z2)
-    for v in cx.vertices:
-        if v not in labelling:
-            raise IncompleteLabelling(f"vertex {v} is unlabelled")
+    complementary = _complementary_edges(cx, labelling)
     violations = []
     present = set(cx.vertices)
     for v in cx.vertices:
         if v > 0 and -v in present and labelling[v] != -labelling[-v]:
             violations.append(("antipodality", v))
-    for edge in cx.faces(1):
-        u, v = edge
-        if labelling[u] + labelling[v] == 0:
-            violations.append(("complementary-edge", edge))
+    violations.extend(("complementary-edge", edge) for edge in complementary)
     return violations
 
 
@@ -174,14 +179,9 @@ def tucker_witness(z2complex, labelling):
     qualifies the input was invalid or is a counterexample, and
     :class:`NoWitness` says so loudly.
     """
-    cx = _underlying(z2complex)
-    for v in cx.vertices:
-        if v not in labelling:
-            raise IncompleteLabelling(f"vertex {v} is unlabelled")
-    for edge in cx.faces(1):
-        u, v = edge
-        if labelling[u] + labelling[v] == 0:
-            return edge
+    edge = next(_complementary_edges(_underlying(z2complex), labelling), None)
+    if edge is not None:
+        return edge
     raise NoWitness(
         "no complementary edge found; either the labelling does not satisfy "
         "the hypotheses or this complex is a counterexample worth reporting")

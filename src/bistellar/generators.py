@@ -8,6 +8,9 @@ from .errors import GenerationFailed, InvalidDimension
 from .fan import FanLabelling
 from .z2 import Z2Complex
 
+_SAMPLING_ROUNDS = 64
+_REPAIR_ROUNDS = 50
+
 
 def simplex_boundary(k):
     """The boundary of the k-simplex on vertices 1..k+1 (a (k-1)-sphere)."""
@@ -46,7 +49,7 @@ def canonical_cross_labelling(k):
     return FanLabelling(labels)
 
 
-def random_fan_labelling(z2complex, bound, seed, max_attempts=64, repair_passes=50):
+def random_fan_labelling(z2complex, bound, seed):
     """A random Fan labelling into ±1..±bound, reproducible from the seed.
 
     Vertices are drawn independently and antipodal partners mirrored;
@@ -70,13 +73,13 @@ def random_fan_labelling(z2complex, bound, seed, max_attempts=64, repair_passes=
         neighbours[v].add(u)
     reps = z2complex.positive_vertices
 
-    for _ in range(max_attempts):
+    for _ in range(_SAMPLING_ROUNDS):
         labels = {}
         for v in reps:
             x = rng.choice(values)
             labels[v] = x
             labels[-v] = -x
-        for _ in range(repair_passes):
+        for _ in range(_REPAIR_ROUNDS):
             broken = [e for e in edges if labels[e[0]] + labels[e[1]] == 0]
             if not broken:
                 return FanLabelling(labels)
@@ -92,4 +95,4 @@ def random_fan_labelling(z2complex, bound, seed, max_attempts=64, repair_passes=
                 labels[abs(w)] = x if w > 0 else -x
                 labels[-abs(w)] = -labels[abs(w)]
     raise GenerationFailed(
-        f"no Fan labelling with bound {bound} found after {max_attempts} attempts")
+        f"no Fan labelling with bound {bound} found after {_SAMPLING_ROUNDS} attempts")

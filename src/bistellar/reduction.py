@@ -1,9 +1,11 @@
 """Heuristic bistellar reduction and the parity certificate pipeline.
 
 The search minimizes the reversed f-vector lexicographically (facet
-count first) by steepest descent, accepts non-improving moves with a
-geometrically cooling temperature, and restarts from the best state
-seen once the temperature bottoms out.  Success means the final
+count first) by steepest descent and accepts non-improving moves with
+a cooling temperature.  The schedule is fixed, after Björner and Lutz
+(BISTELLAR, Exp. Math. 9, 2000): the temperature starts at 2.0, cools
+by 0.995 per tried flip, and once below 0.05 is reset to 2.0 while the
+search restarts from the best state seen.  Success means the final
 complex is isomorphic to the declared canonical target and is
 certified by replaying the recorded sequence; failure is reported as
 inconclusive and never claims inequivalence, since recognizing spheres
@@ -28,7 +30,11 @@ from .errors import (
 from .fan import alternating_counts, relabel_move, validate_fan
 from .generators import cross_polytope, simplex_boundary
 from .moves import FlipSequence, MoveIndex, apply_z2_move, replay
-from .z2 import Z2Complex, find_z2_isomorphism
+from .z2 import Z2Complex
+
+_START_TEMPERATURE = 2.0
+_COOLING = 0.995
+_RESTART_BELOW = 0.05
 
 
 def is_closed_pseudomanifold(complex_):
@@ -36,9 +42,6 @@ def is_closed_pseudomanifold(complex_):
     facet-ridge connected."""
     if not complex_.is_pure():
         return False
-    n = complex_.dimension
-    if n == 0:
-        return len(complex_.facets) == 2
     ridge_at = {}
     for i, facet in enumerate(complex_.facets):
         for drop in facet:
@@ -84,17 +87,25 @@ class ReductionReport:
         return self.outcome == "reduced"
 
 
-def _search(start, target, budget, seed, t_start, t_decay, t_floor):
+def _search(start, budget, seed):
+    """The reduction loop: symmetric pairs towards the cross polytope on a
+    :class:`Z2Complex`, plain moves towards the simplex boundary otherwise."""
+    if not is_closed_pseudomanifold(
+            start.complex if isinstance(start, Z2Complex) else start):
+        raise NotClosedPseudomanifold(
+            "reduction needs a pure, closed, strongly connected complex")
     rng = random.Random(seed)
     index = MoveIndex(start)
     multiplier = 2 if index.z2 else 1
-    same = find_z2_isomorphism if index.z2 else find_isomorphism
+    k = index.complex.dimension + 1
+    target = cross_polytope(k).complex if index.z2 else simplex_boundary(k)
     target_f = list(target.f_vector().counts)
     counts = list(index.complex.f_vector().counts)
     source_digest = complex_digest(index.complex)
 
     def matched():
-        return counts == target_f and same(index.state, target) is not None
+        return counts == target_f and find_isomorphism(
+            index.complex, target, signed=index.z2) is not None
 
     def report(outcome, final, log, best_f):
         sequence = FlipSequence(
@@ -110,7 +121,7 @@ def _search(start, target, budget, seed, t_start, t_decay, t_floor):
     if matched():
         return report("reduced", index.complex, log, counts)
 
-    temperature = t_start
+    temperature = _START_TEMPERATURE
     while flips < budget:
         flips += 1
         # Moves come sorted by facet delta, so the downhill pool is a prefix.
@@ -135,42 +146,31 @@ def _search(start, target, budget, seed, t_start, t_decay, t_floor):
                 best = (index.state, index.complex, list(log), list(counts))
             if matched():
                 return report("reduced", index.complex, log, best[3])
-        temperature *= t_decay
-        if temperature < t_floor:
-            temperature = t_start
+        temperature *= _COOLING
+        if temperature < _RESTART_BELOW:
+            temperature = _START_TEMPERATURE
             restarts += 1
             index = MoveIndex(best[0])
             log, counts = list(best[2]), list(best[3])
     return report("inconclusive", best[1], best[2], best[3])
 
 
-def reduce_to_boundary_simplex(complex_, budget=100_000, seed=0,
-                               t_start=2.0, t_decay=0.995, t_floor=0.05):
+def reduce_to_boundary_simplex(complex_, budget=100_000, seed=0):
     """Try to flip a closed pseudomanifold down to a simplex boundary.
 
     Success certifies that the input is a combinatorial sphere; an
     inconclusive outcome says nothing (the search is a heuristic, not a
-    decision procedure).
+    decision procedure).  ``budget`` bounds the tried flips of the fixed
+    schedule above.  Other inputs raise :class:`NotClosedPseudomanifold`.
     """
-    if not is_closed_pseudomanifold(complex_):
-        raise NotClosedPseudomanifold(
-            "reduction needs a pure, closed, strongly connected complex")
-    target = simplex_boundary(complex_.dimension + 1)
-    return _search(complex_, target, budget, seed,
-                   t_start, t_decay, t_floor)
+    return _search(complex_, budget, seed)
 
 
-def z2_reduce_to_cross_polytope(z2complex, budget=100_000, seed=0,
-                                t_start=2.0, t_decay=0.995, t_floor=0.05):
+def z2_reduce_to_cross_polytope(z2complex, budget=100_000, seed=0):
     """Like :func:`reduce_to_boundary_simplex`, but with symmetric move
     pairs only, aiming at the cross polytope boundary of the same
     dimension; success is checked by signed isomorphism."""
-    if not is_closed_pseudomanifold(z2complex.complex):
-        raise NotClosedPseudomanifold(
-            "reduction needs a pure, closed, strongly connected complex")
-    target = cross_polytope(z2complex.dimension + 1)
-    return _search(z2complex, target, budget, seed,
-                   t_start, t_decay, t_floor)
+    return _search(z2complex, budget, seed)
 
 
 def replay_verify(source, sequence, target):
@@ -188,9 +188,8 @@ def replay_verify(source, sequence, target):
     final = replay(source, sequence)
     if complex_digest(shell(final)) != sequence.target_digest:
         return False
-    if sequence.z2:
-        return find_z2_isomorphism(final, target) is not None
-    return find_isomorphism(final, target) is not None
+    return find_isomorphism(shell(final), shell(target),
+                            signed=sequence.z2) is not None
 
 
 @dataclass(frozen=True)
@@ -215,7 +214,7 @@ class FanCertificate:
         return self.initial_counts[0]
 
 
-def fan_certificate(z2complex, labelling, budget=100_000, seed=0, **search_options):
+def fan_certificate(z2complex, labelling, budget=100_000, seed=0):
     """Reduce to the cross polytope while transporting the labelling,
     recording the positive alternating facet count mod 2 at every step.
 
@@ -230,8 +229,7 @@ def fan_certificate(z2complex, labelling, budget=100_000, seed=0, **search_optio
     if bad:
         raise InvalidLabelling(f"not a Fan labelling: {bad[:3]}")
     start_counts = alternating_counts(z2complex, labelling)
-    report = z2_reduce_to_cross_polytope(z2complex, budget=budget, seed=seed,
-                                         **search_options)
+    report = z2_reduce_to_cross_polytope(z2complex, budget=budget, seed=seed)
     if not report.reduced:
         raise CertificateUnavailable(
             f"reduction inconclusive within budget {budget}; "

@@ -15,12 +15,7 @@ from .complexes import (
     find_isomorphism,
     normalize_face,
 )
-from .errors import (
-    ActionNotFree,
-    NotEquivariant,
-    QuotientRequiresSubdivision,
-    UnpairedVertex,
-)
+from .errors import ActionNotFree, NotEquivariant, QuotientRequiresSubdivision
 
 
 def antipode(face):
@@ -50,8 +45,7 @@ class Z2Complex:
 
         Checks run facet by facet: a facet whose antipodal image is
         missing raises :class:`NotEquivariant`; a facet containing both
-        ``v`` and ``-v`` raises :class:`ActionNotFree`.  Vertex pairing
-        is implied by facet equivariance but re-checked as a guard.
+        ``v`` and ``-v`` raises :class:`ActionNotFree`.
         """
         facet_set = set(complex_.facets)
         for f in complex_.facets:
@@ -62,15 +56,7 @@ class Z2Complex:
             hit = [v for v in f if -v in fs]
             if hit:
                 raise ActionNotFree(f"facet {f} contains the antipodal pair ±{abs(hit[0])}")
-        vertices = set(complex_.vertices)
-        for v in complex_.vertices:
-            if -v not in vertices:
-                raise UnpairedVertex(f"vertex {v} has no partner {-v}")
         return cls(complex_, subdivided=subdivided)
-
-    @classmethod
-    def from_facets(cls, facet_list):
-        return cls.from_complex(SimplicialComplex.from_facets(facet_list))
 
     # -- passthroughs --------------------------------------------------------
 
@@ -157,15 +143,6 @@ class Z2Complex:
         return self.complex.link(normalize_face(face))
 
 
-def make_signed(complex_):
-    """Validate and wrap a plain complex whose ids come in ± pairs."""
-    return Z2Complex.from_complex(complex_)
-
-
 def find_z2_isomorphism(left, right):
     """A face-preserving bijection commuting with negation, or None."""
     return find_isomorphism(left.complex, right.complex, signed=True)
-
-
-def is_z2_isomorphic(left, right):
-    return find_z2_isomorphism(left, right) is not None

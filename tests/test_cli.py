@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bistellar import cross_polytope, canonical_cross_labelling, random_z2_walk
 from bistellar.cli import (
@@ -226,3 +228,97 @@ class TestMalformedInput:
         assert main(["flip", octa_file, "--removed", "1,2.5",
                      "--inserted", "7"]) == 2
         assert "not a list of integers" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["info"],
+        ["moves"],
+        ["flip", "--removed", "1", "--inserted", "2"],
+        ["walk", "--steps", "1", "--seed", "1"],
+        ["subdivide", "--barycentric"],
+        ["quotient"],
+        ["fan-check"],
+        ["tucker"],
+        ["reduce", "--seed", "1"],
+        ["certify", "--labels", "canon", "--seed", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_complex_without_vertices_rejected(self, tmp_path, capsys, argv):
+        # info used to call it a closed pseudomanifold, walk and certify
+        # ended in tracebacks
+        path = self._write(tmp_path, {"facets": [[]], "z2": True, "labels": []})
+        assert main([argv[0], path] + argv[1:]) == 2
+        assert capsys.readouterr().out.startswith(
+            "error: cannot build a complex without vertices")
+
+    @pytest.mark.parametrize("z2", [1, 0, "false", "true", None, [True]],
+                             ids=json.dumps)
+    def test_non_boolean_z2_rejected(self, tmp_path, capsys, z2):
+        # 1 and "false" were both read as symmetric
+        doc = complex_document(cross_polytope(3).complex)
+        doc["z2"] = z2
+        path = self._write(tmp_path, doc)
+        assert main(["info", path]) == 2
+        assert capsys.readouterr().out.startswith("error: z2:")
+
+    def test_repeated_label_rejected(self, tmp_path, capsys):
+        # the last entry used to win, reported as an antipodality violation
+        doc = complex_document(cross_polytope(3).complex, z2=True,
+                               labelling=canonical_cross_labelling(3))
+        doc["labels"].append([1, 5])
+        path = self._write(tmp_path, doc)
+        assert main(["fan-check", path]) == 2
+        out = capsys.readouterr().out
+        assert out == "error: labels: vertex 1 is labelled twice\n"
+
+
+_KEYS = st.sampled_from(["facets", "z2", "labels", "format"]) | st.text(max_size=4)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=12)
+_VERTEX = st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])
+_FACET = st.lists(_VERTEX, max_size=5)
+_SPHERES = [cross_polytope(k).complex.facets for k in (1, 2, 3, 4)]
+
+
+@st.composite
+def _near_miss_documents(draw):
+    """Complex documents that are often valid and often off by one detail:
+    cross polytopes with a facet or two replaced, or random facet lists
+    closed under negation or not, with labels that may break antipodality
+    or repeat a vertex."""
+    if draw(st.booleans()):
+        facets = [list(f) for f in draw(st.sampled_from(_SPHERES))]
+        for _ in range(draw(st.integers(0, 2))):
+            facets[draw(st.integers(0, len(facets) - 1))] = draw(_FACET)
+    else:
+        facets = draw(st.lists(_FACET, max_size=6))
+        if draw(st.booleans()):
+            facets += [[-v for v in f] for f in facets]
+    doc = {"facets": facets}
+    z2 = draw(st.sampled_from([True, True, False, 1, "false", None, "absent"]))
+    if z2 != "absent":
+        doc["z2"] = z2
+    labels = draw(st.sampled_from(["absent", "identity", "random"]))
+    if labels != "absent":
+        vertices = sorted({v for f in facets for v in f})
+        doc["labels"] = [[v, v if labels == "identity" else draw(_VERTEX)]
+                         for v in vertices]
+        if doc["labels"]:
+            doc["labels"] += draw(st.lists(st.sampled_from(doc["labels"]),
+                                           max_size=1))
+    return doc
+
+
+@settings(max_examples=50, deadline=None)
+@given(doc=_JSON | _near_miss_documents())
+@example(doc={"facets": [[]], "z2": True})
+@example(doc={"facets": [[1, 2], [-1, -2], [1, -2], [-1, 2]], "z2": 1})
+@example(doc={"facets": [[1, 2], [-1, -2], [1, -2], [-1, 2]], "z2": True,
+              "labels": [[1, 1], [-1, -1], [2, 2], [-2, -2], [1, 5]]})
+def test_main_fuzz(tmp_path_factory, doc):
+    """Every document exits 0, 2 or 3 under every command; nothing escapes."""
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["info"], ["moves"], ["fan-check"], ["tucker"],
+                 ["walk", "--steps", "2", "--seed", "1"]):
+        assert main([argv[0], str(path)] + argv[1:]) in (0, 2, 3)

@@ -33,8 +33,9 @@ class TestFromFacets:
         assert cx.f_vector().counts == (4, 6, 4)
 
     def test_empty_input(self):
-        with pytest.raises(EmptyComplex):
-            SimplicialComplex.from_facets([])
+        for facets in ([], [[]]):
+            with pytest.raises(EmptyComplex):
+                SimplicialComplex.from_facets(facets)
 
     def test_zero_vertex(self):
         with pytest.raises(InvalidVertexId):

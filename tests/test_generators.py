@@ -7,11 +7,11 @@ import pytest
 from bistellar import (
     GenerationFailed,
     InvalidDimension,
+    Z2Complex,
     alternating_counts,
     canonical_cross_labelling,
     cross_polytope,
     is_closed_pseudomanifold,
-    make_signed,
     random_fan_labelling,
     simplex_boundary,
     validate_fan,
@@ -62,7 +62,7 @@ class TestCrossPolytope:
 
     def test_validates_as_signed(self):
         for k in range(1, 6):
-            make_signed(cross_polytope(k).complex)
+            Z2Complex.from_complex(cross_polytope(k).complex)
 
     def test_invalid_dimension(self):
         with pytest.raises(InvalidDimension):

@@ -10,6 +10,7 @@ from bistellar import (
     FaceNotPresent,
     InterferingAntipodalMove,
     MoveNotAdmissible,
+    Z2Complex,
     apply_move,
     apply_z2_move,
     cross_polytope,
@@ -17,7 +18,6 @@ from bistellar import (
     enumerate_z2_moves,
     find_move,
     fresh_vertex,
-    make_signed,
     random_z2_walk,
     replay,
     simplex_boundary,
@@ -180,7 +180,7 @@ class TestSymmetricMoves:
         for _ in range(25):
             moves = enumerate_z2_moves(state)
             state, _ = apply_z2_move(state, moves[rng.randrange(len(moves))])
-            make_signed(state.complex)
+            Z2Complex.from_complex(state.complex)
             assert state.f_vector().euler_characteristic == 2
 
 
@@ -205,7 +205,7 @@ class TestRandomWalk:
     def test_invariants_preserved(self, octahedron):
         final, _ = random_z2_walk(octahedron, 10, seed=1)
         assert final.f_vector().euler_characteristic == 2
-        make_signed(final.complex)
+        Z2Complex.from_complex(final.complex)
 
     def test_f_vector_matches_naive_after_walk(self, octahedron):
         final, _ = random_z2_walk(octahedron, 12, seed=5)

@@ -1,0 +1,72 @@
+"""The public names of the package, pinned so that any change to them
+shows up in a diff of this file."""
+
+from types import ModuleType
+
+import bistellar
+
+PUBLIC_NAMES = [
+    "ActionNotFree",
+    "AlternatingCounts",
+    "BistellarError",
+    "BistellarMove",
+    "CertificateUnavailable",
+    "CorruptSequence",
+    "EmptyComplex",
+    "FVector",
+    "FaceNotPresent",
+    "FanCertificate",
+    "FanLabelling",
+    "FlipSequence",
+    "GenerationFailed",
+    "IncompleteLabelling",
+    "InterferingAntipodalMove",
+    "InvalidDimension",
+    "InvalidLabelling",
+    "InvalidVertexId",
+    "MoveIndex",
+    "MoveNotAdmissible",
+    "NoWitness",
+    "NotClosedPseudomanifold",
+    "NotEquivariant",
+    "QuotientRequiresSubdivision",
+    "ReductionReport",
+    "SimplicialComplex",
+    "VertexCollision",
+    "Z2Complex",
+    "alternating_counts",
+    "alternating_sign",
+    "antipode",
+    "apply_move",
+    "apply_z2_move",
+    "boundary_of_simplex",
+    "canonical_cross_labelling",
+    "complex_digest",
+    "cross_polytope",
+    "enumerate_moves",
+    "enumerate_z2_moves",
+    "fan_certificate",
+    "find_isomorphism",
+    "find_move",
+    "find_z2_isomorphism",
+    "fresh_vertex",
+    "is_closed_pseudomanifold",
+    "is_isomorphic",
+    "random_fan_labelling",
+    "random_z2_walk",
+    "reduce_to_boundary_simplex",
+    "relabel_move",
+    "replay",
+    "replay_verify",
+    "simplex_boundary",
+    "tucker_witness",
+    "validate_fan",
+    "z2_reduce_to_cross_polytope",
+]
+
+
+def test_public_names():
+    names = sorted(name for name in dir(bistellar)
+                   if not name.startswith("_")
+                   and not isinstance(getattr(bistellar, name), ModuleType))
+    assert names == PUBLIC_NAMES

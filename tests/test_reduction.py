@@ -106,17 +106,16 @@ class TestSymmetricReduction:
         assert report.reduced
         assert replay_verify(walked, report.sequence, cross_polytope(4))
 
-    def test_restarts_rewind_to_best(self, octahedron):
-        # aggressive cooling forces restarts; the search must still land,
-        # stay deterministic, and report the target as its best state
-        sd, _ = octahedron.equivariant_sd()
-        settings = dict(budget=20_000, seed=4, t_start=1.0, t_decay=0.9,
-                        t_floor=0.5)
-        report = z2_reduce_to_cross_polytope(sd, **settings)
+    def test_restarts_rewind_to_best(self):
+        # seed 2 on sd of the 3-dimensional cross polytope restarts twice
+        # before it lands; the search must stay deterministic and report
+        # the target as its best state
+        sd, _ = cross_polytope(4).equivariant_sd()
+        report = z2_reduce_to_cross_polytope(sd, seed=2)
         assert report.restarts > 0
         assert report.reduced
-        assert report.best_f_vector == (6, 12, 8)
-        assert report == z2_reduce_to_cross_polytope(sd, **settings)
+        assert report.best_f_vector == (8, 24, 32, 16)
+        assert report == z2_reduce_to_cross_polytope(sd, seed=2)
 
 
 class TestReplayVerify:

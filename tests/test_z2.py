@@ -9,10 +9,10 @@ from bistellar import (
     NotEquivariant,
     QuotientRequiresSubdivision,
     SimplicialComplex,
+    Z2Complex,
     antipode,
     cross_polytope,
     is_isomorphic,
-    make_signed,
 )
 from conftest import naive_f_vector
 
@@ -32,18 +32,18 @@ class TestAntipode:
 
 class TestMakeSigned:
     def test_octahedron_valid(self, octahedron):
-        again = make_signed(octahedron.complex)
+        again = Z2Complex.from_complex(octahedron.complex)
         assert again.complex == octahedron.complex
 
     def test_antipodal_pair_in_facet(self):
         cx = SimplicialComplex.from_facets([[1, -1]])
         with pytest.raises(ActionNotFree):
-            make_signed(cx)
+            Z2Complex.from_complex(cx)
 
     def test_missing_antipodal_facet(self):
         cx = SimplicialComplex.from_facets([[1, 2]])
         with pytest.raises(NotEquivariant):
-            make_signed(cx)
+            Z2Complex.from_complex(cx)
 
     def test_every_face_has_antipode(self, octahedron, four_cycle):
         for signed in (octahedron, four_cycle):
@@ -70,13 +70,13 @@ class TestEquivariantSubdivision:
     def test_octahedron_counts_and_validity(self, octahedron):
         sd, _ = octahedron.equivariant_sd()
         assert sd.f_vector().counts == (26, 72, 48)
-        make_signed(sd.complex)  # must validate cleanly
+        Z2Complex.from_complex(sd.complex)  # must validate cleanly
 
     def test_twice_on_four_cycle(self, four_cycle):
         once, _ = four_cycle.equivariant_sd()
         twice, _ = once.equivariant_sd()
         assert twice.f_vector().counts == (16, 16)
-        make_signed(twice.complex)
+        Z2Complex.from_complex(twice.complex)
 
     def test_same_complex_as_plain_subdivision(self, octahedron):
         plain, _ = octahedron.complex.barycentric_subdivide()
