@@ -49,9 +49,7 @@ def complex_document(complex_, z2=False, labelling=None):
     if z2:
         doc["z2"] = True
     if labelling is not None:
-        if not labelling.is_integral():
-            labelling = labelling.integerize()
-        doc["labels"] = [[v, int(x)] for v, x in labelling.items()]
+        doc["labels"] = [[v, x] for v, x in labelling.items()]
     return doc
 
 
@@ -137,10 +135,22 @@ def sequence_document(sequence):
 
 
 def parse_sequence_document(text):
+    """Parse a "flip-sequence" document: a boolean "z2", string "source" and
+    "target" digests, and "moves" whose "removed"/"inserted" are integer lists."""
     doc = json.loads(text)
-    moves = tuple(BistellarMove(tuple(m["removed"]), tuple(m["inserted"]))
-                  for m in doc["moves"])
-    return FlipSequence(moves=moves, z2=bool(doc["z2"]),
+    if not isinstance(doc, dict) or doc.get("kind") != "flip-sequence":
+        raise BistellarError("document must be an object of kind 'flip-sequence'")
+    for key, kind in (("z2", bool), ("source", str), ("target", str)):
+        if type(doc.get(key)) is not kind:
+            raise BistellarError(f"{key}: {json.dumps(doc.get(key))} is not a "
+                                 f"{'boolean' if kind is bool else 'string'}")
+    records = doc.get("moves")
+    if type(records) is not list or any(type(m) is not dict for m in records):
+        raise BistellarError("moves: not a list of objects")
+    moves = tuple(BistellarMove(*_integer_rows([m.get("removed"), m.get("inserted")],
+                                               "moves"))
+                  for m in records)
+    return FlipSequence(moves=moves, z2=doc["z2"],
                         source_digest=doc["source"], target_digest=doc["target"])
 
 
@@ -160,7 +170,7 @@ def certificate_document(certificate):
         "alpha_negative": certificate.initial_counts[1],
         "parity": certificate.parity_trace[0],
         "steps": steps,
-        "final_labels": [[v, int(x)] for v, x in certificate.final_labelling.items()],
+        "final_labels": [[v, x] for v, x in certificate.final_labelling.items()],
     }
 
 

@@ -103,10 +103,10 @@ class SimplicialComplex:
         """
         faces = []
         for f in facet_list:
-            t = normalize_face(f)
-            if 0 in t:
-                raise InvalidVertexId(f"vertex id 0 is reserved, got face {t}")
-            faces.append(t)
+            f = tuple(f)
+            if any(type(v) is not int or v == 0 for v in f):
+                raise InvalidVertexId(f"vertex ids must be nonzero integers: {f}")
+            faces.append(normalize_face(f))
         if not any(faces):
             raise EmptyComplex("cannot build a complex without vertices")
         return cls(_canonical_facets(faces))

@@ -8,15 +8,13 @@ strictly alternating signs once sorted by absolute value; it counts as
 positive or negative according to the sign of its smallest-magnitude
 label.
 
-Labels are exact rationals internally.  The perturbation used when a
-move inserts a complementary diagonal must provably avoid every other
-absolute value in use, and rationals make that gap condition exact;
-integer labels are recovered at the API boundary with
-:meth:`FanLabelling.integerize`.
+Labels are integers.  Only their signs and the order of their absolute
+values matter, so a move that inserts a complementary diagonal doubles
+every label to make room for the one odd value that breaks the tie;
+:meth:`FanLabelling.integerize` maps labels back onto ``±1..±m``.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import (
@@ -45,19 +43,16 @@ def _complementary_edges(cx, labelling):
 
 
 class FanLabelling:
-    """An immutable vertex -> nonzero rational label mapping."""
+    """An immutable vertex -> nonzero label mapping of ``int``s (not bools)."""
 
     def __init__(self, labels):
-        clean = {}
         for v, value in labels.items():
-            v = int(v)
-            if v == 0:
-                raise InvalidVertexId("vertex id 0 is reserved")
-            value = Fraction(value)
-            if value == 0:
-                raise InvalidLabelling(f"label of vertex {v} is zero")
-            clean[v] = value
-        self._labels = clean
+            if type(v) is not int or v == 0:
+                raise InvalidVertexId(f"vertex id {v!r} is not a nonzero integer")
+            if type(value) is not int or value == 0:
+                raise InvalidLabelling(
+                    f"label {value!r} of vertex {v} is not a nonzero integer")
+        self._labels = dict(labels)
 
     @property
     def labels(self):
@@ -83,9 +78,6 @@ class FanLabelling:
     def restrict(self, vertices):
         keep = set(vertices)
         return FanLabelling({v: x for v, x in self._labels.items() if v in keep})
-
-    def is_integral(self):
-        return all(x.denominator == 1 for x in self._labels.values())
 
     def integerize(self):
         """Order-preserving remap of the distinct absolute values onto 1..m.
@@ -197,10 +189,10 @@ def relabel_move(z2complex, labelling, move):
       the removed facet, taken from whichever of the two antipodal
       descriptions of the move has a positively labelled removed facet
       (the given one wins ties);
-    * inserted edge whose endpoint labels sum to zero: the positively
-      labelled endpoint pair is nudged up by half the gap to the next
-      larger absolute value in use (or by 1/2 if it is the largest), so
-      no other label lies in the perturbed interval;
+    * inserted edge whose endpoint labels sum to zero: every label is
+      doubled and the positively labelled endpoint pair ``±x`` becomes
+      ``±(2x + 1)``, strictly between its old magnitude and the next
+      larger one in use, so all other magnitudes keep their order;
     * anything else: labels are unchanged.
 
     The result is a valid Fan labelling of the moved complex, it has no
@@ -232,17 +224,11 @@ def relabel_move(z2complex, labelling, move):
             value = max(labels[v] for v in removed)
         labels[new] = value
         labels[-new] = -value
-    elif len(inserted) == 2:
-        u, v = inserted
-        if labels[u] + labels[v] == 0:
-            if labels[u] < 0:
-                u, v = v, u
-            base = labels[u]
-            larger = sorted(mag for mag in {abs(x) for x in labels.values()}
-                            if mag > base)
-            step = (larger[0] - base) / 2 if larger else Fraction(1, 2)
-            labels[u] = base + step
-            labels[-u] = -(base + step)
+    elif len(inserted) == 2 and labels[inserted[0]] + labels[inserted[1]] == 0:
+        u = max(inserted, key=labels.get)
+        labels = {w: 2 * x for w, x in labels.items()}
+        labels[u] += 1
+        labels[-u] -= 1
 
     if len(removed) == 1:
         del labels[removed[0]]

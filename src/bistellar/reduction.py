@@ -222,7 +222,7 @@ def fan_certificate(z2complex, labelling, budget=100_000, seed=0):
     Fan condition, and :class:`CertificateUnavailable` if the search
     does not reach the cross polytope (the directly counted numbers
     ride along on the exception).  Any break in the parity trace or in
-    stepwise validity would falsify the machinery and raises a plain
+    stepwise validity would falsify the machinery and raises a
     :class:`BistellarError`.
     """
     bad = validate_fan(z2complex, labelling)
@@ -238,27 +238,27 @@ def fan_certificate(z2complex, labelling, budget=100_000, seed=0):
 
     parity = start_counts.positive % 2
     trace = [parity]
-    current, labels = z2complex, labelling
+    current, labels, counts = z2complex, labelling, start_counts
+    # relabel_move validates the state it starts from; the last one is checked below
     for index, move in enumerate(report.sequence.moves):
         labels = relabel_move(current, labels, move)
         current, _ = apply_z2_move(current, move)
-        if validate_fan(current, labels):
-            raise BistellarError(
-                f"transported labelling invalid after step {index}")
         counts = alternating_counts(current, labels)
         trace.append(counts.positive % 2)
         if trace[-1] != parity:
             raise BistellarError(f"parity trace broke at step {index}")
+    if validate_fan(current, labels):
+        raise BistellarError(
+            f"transported labelling invalid after step {len(report.sequence) - 1}")
     if trace[-1] != 1:
         raise BistellarError(
             "trace does not end at 1 on the cross polytope; "
             "this falsifies the parity argument")
-    final_counts = alternating_counts(current, labels)
     return FanCertificate(
         source_digest=report.sequence.source_digest,
         sequence=report.sequence,
         initial_counts=start_counts.as_tuple(),
         parity_trace=tuple(trace),
         final_labelling=labels.integerize(),
-        final_counts=final_counts.as_tuple(),
+        final_counts=counts.as_tuple(),
     )

@@ -6,6 +6,7 @@ deliberately share no code with the package so that tests compare two
 independent routes.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -99,6 +100,41 @@ def naive_alpha(facets, labelling):
         elif sign < 0:
             minus += 1
     return plus, minus
+
+
+def naive_ranks(labels):
+    """Labels mapped onto ±1..±m by the rank of their absolute value."""
+    magnitudes = sorted({abs(x) for x in labels.values()})
+    return {v: (magnitudes.index(abs(x)) + 1) * (1 if x > 0 else -1)
+            for v, x in labels.items()}
+
+
+def rational_relabel(labels, move):
+    """Reference transport of a labelling across a symmetric move, with
+    the rational midpoint nudge that the integer rule replaced.
+
+    ``labels`` maps every vertex before the move to a :class:`Fraction`;
+    the result maps every vertex after it.  A fresh pair gets ± the
+    smallest positive label on the removed face (the largest label if
+    none is positive); a complementary inserted edge moves its positive
+    endpoint pair halfway to the next larger magnitude in use, or up by
+    1/2 if there is none.
+    """
+    labels = dict(labels)
+    removed, inserted = move.removed, move.inserted
+    if len(inserted) == 1 and inserted[0] not in labels:
+        positive = [labels[v] for v in removed if labels[v] > 0]
+        value = min(positive) if positive else max(labels[v] for v in removed)
+        labels[inserted[0]], labels[-inserted[0]] = value, -value
+    elif len(inserted) == 2 and labels[inserted[0]] + labels[inserted[1]] == 0:
+        u = max(inserted, key=lambda v: labels[v])
+        base = labels[u]
+        larger = [abs(x) for x in labels.values() if abs(x) > base]
+        value = base + ((min(larger) - base) / 2 if larger else Fraction(1, 2))
+        labels[u], labels[-u] = value, -value
+    if len(removed) == 1:
+        del labels[removed[0]], labels[-removed[0]]
+    return labels
 
 
 # -- fixtures -------------------------------------------------------------------

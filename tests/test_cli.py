@@ -6,7 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bistellar import cross_polytope, canonical_cross_labelling, random_z2_walk
+from bistellar import (
+    BistellarError,
+    canonical_cross_labelling,
+    cross_polytope,
+    random_z2_walk,
+)
 from bistellar.cli import (
     complex_document,
     dumps_canonical,
@@ -54,6 +59,31 @@ class TestRoundTrip:
         _, sequence = random_z2_walk(cross_polytope(3), 5, seed=2)
         text = dumps_canonical(sequence_document(sequence))
         assert parse_sequence_document(text) == sequence
+
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda doc: doc.update(z2="false"), 'z2: "false" is not a boolean'),
+        (lambda doc: doc.update(source=1), "source: 1 is not a string"),
+        (lambda doc: doc["moves"][0]["removed"].append(1.5),
+         "moves: 1.5 is not an integer"),
+        (lambda doc: doc["moves"][0].pop("inserted"),
+         "moves: null is not a list of integers"),
+        (lambda doc: doc.update(moves={}), "moves: not a list of objects"),
+        (lambda doc: doc.update(kind="certificate"), "kind 'flip-sequence'"),
+    ], ids=["z2-string", "source-int", "vertex-float", "no-inserted",
+            "moves-object", "wrong-kind"])
+    def test_sequence_schema_enforced(self, edit, needle):
+        # "false" used to read as True, 1.5 as vertex 1
+        _, sequence = random_z2_walk(cross_polytope(3), 2, seed=2)
+        doc = sequence_document(sequence)
+        edit(doc)
+        with pytest.raises(BistellarError, match=needle):
+            parse_sequence_document(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["[]", "{}"])
+    def test_sequence_document_not_an_object_of_its_kind(self, text):
+        # [] used to raise TypeError and {} KeyError
+        with pytest.raises(BistellarError, match="kind 'flip-sequence'"):
+            parse_sequence_document(text)
 
     def test_fresh_ids_recorded(self):
         _, sequence = random_z2_walk(cross_polytope(3), 3, seed=0)

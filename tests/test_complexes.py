@@ -41,6 +41,12 @@ class TestFromFacets:
         with pytest.raises(InvalidVertexId):
             SimplicialComplex.from_facets([[0, 1]])
 
+    @pytest.mark.parametrize("vertex", [1.7, True, 1.0, "1"], ids=repr)
+    def test_non_integer_vertex(self, vertex):
+        # 1.7 and True used to become vertex 1
+        with pytest.raises(InvalidVertexId):
+            SimplicialComplex.from_facets([[vertex, 2, 3]])
+
     @given(st.lists(st.frozensets(st.integers(-6, 6).filter(bool),
                                   min_size=1, max_size=4),
                     min_size=1, max_size=8))

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bistellar import (
@@ -13,6 +13,7 @@ from bistellar import (
     FanLabelling,
     IncompleteLabelling,
     InvalidLabelling,
+    InvalidVertexId,
     MoveNotAdmissible,
     NoWitness,
     alternating_counts,
@@ -27,7 +28,12 @@ from bistellar import (
     tucker_witness,
     validate_fan,
 )
-from conftest import naive_alpha, naive_alternating_sign
+from conftest import (
+    naive_alpha,
+    naive_alternating_sign,
+    naive_ranks,
+    rational_relabel,
+)
 
 
 def octa_labelling(l1, l2, l3):
@@ -55,6 +61,18 @@ class TestValidate:
     def test_zero_label_rejected(self):
         with pytest.raises(InvalidLabelling):
             FanLabelling({1: 0})
+
+    @pytest.mark.parametrize("label", [Fraction(1, 2), 1.5, 1.0, "2", True],
+                             ids=repr)
+    def test_non_integer_label_rejected(self, label):
+        # Fraction(label) used to accept each of these
+        with pytest.raises(InvalidLabelling):
+            FanLabelling({1: label})
+
+    @pytest.mark.parametrize("vertex", [0, 1.5, True], ids=repr)
+    def test_non_integer_vertex_rejected(self, vertex):
+        with pytest.raises(InvalidVertexId):
+            FanLabelling({vertex: 1})
 
 
 class TestAlternatingSign:
@@ -180,11 +198,13 @@ class TestRelabelMove:
         assert relabelled[7] == -1
 
     def test_perturbation_is_gap_midpoint(self):
+        # labels double to 2, 6, 4, 4 and the pair ±4 moves into the gap
+        # between 4 and 6
         grown, labelling = split_cross_with_labels()
         move = BistellarMove((1, 2), (-3, 4))
         relabelled = relabel_move(grown, labelling, move)
-        assert relabelled[4] == Fraction(5, 2)
-        assert relabelled[-4] == Fraction(-5, 2)
+        assert relabelled[4] == 5
+        assert relabelled[-4] == -5
         integered = relabelled.integerize()
         assert integered[4] == 3
         assert integered[2] == 4
@@ -244,33 +264,80 @@ class TestRelabelMove:
                 lab = new_lab
 
     def test_locality(self, octahedron):
-        # labels may change only on the inserted simplex's fresh or
-        # perturbed pair; facets away from both inserted stars keep
-        # their classification
-        state, lab = octahedron, canonical_cross_labelling(3)
-        rng = random.Random(9)
-        for _ in range(15):
-            moves = enumerate_z2_moves(state)
-            move = moves[rng.randrange(len(moves))]
+        # without a nudge, labels may change only on the inserted
+        # simplex's fresh pair; a nudge doubles every label, but the
+        # order of magnitudes outside the perturbed pair is unchanged;
+        # either way facets away from both inserted stars keep their
+        # classification
+        def step(state, lab, move):
             new_lab = relabel_move(state, lab, move)
             new_state, _ = apply_z2_move(state, move)
             shared = set(state.vertices) & set(new_state.vertices)
-            changed = {v for v in shared if lab[v] != new_lab[v]}
-            allowed = {v for v in move.inserted} | {-v for v in move.inserted}
-            assert changed <= allowed
             ins, anti_ins = set(move.inserted), {-v for v in move.inserted}
+            nudged = len(ins) == 2 and sum(lab[v] for v in ins) == 0
+            if nudged:
+                u = max(ins, key=lambda v: lab[v])
+                outside = shared - {u, -u}
+                assert naive_ranks({v: lab[v] for v in outside}) \
+                    == naive_ranks({v: new_lab[v] for v in outside})
+            else:
+                changed = {v for v in shared if lab[v] != new_lab[v]}
+                assert changed <= ins | anti_ins
             for facet in new_state.facets:
                 fs = set(facet)
                 if ins <= fs or anti_ins <= fs or not fs <= shared:
                     continue
                 assert alternating_sign(facet, new_lab) \
                     == alternating_sign(facet, lab)
-            state, lab = new_state, new_lab
+            return new_state, new_lab, nudged
+
+        state, lab = octahedron, canonical_cross_labelling(3)
+        rng = random.Random(9)
+        for _ in range(15):
+            moves = enumerate_z2_moves(state)
+            move = moves[rng.randrange(len(moves))]
+            state, lab, _ = step(state, lab, move)
+        grown, labelling = split_cross_with_labels()
+        assert step(grown, labelling, BistellarMove((1, 2), (-3, 4)))[2]
+
+    @given(k=st.sampled_from([3, 4]), walk_seed=st.integers(0, 2**16),
+           label_seed=st.integers(0, 2**16))
+    @example(k=3, walk_seed=0, label_seed=0)
+    @example(k=4, walk_seed=0, label_seed=0)
+    @settings(max_examples=30, deadline=None)
+    def test_ranks_match_rational_reference(self, k, walk_seed, label_seed):
+        walk_against_reference(k, walk_seed, label_seed, 40)
+
+    def test_reference_walks_reach_nudges(self):
+        nudges = sum(walk_against_reference(k, seed, seed, 40)
+                     for k in (3, 4) for seed in range(3))
+        assert nudges > 0
+
+
+def walk_against_reference(k, walk_seed, label_seed, steps):
+    """Walk a random labelled cross polytope of dimension k - 1 with
+    symmetric moves, checking after every step that the integer labels
+    rank like the rational reference's; returns the number of nudges."""
+    state = cross_polytope(k)
+    lab = random_fan_labelling(state, k, label_seed)
+    reference = {v: Fraction(x) for v, x in lab.items()}
+    rng = random.Random(walk_seed)
+    nudges = 0
+    for _ in range(steps):
+        moves = enumerate_z2_moves(state)
+        move = moves[rng.randrange(len(moves))]
+        ins = move.inserted
+        nudges += len(ins) == 2 and lab[ins[0]] + lab[ins[1]] == 0
+        lab = relabel_move(state, lab, move)
+        reference = rational_relabel(reference, move)
+        state, _ = apply_z2_move(state, move)
+        assert naive_ranks(lab.labels) == naive_ranks(reference)
+    return nudges
 
 
 class TestIntegerize:
     def test_rational_example(self):
-        lab = FanLabelling({1: Fraction(5, 2), 2: -2, 3: 1})
+        lab = FanLabelling({1: 5, 2: -2, 3: 1})
         assert lab.integerize() == FanLabelling({1: 3, 2: -2, 3: 1})
 
     def test_identity_on_compact_range(self):
@@ -278,13 +345,13 @@ class TestIntegerize:
         assert lab.integerize() == lab
 
     def test_idempotent(self):
-        lab = FanLabelling({1: Fraction(7, 3), 2: -9, 3: Fraction(1, 2)})
+        lab = FanLabelling({1: 14, 2: -54, 3: 3})
         once = lab.integerize()
         assert once.integerize() == once
 
     @given(st.dictionaries(
         st.integers(1, 6),
-        st.fractions(min_value=-20, max_value=20).filter(bool),
+        st.integers(min_value=-60, max_value=60).filter(bool),
         min_size=1, max_size=6))
     @settings(max_examples=80)
     def test_preserves_classification(self, labels):
@@ -298,8 +365,7 @@ class TestIntegerize:
         walked, _ = random_z2_walk(octahedron, 10, seed=21)
         labels = {}
         for v in walked.positive_vertices:
-            labels[v] = Fraction(rng.randrange(1, 40), rng.randrange(1, 7)) \
-                * rng.choice([1, -1])
+            labels[v] = rng.randrange(1, 240) * rng.choice([1, -1])
             labels[-v] = -labels[v]
         lab = FanLabelling(labels)
         before = alternating_counts(walked, lab)

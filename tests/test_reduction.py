@@ -3,8 +3,10 @@
 import pytest
 
 from bistellar import (
+    BistellarError,
     CertificateUnavailable,
     CorruptSequence,
+    FanLabelling,
     FlipSequence,
     NotClosedPseudomanifold,
     SimplicialComplex,
@@ -18,10 +20,12 @@ from bistellar import (
     random_fan_labelling,
     random_z2_walk,
     reduce_to_boundary_simplex,
+    relabel_move,
     replay_verify,
     simplex_boundary,
     z2_reduce_to_cross_polytope,
 )
+from bistellar import reduction
 
 
 class TestPseudomanifoldCheck:
@@ -157,13 +161,40 @@ class TestFanCertificate:
         assert counts.positive % 2 == 1
         assert set(certificate.parity_trace) == {1}
         assert len(certificate.parity_trace) == len(certificate.sequence) + 1
-        assert certificate.final_labelling.is_integral()
+        assert certificate.final_labelling.integerize() \
+            == certificate.final_labelling
 
     def test_cross_polytope_dimension_three(self):
         signed = cross_polytope(4)
         certificate = fan_certificate(signed, canonical_cross_labelling(4),
                                       seed=1)
         assert certificate.initial_counts == (1, 1)
+
+    @pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
+    def test_corrupted_transport_raises(self, octahedron, monkeypatch, last):
+        walked, _ = random_z2_walk(octahedron, 20, seed=7)
+        labelling = random_fan_labelling(walked, 4, seed=3)
+        steps = len(fan_certificate(walked, labelling, seed=1).sequence)
+        assert steps > 1
+        calls = []
+
+        def corrupting(z2complex, labels, move):
+            # Break antipodality at one vertex without touching the order
+            # of magnitudes, so every count and the parity trace hold.
+            moved = relabel_move(z2complex, labels, move)
+            calls.append(move)
+            if len(calls) == (steps if last else 1):
+                v = moved.items()[-1][0]
+                tripled = {w: 3 * x for w, x in moved.items()}
+                tripled[v] += 1
+                moved = FanLabelling(tripled)
+            return moved
+
+        monkeypatch.setattr(reduction, "relabel_move", corrupting)
+        expected = (f"invalid after step {steps - 1}" if last
+                    else "not a Fan labelling")
+        with pytest.raises(BistellarError, match=expected):
+            fan_certificate(walked, labelling, seed=1)
 
     def test_inconclusive_still_reports_counts(self, octahedron):
         walked, _ = random_z2_walk(octahedron, 12, seed=5)
