@@ -22,8 +22,7 @@ from .generators import cross_polytope, random_fan_labelling, simplex_boundary
 from .moves import (
     BistellarMove,
     FlipSequence,
-    apply_move,
-    apply_z2_move,
+    MoveIndex,
     enumerate_moves,
     enumerate_z2_moves,
     fresh_vertex,
@@ -266,13 +265,9 @@ def cmd_moves(args):
 
 def cmd_flip(args):
     complex_, signed, _ = _load(args.file, pure=True)
-    move = BistellarMove(_parse_face(args.removed), _parse_face(args.inserted))
-    if signed is not None:
-        result, _ = apply_z2_move(signed, move)
-        _emit(complex_document(result.complex, z2=True), args.output)
-    else:
-        result, _ = apply_move(complex_, move)
-        _emit(complex_document(result), args.output)
+    index = MoveIndex(complex_ if signed is None else signed)
+    index.apply(BistellarMove(_parse_face(args.removed), _parse_face(args.inserted)))
+    _emit(complex_document(index.complex, z2=index.z2), args.output)
     return 0
 
 
@@ -343,17 +338,9 @@ def cmd_tucker(args):
 
 def cmd_reduce(args):
     complex_, signed, _ = _load(args.file)
-    if args.z2:
-        signed = _need_z2(signed, args.file)
-        report = z2_reduce_to_cross_polytope(signed, budget=args.budget,
-                                             seed=args.seed)
-        source = signed
-        target = cross_polytope(signed.dimension + 1)
-    else:
-        report = reduce_to_boundary_simplex(complex_, budget=args.budget,
-                                            seed=args.seed)
-        source = complex_
-        target = simplex_boundary(complex_.dimension + 1)
+    source = _need_z2(signed, args.file) if args.z2 else complex_
+    reduce = z2_reduce_to_cross_polytope if args.z2 else reduce_to_boundary_simplex
+    report = reduce(source, budget=args.budget, seed=args.seed)
     print(f"outcome: {report.outcome}")
     print(f"flips tried: {report.flips_tried}, applied: {report.flips_applied}, "
           f"restarts: {report.restarts}")
@@ -362,6 +349,8 @@ def cmd_reduce(args):
     if args.log:
         _write(args.log, dumps_canonical(sequence_document(report.sequence)))
     if report.reduced:
+        target = (cross_polytope if args.z2 else simplex_boundary)(
+            complex_.dimension + 1)
         verified = replay_verify(source, report.sequence, target)
         print(f"replay verified: {verified}")
         return 0 if verified else 2

@@ -33,6 +33,14 @@ def normalize_face(face):
     return tuple(sorted(set(int(v) for v in face)))
 
 
+def _checked_face(face):
+    """:func:`normalize_face` for nonzero ``int`` ids (not bools) only."""
+    face = tuple(face)
+    if any(type(v) is not int or v == 0 for v in face):
+        raise InvalidVertexId(f"vertex ids must be nonzero integers: {face}")
+    return tuple(sorted(set(face)))
+
+
 def _canonical_facets(faces):
     """Prune subset-dominated members and sort; input is an iterable of tuples."""
     uniq = sorted(set(faces), key=lambda f: (-len(f), f))
@@ -101,12 +109,7 @@ class SimplicialComplex:
         >>> SimplicialComplex.from_facets([[1, 2, 3], [1, 2]]).facets
         ((1, 2, 3),)
         """
-        faces = []
-        for f in facet_list:
-            f = tuple(f)
-            if any(type(v) is not int or v == 0 for v in f):
-                raise InvalidVertexId(f"vertex ids must be nonzero integers: {f}")
-            faces.append(normalize_face(f))
+        faces = [_checked_face(f) for f in facet_list]
         if not any(faces):
             raise EmptyComplex("cannot build a complex without vertices")
         return cls(_canonical_facets(faces))

@@ -25,11 +25,7 @@ from .errors import (
     NoWitness,
 )
 from .moves import is_admissible
-from .z2 import Z2Complex
-
-
-def _underlying(complex_or_z2):
-    return complex_or_z2.complex if isinstance(complex_or_z2, Z2Complex) else complex_or_z2
+from .z2 import _underlying
 
 
 def _complementary_edges(cx, labelling):

@@ -11,17 +11,19 @@ Enumeration order is a contract: moves are listed by ``(len(removed),
 removed, inserted)``, and seeded walks and searches draw from that list
 by position.  On a symmetric complex a pair is listed once, under the
 move whose removed face is smaller than its antipode, if its inserted
-simplex is disjoint from its own antipode.  Walks and searches keep a
-:class:`MoveIndex` that each flip updates in the star of the move.
+simplex is disjoint from its own antipode.  Every flip, by walks,
+searches, :func:`replay` or the ``apply`` functions, goes through a
+:class:`MoveIndex` that checks it and updates itself in its star.
 """
 
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, count
 from math import comb
 
-from .complexes import SimplicialComplex, complex_digest, normalize_face
+from .complexes import SimplicialComplex, _checked_face, complex_digest, normalize_face
 from .errors import (
     BistellarError,
     CorruptSequence,
@@ -29,7 +31,7 @@ from .errors import (
     InterferingAntipodalMove,
     MoveNotAdmissible,
 )
-from .z2 import Z2Complex, antipode
+from .z2 import Z2Complex, _underlying, antipode
 
 
 @dataclass(frozen=True)
@@ -47,8 +49,8 @@ class BistellarMove:
     inserted: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "removed", normalize_face(self.removed))
-        object.__setattr__(self, "inserted", normalize_face(self.inserted))
+        object.__setattr__(self, "removed", _checked_face(self.removed))
+        object.__setattr__(self, "inserted", _checked_face(self.inserted))
 
     def inverse(self):
         return BistellarMove(self.inserted, self.removed)
@@ -82,10 +84,7 @@ class BistellarMove:
 def fresh_vertex(complex_):
     """Smallest positive id unused by the complex, with its negation also free."""
     used = {abs(v) for v in complex_.vertices}
-    k = 1
-    while k in used:
-        k += 1
-    return k
+    return next(k for k in count(1) if k not in used)
 
 
 def _link_simplex(face, containing, dimension):
@@ -135,31 +134,48 @@ class MoveIndex:
     """The moves of a pure complex (symmetric pairs for a
     :class:`Z2Complex`); ``index[i]`` is the ``i``-th in enumeration order.
 
-    :meth:`apply` flips through :func:`apply_move` or :func:`apply_z2_move`
-    with all their checks, then rechecks only the faces of the removed and
-    added facets and the faces that would insert one of those.  Invariants:
-    ``_cofacets`` maps each face to the facets containing it; ``_links``
-    maps each face to :func:`_link_simplex` where that is not None (the
-    fresh vertex of ``()`` is chosen on reading, so new vertices never
-    dirty facet moves); ``_owners`` inverts ``_links``, so a face blocked
-    by a present simplex is rechecked when it goes; ``_buckets[k]`` sorts
-    the listed ``k``-vertex faces.
+    :meth:`apply` is the one place where a flip is checked and made.
+    ``state`` is built from the facet set ``_facets`` when read;
+    ``_cofacets`` maps each face to the facets containing it.  Moves are
+    listed on the first read, then kept by rechecking only the faces of the
+    removed and added facets and the faces that would insert one of those:
+    ``_links`` maps each face to :func:`_link_simplex` where that is not
+    None (``fresh`` fills in ``()`` on reading, so new vertices never dirty
+    facet moves); ``_owners`` inverts ``_links``, so a face blocked by a
+    present simplex is rechecked when it goes; ``_buckets[k]`` sorts the
+    listed ``k``-vertex faces.
     """
 
     def __init__(self, state):
-        self.state = state
-        self.z2 = isinstance(state, Z2Complex)
-        self.complex = state.complex if self.z2 else state
-        self.fresh = fresh_vertex(self.complex)
-        self._cofacets, self._links, self._owners = {}, {}, {}
-        self._buckets = [[] for _ in range(self.complex.dimension + 2)]
-        self._recheck(self._swap((), self.complex.facets))
+        cx = _underlying(state)
+        self.z2 = cx is not state
+        self.state, self._dimension = state, cx.dimension
+        self.fresh = fresh_vertex(cx)
+        self._facets, self._cofacets, self._links = set(), {}, None
+        self._swap((), cx.facets)
+
+    @cached_property
+    def state(self):
+        cx = SimplicialComplex(tuple(sorted(self._facets)))
+        return Z2Complex(cx) if self.z2 else cx
+
+    @property
+    def complex(self):
+        return _underlying(self.state)
+
+    def _listed(self):
+        """The buckets, listed on first use: a lone flip needs none."""
+        if self._links is None:
+            self._links, self._owners = {}, {}
+            self._buckets = [[] for _ in range(self._dimension + 2)]
+            self._recheck(list(self._cofacets))
+        return self._buckets
 
     def __len__(self):
-        return sum(map(len, self._buckets))
+        return sum(map(len, self._listed()))
 
     def __getitem__(self, position):
-        for bucket in self._buckets:
+        for bucket in self._listed():
             if 0 <= position < len(bucket):
                 face = bucket[position]
                 return BistellarMove(face, self._links[face] or (self.fresh,))
@@ -169,31 +185,45 @@ class MoveIndex:
     def lowest(self):
         """``(facet_delta, count)`` of the first, most downhill moves:
         ``facet_delta`` is ``2 * len(removed) - (dimension + 2)``."""
-        k = next(k for k, bucket in enumerate(self._buckets) if bucket)
-        return 2 * k - self.complex.dimension - 2, len(self._buckets[k])
+        k, bucket = next((k, b) for k, b in enumerate(self._listed()) if b)
+        return 2 * k - self._dimension - 2, len(bucket)
 
     def apply(self, move):
-        """Apply ``move`` (and its antipodal image) and update the index."""
-        halves = [move]
-        if self.z2:
-            self.state, _ = apply_z2_move(self.state, move)
-            self.complex = self.state.complex
-            halves.append(move.antipodal())
-        else:
-            self.state = self.complex = apply_move(self.state, move)[0]
-        self.fresh = fresh_vertex(self.complex)
+        """Check ``move`` (and its antipodal image, see :func:`apply_z2_move`)
+        and apply it; a rejected move changes nothing."""
+        if not self._admits(move):
+            raise MoveNotAdmissible(f"{move} is not admissible here")
+        halves = [move, move.antipodal()] if self.z2 else [move]
+        if self.z2 and not (self._admits(halves[1])
+                            and set(move.inserted).isdisjoint(halves[1].inserted)):
+            raise InterferingAntipodalMove(
+                f"antipodal half of {move} is not admissible with it")
         touched = set()
         for m in halves:
             touched |= self._swap(list(self._cofacets[m.removed]), [
                 tuple(sorted(set(m.removed).difference((v,)).union(m.inserted)))
                 for v in m.removed])
-        self._recheck(touched.union(*(self._owners.get(face, ())
-                                      for face in touched)))
+        if self._links is not None:
+            self._recheck(touched.union(*(self._owners.get(face, ())
+                                          for face in touched)))
+        vars(self).pop("state", None)
+        if len(move.removed) == 1:  # ids below fresh were used; this one may be free
+            self.fresh = min(self.fresh, abs(move.removed[0]))
+        while (self.fresh,) in self._cofacets or (-self.fresh,) in self._cofacets:
+            self.fresh += 1
+
+    def _admits(self, move):
+        containing, B = self._cofacets.get(move.removed), move.inserted
+        link = containing and _link_simplex(move.removed, containing, self._dimension)
+        return link is not None and B not in self._cofacets and (
+            link == B if link else len(B) == 1)
 
     def _swap(self, gone, added):
-        """Replace facets in the cofacet map; returns the faces touched."""
+        """Replace facets in the facet set and the cofacet map; returns
+        the faces touched."""
         touched = set()
         for facet in gone:
+            self._facets.remove(facet)
             for k in range(1, len(facet) + 1):
                 for face in combinations(facet, k):
                     containing = self._cofacets[face]
@@ -202,6 +232,7 @@ class MoveIndex:
                         del self._cofacets[face]
                     touched.add(face)
         for facet in added:
+            self._facets.add(facet)
             for k in range(1, len(facet) + 1):
                 for face in combinations(facet, k):
                     self._cofacets.setdefault(face, []).append(facet)
@@ -223,7 +254,7 @@ class MoveIndex:
             containing = self._cofacets.get(face)
             if containing is None:
                 continue
-            link = _link_simplex(face, containing, self.complex.dimension)
+            link = _link_simplex(face, containing, self._dimension)
             if link is None:
                 continue
             self._links[face] = link
@@ -247,23 +278,13 @@ def enumerate_moves(complex_):
 
 
 def apply_move(complex_, move):
-    """Apply a bistellar move and return ``(new complex, inverse move)``.
-
-    The facet surgery is local: facets containing ``removed`` are
-    deleted and replaced by one facet per vertex of ``removed``.  The
-    result needs no antichain re-pruning (no retained facet can sit
-    inside a new one, because the new facets all contain the previously
-    absent simplex).
-    """
-    if not is_admissible(complex_, move):
-        raise MoveNotAdmissible(f"{move} is not admissible here")
-    A, B = move.removed, move.inserted
-    doomed = set(complex_.facets_containing(A))
-    out = [f for i, f in enumerate(complex_.facets) if i not in doomed]
-    for drop in A:
-        kept = tuple(v for v in A if v != drop)
-        out.append(tuple(sorted(kept + B)))
-    return SimplicialComplex(tuple(sorted(out))), move.inverse()
+    """Apply a bistellar move and return ``(new complex, inverse move)``:
+    the facets containing ``removed`` give way to one facet per vertex of
+    ``removed``, joined with ``inserted``.  Raises :class:`MoveNotAdmissible`
+    if the move does not apply."""
+    index = MoveIndex(complex_)
+    index.apply(move)
+    return index.complex, move.inverse()
 
 
 # -- symmetric pairs -----------------------------------------------------------
@@ -272,25 +293,15 @@ def apply_move(complex_, move):
 def apply_z2_move(z2complex, move):
     """Apply a move together with its antipodal image.
 
-    When ``inserted`` is a fresh vertex, both ids of the ± pair must be
-    free.  The antipodal half is re-checked after the first flip rather
-    than assumed: a failure there raises
-    :class:`InterferingAntipodalMove` (the one reachable case is an
-    inserted edge of the form ``{v, -v}``, which also breaks freeness).
-    """
-    B = move.inserted
-    vertices = set(z2complex.vertices)
-    if len(B) == 1 and B[0] not in vertices and -B[0] in vertices:
-        raise MoveNotAdmissible(
-            f"fresh vertex {B[0]} needs {-B[0]} free as well")
-    first, _ = apply_move(z2complex.complex, move)
-    try:
-        second, _ = apply_move(first, move.antipodal())
-    except MoveNotAdmissible as exc:
-        raise InterferingAntipodalMove(
-            f"antipodal half of {move} became inadmissible: {exc}") from exc
-    result = Z2Complex.from_complex(second)
-    return result, move.inverse()
+    Both halves are checked against the starting complex, and no more is
+    needed: in a free complex the stars of ``removed`` and its antipode
+    share no facet and every new face contains ``inserted``, so the pair
+    applies, equivariant and free, unless ``inserted`` meets its antipode
+    (``{v, -v}``) or the antipodal half is not admissible, which needs a
+    complex that is not symmetric; both raise :class:`InterferingAntipodalMove`."""
+    index = MoveIndex(z2complex)
+    index.apply(move)
+    return index.state, move.inverse()
 
 
 def enumerate_z2_moves(z2complex):
@@ -359,13 +370,10 @@ def replay(source, sequence):
     a plain complex otherwise.  Raises :class:`CorruptSequence` with the
     failing step index if any move does not apply.
     """
-    current = source
+    index = MoveIndex(source)
     for i, move in enumerate(sequence.moves):
         try:
-            if sequence.z2:
-                current, _ = apply_z2_move(current, move)
-            else:
-                current, _ = apply_move(current, move)
+            index.apply(move)
         except BistellarError as exc:
             raise CorruptSequence(i, f"step {i}: {exc}") from exc
-    return current
+    return index.state

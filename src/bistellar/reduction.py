@@ -29,8 +29,8 @@ from .errors import (
 )
 from .fan import alternating_counts, relabel_move, validate_fan
 from .generators import cross_polytope, simplex_boundary
-from .moves import FlipSequence, MoveIndex, apply_z2_move, replay
-from .z2 import Z2Complex
+from .moves import FlipSequence, MoveIndex, replay
+from .z2 import _underlying
 
 _START_TEMPERATURE = 2.0
 _COOLING = 0.995
@@ -90,8 +90,7 @@ class ReductionReport:
 def _search(start, budget, seed):
     """The reduction loop: symmetric pairs towards the cross polytope on a
     :class:`Z2Complex`, plain moves towards the simplex boundary otherwise."""
-    if not is_closed_pseudomanifold(
-            start.complex if isinstance(start, Z2Complex) else start):
+    if not is_closed_pseudomanifold(_underlying(start)):
         raise NotClosedPseudomanifold(
             "reduction needs a pure, closed, strongly connected complex")
     rng = random.Random(seed)
@@ -137,7 +136,7 @@ def _search(start, budget, seed):
         if accepted:
             index.apply(move)
             counts = [c + multiplier * d
-                      for c, d in zip(counts, move.f_delta(index.complex.dimension))]
+                      for c, d in zip(counts, move.f_delta(k - 1))]
             log.append(move)
             applied += 1
             energy = tuple(reversed(counts))
@@ -182,13 +181,12 @@ def replay_verify(source, sequence, target):
     (signed isomorphism for symmetric sequences).  Raises
     :class:`CorruptSequence` when a move fails to apply.
     """
-    shell = (lambda s: s.complex) if sequence.z2 else (lambda s: s)
-    if complex_digest(shell(source)) != sequence.source_digest:
+    if complex_digest(_underlying(source)) != sequence.source_digest:
         return False
-    final = replay(source, sequence)
-    if complex_digest(shell(final)) != sequence.target_digest:
+    final = _underlying(replay(source, sequence))
+    if complex_digest(final) != sequence.target_digest:
         return False
-    return find_isomorphism(shell(final), shell(target),
+    return find_isomorphism(final, _underlying(target),
                             signed=sequence.z2) is not None
 
 
@@ -238,16 +236,16 @@ def fan_certificate(z2complex, labelling, budget=100_000, seed=0):
 
     parity = start_counts.positive % 2
     trace = [parity]
-    current, labels, counts = z2complex, labelling, start_counts
+    index, labels, counts = MoveIndex(z2complex), labelling, start_counts
     # relabel_move validates the state it starts from; the last one is checked below
-    for index, move in enumerate(report.sequence.moves):
-        labels = relabel_move(current, labels, move)
-        current, _ = apply_z2_move(current, move)
-        counts = alternating_counts(current, labels)
+    for step, move in enumerate(report.sequence.moves):
+        labels = relabel_move(index.state, labels, move)
+        index.apply(move)
+        counts = alternating_counts(index.state, labels)
         trace.append(counts.positive % 2)
         if trace[-1] != parity:
-            raise BistellarError(f"parity trace broke at step {index}")
-    if validate_fan(current, labels):
+            raise BistellarError(f"parity trace broke at step {step}")
+    if validate_fan(index.state, labels):
         raise BistellarError(
             f"transported labelling invalid after step {len(report.sequence) - 1}")
     if trace[-1] != 1:

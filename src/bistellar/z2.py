@@ -27,6 +27,11 @@ def antipode(face):
     return tuple(sorted(-v for v in face))
 
 
+def _underlying(state):
+    """The plain complex of a :class:`Z2Complex`, or ``state`` itself."""
+    return state.complex if isinstance(state, Z2Complex) else state
+
+
 class Z2Complex:
     """A simplicial complex with the free involution ``v -> -v``.
 

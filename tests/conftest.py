@@ -82,6 +82,22 @@ def naive_admissible_moves(facets):
     return moves
 
 
+def naive_flip(facets, move, symmetric=False):
+    """The facets after ``move`` (and, if ``symmetric``, its antipodal
+    image), as a sorted tuple: the facets containing ``move.removed`` go,
+    and ``removed`` minus one vertex plus ``move.inserted`` comes in for
+    each vertex of ``removed``.  No admissibility check."""
+    halves = [(move.removed, move.inserted)]
+    if symmetric:
+        halves.append(([-v for v in move.removed], [-v for v in move.inserted]))
+    out = {frozenset(f) for f in facets}
+    for removed, inserted in halves:
+        gone = frozenset(removed)
+        out = {f for f in out if not gone <= f}
+        out |= {(gone - {v}) | frozenset(inserted) for v in gone}
+    return tuple(sorted(tuple(sorted(f)) for f in out))
+
+
 def naive_alternating_sign(labels):
     """+1/-1/0 for a tuple of labels, by sorting and scanning."""
     values = sorted(labels, key=abs)

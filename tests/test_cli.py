@@ -69,10 +69,13 @@ class TestRoundTrip:
          "moves: null is not a list of integers"),
         (lambda doc: doc.update(moves={}), "moves: not a list of objects"),
         (lambda doc: doc.update(kind="certificate"), "kind 'flip-sequence'"),
+        (lambda doc: doc["moves"][-1].update(inserted=[0], fresh=[0]),
+         "nonzero integers"),
     ], ids=["z2-string", "source-int", "vertex-float", "no-inserted",
-            "moves-object", "wrong-kind"])
+            "moves-object", "wrong-kind", "fresh-zero"])
     def test_sequence_schema_enforced(self, edit, needle):
-        # "false" used to read as True, 1.5 as vertex 1
+        # "false" used to read as True, 1.5 as vertex 1; a fresh 0 parsed,
+        # and its replay stopped halfway
         _, sequence = random_z2_walk(cross_polytope(3), 2, seed=2)
         doc = sequence_document(sequence)
         edit(doc)

@@ -3,6 +3,9 @@
 Hypothesis drives plain and symmetric walks; after every flip the index's
 move list must equal a fresh enumeration, the naive oracle and, for
 symmetric complexes, the antipodal-pair filter that the index replaced.
+The complex it keeps must equal the naive flip of the one before, with
+the right fresh id, and a symmetric one must still validate: the index
+checks moves only against the complex it starts from.
 """
 
 import pytest
@@ -12,13 +15,15 @@ from hypothesis import strategies as st
 from bistellar import (
     BistellarMove,
     MoveIndex,
+    Z2Complex,
     antipode,
     cross_polytope,
     enumerate_moves,
     enumerate_z2_moves,
+    fresh_vertex,
     simplex_boundary,
 )
-from conftest import naive_admissible_moves
+from conftest import naive_admissible_moves, naive_flip
 
 choices = st.lists(st.integers(0, 10**6), min_size=1, max_size=25)
 
@@ -41,9 +46,17 @@ def naive_pairs(moves, dimension):
             for m in moves]
 
 
-def check_index(index):
+def check_index(index, before=None, move=None):
+    """Check ``index`` against its definitions; with the facets ``before``
+    and the ``move`` just applied, also against the naive flip."""
     listed = list(index)
     cx = index.complex
+    assert index._facets == set(cx.facets)
+    assert index.fresh == fresh_vertex(cx)
+    if index.z2:
+        Z2Complex.from_complex(cx)
+    if move is not None:
+        assert cx.facets == naive_flip(before, move, symmetric=index.z2)
     plain = enumerate_moves(cx)
     oracle = naive_admissible_moves(cx.facets)
     if index.z2:
@@ -74,8 +87,9 @@ def walk_and_check(start, picks):
     check_index(index)
     for pick in picks:
         move = index[pick % len(index)]
+        before = index.complex.facets
         index.apply(move)
-        check_index(index)
+        check_index(index, before, move)
         if pick % 5 == 0:
             # a search rebuilds its index from the best state on restart
             index = MoveIndex(index.state)

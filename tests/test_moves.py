@@ -9,6 +9,8 @@ from bistellar import (
     CorruptSequence,
     FaceNotPresent,
     InterferingAntipodalMove,
+    InvalidVertexId,
+    MoveIndex,
     MoveNotAdmissible,
     Z2Complex,
     apply_move,
@@ -23,6 +25,22 @@ from bistellar import (
     simplex_boundary,
 )
 from conftest import naive_admissible_moves, naive_f_vector
+from test_move_index import check_index
+
+
+class TestMoveIds:
+    @pytest.mark.parametrize("removed, inserted", [
+        ((1.5, 2), (True,)), ((1, 2, 3), (0,)), ((1, "2"), (3,)), ((1, 2), (3.0,)),
+    ], ids=["float-and-bool", "zero", "string", "integral-float"])
+    def test_non_integer_or_zero_ids_rejected(self, removed, inserted):
+        # (1.5, 2) -> (True,) used to read as [1, 2] -> [1]
+        with pytest.raises(InvalidVertexId):
+            BistellarMove(removed, inserted)
+
+    def test_fresh_zero_never_applied(self, octahedron):
+        # used to return a closed pseudomanifold with vertex 0
+        with pytest.raises(InvalidVertexId):
+            apply_move(octahedron.complex, BistellarMove((1, 2, 3), (0,)))
 
 
 class TestFindMove:
@@ -143,6 +161,19 @@ class TestApplyMove:
                     state = base
 
 
+def rejects(state, removed, inserted, error):
+    """The pair raises ``error`` through :func:`apply_z2_move` and through
+    an index, which it leaves exactly as it was."""
+    with pytest.raises(error):
+        apply_z2_move(state, BistellarMove(removed, inserted))
+    index = MoveIndex(state)
+    listed = list(index)
+    with pytest.raises(error):
+        index.apply(BistellarMove(removed, inserted))
+    assert list(index) == listed and index.complex == state.complex
+    check_index(index)
+
+
 class TestSymmetricMoves:
     def test_facet_pair_with_explicit_fresh_ids(self, octahedron):
         result, inverse = apply_z2_move(octahedron, BistellarMove((1, 2, 3), (7,)))
@@ -158,16 +189,23 @@ class TestSymmetricMoves:
     def test_fresh_pair_must_be_free(self, octahedron):
         grown, _ = apply_z2_move(octahedron, BistellarMove((1, 2, 3), (7,)))
         # 8 is fine, but -7 is taken, so a fresh move naming 7 again is out
-        with pytest.raises(MoveNotAdmissible):
-            apply_z2_move(grown, BistellarMove((1, 2, 7), (7,)))
+        rejects(grown, (1, 2, 7), (7,), MoveNotAdmissible)
+        rejects(grown, (1, 2, 7), (-7,), MoveNotAdmissible)
 
     def test_self_antipodal_insert_interferes(self, octahedron):
         # the diagonal flip inserting {3,-3} is a fine plain move but its
         # antipodal partner is blocked once the diagonal exists
         move = BistellarMove((1, 2), (-3, 3))
         apply_move(octahedron.complex, move)  # plain application works
-        with pytest.raises(InterferingAntipodalMove):
-            apply_z2_move(octahedron, move)
+        rejects(octahedron, move.removed, move.inserted, InterferingAntipodalMove)
+
+    @pytest.mark.parametrize("removed, inserted, error", [
+        ((1, 2), (3, 4), MoveNotAdmissible),
+        ((1, 2, 3), (7.0,), InvalidVertexId),
+    ], ids=["inadmissible", "non-int"])
+    def test_rejected_pair_changes_nothing(self, octahedron, removed, inserted,
+                                           error):
+        rejects(octahedron, removed, inserted, error)
 
     def test_enumeration_skips_diagonals_and_pairs(self, octahedron):
         moves = enumerate_z2_moves(octahedron)
