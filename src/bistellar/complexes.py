@@ -28,30 +28,39 @@ from .errors import (
 )
 
 
-def normalize_face(face):
-    """Return a face as a strictly increasing tuple of vertex ids."""
-    return tuple(sorted(set(int(v) for v in face)))
-
-
 def _checked_face(face):
-    """:func:`normalize_face` for nonzero ``int`` ids (not bools) only."""
+    """A face as an increasing tuple; raises :class:`InvalidVertexId`
+    for an id that is not an ``int``, is a ``bool`` or is 0."""
     face = tuple(face)
-    if any(type(v) is not int or v == 0 for v in face):
-        raise InvalidVertexId(f"vertex ids must be nonzero integers: {face}")
+    for v in face:
+        if type(v) is not int or not v:
+            raise InvalidVertexId(f"vertex ids must be nonzero integers: {face}")
     return tuple(sorted(set(face)))
 
 
 def _canonical_facets(faces):
-    """Prune subset-dominated members and sort; input is an iterable of tuples."""
-    uniq = sorted(set(faces), key=lambda f: (-len(f), f))
+    """The sorted inclusion-maximal members of ``faces`` (increasing tuples).
+
+    Distinct faces of one size cannot contain each other, so one-size
+    input is just sorted.  Otherwise a face lies in a kept face only if
+    that kept face contains its first vertex, so each face, longest
+    first, is tested only against the kept faces through that vertex:
+    a sort plus one vertex's kept faces per face, not all pairs.  The
+    empty face is pruned next to a nonempty one; ``[()]`` gives ``((),)``.
+    """
+    uniq = set(faces)
+    if len({len(f) for f in uniq}) < 2:
+        return tuple(sorted(uniq))
+    uniq.discard(())
     kept = []
-    kept_sets = []
-    for f in uniq:
+    through = {}
+    for f in sorted(uniq, key=len, reverse=True):
         fs = frozenset(f)
-        if any(fs <= g for g in kept_sets):
+        if any(fs <= g for g in through.get(f[0], ())):
             continue
         kept.append(f)
-        kept_sets.append(fs)
+        for v in f:
+            through.setdefault(v, []).append(fs)
     return tuple(sorted(kept))
 
 
@@ -140,39 +149,43 @@ class SimplicialComplex:
         return index
 
     def __contains__(self, face):
-        face = normalize_face(face)
+        face = _checked_face(face)
         if not face:
             return True
-        hits = self._vertex_to_facets.get(face[0])
-        if hits is None:
-            return False
         fs = frozenset(face)
-        return any(fs <= self._facet_sets[i] for i in hits)
+        return any(fs <= self._facet_sets[i]
+                   for i in self._vertex_to_facets.get(face[0], ()))
 
     def facets_containing(self, face):
         """Indices of facets that contain ``face``."""
-        face = normalize_face(face)
+        face = _checked_face(face)
         if not face:
             return list(range(len(self.facets)))
         hits = self._vertex_to_facets.get(face[0], ())
         fs = frozenset(face)
         return [i for i in hits if fs <= self._facet_sets[i]]
 
+    def _star_indices(self, face):
+        """``face`` checked, and the facets containing it as indices;
+        raises :class:`FaceNotPresent` if there are none."""
+        face = _checked_face(face)
+        hits = self.facets_containing(face)
+        if not hits:
+            raise FaceNotPresent(f"face {face} is not in the complex")
+        return face, hits
+
     def faces(self, dim=None):
         """All faces, or all faces of one dimension, as sorted tuples.
 
         The empty face is not reported.
         """
+        sizes = range(1, self.dimension + 2) if dim is None else (dim + 1,)
         out = set()
-        if dim is None:
-            for f in self.facets:
-                for k in range(1, len(f) + 1):
-                    out.update(combinations(f, k))
-        else:
-            k = dim + 1
-            for f in self.facets:
-                if len(f) >= k:
-                    out.update(combinations(f, k))
+        for f in self.facets:
+            for k in sizes:
+                out.update(combinations(f, k))
+        if dim is not None:
+            return sorted(out)
         return sorted(out, key=lambda t: (len(t), t))
 
     def is_pure(self):
@@ -207,20 +220,14 @@ class SimplicialComplex:
         The link of a facet is the complex whose only face is empty,
         represented with the single facet ``()``.
         """
-        face = normalize_face(face)
-        if face not in self:
-            raise FaceNotPresent(f"face {face} is not in the complex")
+        face, hits = self._star_indices(face)
         fs = frozenset(face)
-        out = [tuple(v for v in self.facets[i] if v not in fs)
-               for i in self.facets_containing(face)]
+        out = [tuple(v for v in self.facets[i] if v not in fs) for i in hits]
         return SimplicialComplex(_canonical_facets(out))
 
     def star(self, face):
         """The closed star of ``face``: the join of the face with its link."""
-        face = normalize_face(face)
-        if face not in self:
-            raise FaceNotPresent(f"face {face} is not in the complex")
-        out = [self.facets[i] for i in self.facets_containing(face)]
+        out = [self.facets[i] for i in self._star_indices(face)[1]]
         return SimplicialComplex(_canonical_facets(out))
 
     def join(self, other):
@@ -240,12 +247,8 @@ class SimplicialComplex:
         this keeps the operation total and leaves the underlying space
         untouched.
         """
-        face = normalize_face(face)
-        if face not in self:
-            raise FaceNotPresent(f"face {face} is not in the complex")
-        new_vertex = int(new_vertex)
-        if new_vertex == 0:
-            raise InvalidVertexId("vertex id 0 is reserved")
+        face, hits = self._star_indices(face)
+        (new_vertex,) = _checked_face((new_vertex,))
         if new_vertex in self._vertex_to_facets:
             raise VertexCollision(f"vertex {new_vertex} already present")
 
@@ -255,7 +258,7 @@ class SimplicialComplex:
                        for f in self.facets]
             return SimplicialComplex(_canonical_facets(renamed))
 
-        doomed = set(self.facets_containing(face))
+        doomed = set(hits)
         out = [f for i, f in enumerate(self.facets) if i not in doomed]
         fs = frozenset(face)
         for i in doomed:
@@ -319,7 +322,7 @@ def boundary_of_simplex(face):
 
     For a vertex this is the complex whose only face is empty.
     """
-    face = normalize_face(face)
+    face = _checked_face(face)
     if not face:
         raise EmptyComplex("the empty simplex has no boundary complex")
     if len(face) == 1:

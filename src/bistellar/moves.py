@@ -23,11 +23,10 @@ from functools import cached_property
 from itertools import combinations, count
 from math import comb
 
-from .complexes import SimplicialComplex, _checked_face, complex_digest, normalize_face
+from .complexes import SimplicialComplex, _checked_face, complex_digest
 from .errors import (
     BistellarError,
     CorruptSequence,
-    FaceNotPresent,
     InterferingAntipodalMove,
     MoveNotAdmissible,
 )
@@ -110,10 +109,8 @@ def find_move(complex_, face):
     vertex is chosen as the smallest unused positive id (with its
     negation also unused, so the same id works for symmetric pairs).
     """
-    face = normalize_face(face)
-    if face not in complex_:
-        raise FaceNotPresent(f"face {face} is not in the complex")
-    containing = [complex_.facets[i] for i in complex_.facets_containing(face)]
+    face, hits = complex_._star_indices(face)
+    containing = [complex_.facets[i] for i in hits]
     inserted = _link_simplex(face, containing, complex_.dimension)
     if inserted is None or (inserted and inserted in complex_):
         return None

@@ -13,7 +13,6 @@ from .complexes import (
     SimplicialComplex,
     _canonical_facets,
     find_isomorphism,
-    normalize_face,
 )
 from .errors import ActionNotFree, NotEquivariant, QuotientRequiresSubdivision
 
@@ -145,7 +144,7 @@ class Z2Complex:
         return quotient, projection
 
     def link(self, face):
-        return self.complex.link(normalize_face(face))
+        return self.complex.link(face)
 
 
 def find_z2_isomorphism(left, right):

@@ -17,6 +17,21 @@ from bistellar import SimplicialComplex, cross_polytope, simplex_boundary
 # -- naive oracles over raw facet tuples ---------------------------------------
 
 
+def naive_canonical_facets(faces):
+    """The inclusion-maximal members of ``faces`` as a sorted tuple, by
+    testing every face against every longer-or-equal one kept so far."""
+    uniq = sorted(set(faces), key=lambda f: (-len(f), f))
+    kept = []
+    kept_sets = []
+    for f in uniq:
+        fs = frozenset(f)
+        if any(fs <= g for g in kept_sets):
+            continue
+        kept.append(f)
+        kept_sets.append(fs)
+    return tuple(sorted(kept))
+
+
 def naive_faces(facets):
     """Every nonempty face of the complex generated by ``facets``."""
     out = set()

@@ -1,7 +1,7 @@
 """Core complex operations against naive recomputation."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bistellar import (
@@ -11,11 +11,19 @@ from bistellar import (
     SimplicialComplex,
     VertexCollision,
     boundary_of_simplex,
+    cross_polytope,
     find_isomorphism,
+    find_move,
     is_isomorphic,
     simplex_boundary,
 )
-from conftest import naive_euler, naive_f_vector, naive_link_faces
+from bistellar.complexes import _canonical_facets
+from conftest import (
+    naive_canonical_facets,
+    naive_euler,
+    naive_f_vector,
+    naive_link_faces,
+)
 
 
 class TestFromFacets:
@@ -282,3 +290,78 @@ def test_membership_downward_closed(vertices):
         assert face in cx
         for v in face:
             assert tuple(x for x in face if x != v) in cx
+
+
+# Each of these took a float, bool or str id as an int and answered.
+STRICT_QUERIES = {
+    "contains": lambda s: (True, 2.5) in s.complex,
+    "facets_containing": lambda s: s.complex.facets_containing((1.0,)),
+    "link": lambda s: s.complex.link((1.9,)),
+    "z2_link": lambda s: s.link((1.9,)),
+    "star": lambda s: s.complex.star(("1",)),
+    "stellar_face": lambda s: s.complex.stellar_subdivide((1, 2.0), 7),
+    "stellar_new_vertex": lambda s: s.complex.stellar_subdivide((1, 2), 7.9),
+    "boundary_of_simplex": lambda s: boundary_of_simplex((1.5, 2.7)),
+    "find_move": lambda s: find_move(s.complex, (1, 2, True)),
+}
+
+
+@pytest.mark.parametrize("query", STRICT_QUERIES.values(), ids=STRICT_QUERIES)
+def test_queries_reject_non_int_ids(query):
+    with pytest.raises(InvalidVertexId):
+        query(cross_polytope(3))
+
+
+# -- canonical facet lists against the all-pairs oracle ---------------------
+
+FACE = st.lists(st.integers(1, 7), max_size=4, unique=True).map(
+    lambda vs: tuple(sorted(vs)))
+
+
+@st.composite
+def face_lists(draw):
+    """Mixed sizes with duplicates, nested faces (prefixes and suffixes
+    of drawn faces, the empty face among them), or one size only."""
+    faces = draw(st.lists(FACE, max_size=12))
+    faces += [part for f in faces[:3] for k in range(len(f))
+              for part in (f[:k], f[k + 1:])]
+    faces += faces[:2]
+    if draw(st.booleans()):
+        size = draw(st.integers(0, 4))
+        faces = [f for f in faces if len(f) == size]
+    return draw(st.permutations(faces))
+
+
+@given(face_lists())
+@example([()])
+@example([(), (1,)])
+@example([(1, 2), (2,), (1, 2, 3), (3,)])
+@settings(max_examples=200)
+def test_canonical_facets_matches_oracle(faces):
+    assert _canonical_facets(faces) == naive_canonical_facets(faces)
+
+
+@given(st.lists(st.frozensets(st.integers(1, 7), min_size=1, max_size=4),
+                min_size=2, max_size=8),
+       st.data())
+@settings(max_examples=80)
+def test_operations_on_non_pure_complexes_match_oracle(sets, data):
+    raw = [tuple(sorted(f)) for f in sets]
+    cx = SimplicialComplex.from_facets(raw)
+    assert cx.facets == naive_canonical_facets(raw)
+    facets = cx.facets
+    face = data.draw(st.sampled_from(cx.faces()))
+    fs = set(face)
+    star = [f for f in facets if fs <= set(f)]
+    assert cx.star(face).facets == naive_canonical_facets(star)
+    link = [tuple(v for v in f if v not in fs) for f in star]
+    assert cx.link(face).facets == naive_canonical_facets(link)
+    other = [tuple(v + 10 for v in f) for f in facets[:3]]
+    joined = [tuple(sorted(f + g)) for f in facets for g in other]
+    assert (cx.join(SimplicialComplex.from_facets(other)).facets
+            == naive_canonical_facets(joined))
+    subdivided = [f for f in facets if f not in star] + [
+        tuple(sorted((fs - {drop}) | (set(f) - fs) | {20}))
+        for f in star for drop in face]
+    assert (cx.stellar_subdivide(face, 20).facets
+            == naive_canonical_facets(subdivided))
