@@ -283,7 +283,7 @@ def cmd_walk(args):
 
 def cmd_subdivide(args):
     complex_, signed, _ = _load(args.file)
-    if args.stellar:
+    if args.stellar is not None:
         face = _parse_face(args.stellar)
         fresh = fresh_vertex(complex_) if args.fresh is None else args.fresh
         result = complex_.stellar_subdivide(face, fresh)
@@ -365,7 +365,7 @@ def cmd_certify(args):
     elif args.labels == "canon":
         labelling = FanLabelling({v: v for v in signed.vertices})
     else:
-        bound = args.label_bound or signed.dimension + 2
+        bound = signed.dimension + 2 if args.label_bound is None else args.label_bound
         labelling = random_fan_labelling(signed, bound, args.label_seed)
     try:
         certificate = fan_certificate(signed, labelling, budget=args.budget,

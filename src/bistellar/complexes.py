@@ -245,9 +245,11 @@ class SimplicialComplex:
         A zero-dimensional ``face`` has an empty boundary, so the
         operation degenerates to renaming that vertex to ``new_vertex``;
         this keeps the operation total and leaves the underlying space
-        untouched.
+        untouched.  The empty face raises :class:`EmptyComplex`.
         """
         face, hits = self._star_indices(face)
+        if not face:
+            raise EmptyComplex("the empty face has no stellar subdivision")
         (new_vertex,) = _checked_face((new_vertex,))
         if new_vertex in self._vertex_to_facets:
             raise VertexCollision(f"vertex {new_vertex} already present")

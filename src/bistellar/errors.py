@@ -48,7 +48,7 @@ class MoveNotAdmissible(BistellarError):
     """The requested bistellar move is not admissible in this complex."""
 
 
-class InterferingAntipodalMove(BistellarError):
+class InterferingAntipodalMove(MoveNotAdmissible):
     """Applying one half of a symmetric move pair invalidated the other half."""
 
 

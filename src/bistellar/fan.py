@@ -21,11 +21,10 @@ from .errors import (
     IncompleteLabelling,
     InvalidLabelling,
     InvalidVertexId,
-    MoveNotAdmissible,
     NoWitness,
 )
-from .moves import is_admissible
-from .z2 import _underlying
+from .moves import MoveIndex
+from .z2 import Z2Complex, _underlying
 
 
 def _complementary_edges(cx, labelling):
@@ -147,15 +146,8 @@ def alternating_sign(face, labelling):
 
 def alternating_counts(complex_or_z2, labelling):
     """Count positive and negative alternating facets."""
-    cx = _underlying(complex_or_z2)
-    positive = negative = 0
-    for facet in cx.facets:
-        sign = alternating_sign(facet, labelling)
-        if sign > 0:
-            positive += 1
-        elif sign < 0:
-            negative += 1
-    return AlternatingCounts(positive, negative)
+    signs = [alternating_sign(f, labelling) for f in _underlying(complex_or_z2).facets]
+    return AlternatingCounts(signs.count(1), signs.count(-1))
 
 
 def tucker_witness(z2complex, labelling):
@@ -173,6 +165,14 @@ def tucker_witness(z2complex, labelling):
     raise NoWitness(
         "no complementary edge found; either the labelling does not satisfy "
         "the hypotheses or this complex is a counterexample worth reporting")
+
+
+def _symmetric(state):
+    """``state`` if it is a :class:`Z2Complex`: a plain one would flip one
+    half of each symmetric pair that the labels are carried across."""
+    if not isinstance(state, Z2Complex):
+        raise TypeError(f"expected a Z2Complex, got {type(state).__name__}")
+    return state
 
 
 def relabel_move(z2complex, labelling, move):
@@ -194,32 +194,36 @@ def relabel_move(z2complex, labelling, move):
     The result is a valid Fan labelling of the moved complex, it has no
     complementary edge inside the replaced region, and the number of
     positive alternating facets changes by an even amount.
+
+    Raises :class:`TypeError` unless ``z2complex`` is a :class:`Z2Complex`,
+    :class:`MoveNotAdmissible` if the pair does not apply (the subclass
+    :class:`InterferingAntipodalMove` if its halves clash), and
+    :class:`InvalidLabelling` or :class:`IncompleteLabelling` if
+    ``labelling`` is not a Fan labelling of ``z2complex``.
     """
-    if not is_admissible(z2complex.complex, move):
-        raise MoveNotAdmissible(f"{move} is not admissible here")
-    inserted_set = set(move.inserted)
-    if any(-v in inserted_set for v in inserted_set):
-        raise MoveNotAdmissible(
-            f"{move} inserts a self-antipodal simplex; no symmetric pair applies")
-    bad = validate_fan(z2complex, labelling)
+    return _transport(MoveIndex(_symmetric(z2complex)), labelling, move)
+
+
+def _transport(index, labelling, move):
+    """:func:`relabel_move` on a symmetric :class:`MoveIndex`, which it
+    flips: the index checks the move, then the labelling is checked on
+    the state it starts from and carried."""
+    state = index.state
+    index.apply(move)
+    bad = validate_fan(state, labelling)
     if bad:
         raise InvalidLabelling(f"not a Fan labelling: {bad[:3]}")
 
     removed, inserted = move.removed, move.inserted
-    vertices = set(z2complex.vertices)
-    labels = {v: labelling[v] for v in vertices}
+    labels = {v: labelling[v] for v in state.vertices}
 
-    if len(inserted) == 1 and inserted[0] not in vertices:
-        new = inserted[0]
-        positive_on_removed = [labels[v] for v in removed if labels[v] > 0]
-        if positive_on_removed:
-            value = min(positive_on_removed)
-        else:
-            # Use the antipodal description: the new pair's negative id
-            # plays the fresh role there, so this id gets the negative label.
-            value = max(labels[v] for v in removed)
-        labels[new] = value
-        labels[-new] = -value
+    if len(inserted) == 1:
+        # With no positive label on the removed facet, use the antipodal
+        # description: the new pair's negative id plays the fresh role
+        # there, so this id gets the negative label closest to zero.
+        values = [labels[v] for v in removed]
+        value = min((x for x in values if x > 0), default=max(values))
+        labels[inserted[0]], labels[-inserted[0]] = value, -value
     elif len(inserted) == 2 and labels[inserted[0]] + labels[inserted[1]] == 0:
         u = max(inserted, key=labels.get)
         labels = {w: 2 * x for w, x in labels.items()}

@@ -12,8 +12,9 @@ removed, inserted)``, and seeded walks and searches draw from that list
 by position.  On a symmetric complex a pair is listed once, under the
 move whose removed face is smaller than its antipode, if its inserted
 simplex is disjoint from its own antipode.  Every flip, by walks,
-searches, :func:`replay` or the ``apply`` functions, goes through a
-:class:`MoveIndex` that checks it and updates itself in its star.
+searches, :func:`replay`, the ``apply`` functions or label transport,
+goes through a :class:`MoveIndex`, which alone decides admissibility
+and updates itself in the star of the move.
 """
 
 import random
@@ -86,45 +87,23 @@ def fresh_vertex(complex_):
     return next(k for k in count(1) if k not in used)
 
 
-def _link_simplex(face, containing, dimension):
-    """The simplex whose boundary is the link of ``face``, ``()`` for a
-    top facet (its move inserts a fresh vertex), or None.  The one
-    admissibility predicate: the move is admissible iff that simplex is
-    not a face.  ``containing`` lists the facets containing ``face``."""
-    need = dimension + 2 - len(face)
-    if len(containing) != need:
-        return None
-    if need == 1:
-        return ()
-    if any(len(f) != dimension + 1 for f in containing):
-        return None
-    apex = set().union(*containing).difference(face)
-    return tuple(sorted(apex)) if len(apex) == need else None
+def _checked_count(value, name):
+    """``value`` if it is an ``int`` (not a ``bool``) of at least 0."""
+    if type(value) is not int or value < 0:
+        raise BistellarError(f"{name} must be an integer >= 0, not {value!r}")
+    return value
 
 
 def find_move(complex_, face):
-    """The admissible move removing ``face``, or None.
+    """The admissible move removing ``face`` that a :class:`MoveIndex` of
+    the complex lists, or None.
 
     The complex must be pure.  When ``face`` is a facet the inserted
     vertex is chosen as the smallest unused positive id (with its
     negation also unused, so the same id works for symmetric pairs).
     """
-    face, hits = complex_._star_indices(face)
-    containing = [complex_.facets[i] for i in hits]
-    inserted = _link_simplex(face, containing, complex_.dimension)
-    if inserted is None or (inserted and inserted in complex_):
-        return None
-    return BistellarMove(face, inserted or (fresh_vertex(complex_),))
-
-
-def is_admissible(complex_, move):
-    """Check a move against the complex without applying it."""
-    A, B = move.removed, move.inserted
-    if not A or not B or A not in complex_ or B in complex_:
-        return False
-    containing = [complex_.facets[i] for i in complex_.facets_containing(A)]
-    link = _link_simplex(A, containing, complex_.dimension)
-    return link == B or (link == () and len(B) == 1)
+    face = complex_._star_indices(face)[0]
+    return next((m for m in MoveIndex(complex_) if m.removed == face), None)
 
 
 class MoveIndex:
@@ -136,7 +115,7 @@ class MoveIndex:
     ``_cofacets`` maps each face to the facets containing it.  Moves are
     listed on the first read, then kept by rechecking only the faces of the
     removed and added facets and the faces that would insert one of those:
-    ``_links`` maps each face to :func:`_link_simplex` where that is not
+    ``_links`` maps each face to :meth:`_link_simplex` where that is not
     None (``fresh`` fills in ``()`` on reading, so new vertices never dirty
     facet moves); ``_owners`` inverts ``_links``, so a face blocked by a
     present simplex is rechecked when it goes; ``_buckets[k]`` sorts the
@@ -209,9 +188,23 @@ class MoveIndex:
         while (self.fresh,) in self._cofacets or (-self.fresh,) in self._cofacets:
             self.fresh += 1
 
+    def _link_simplex(self, face):
+        """The simplex whose boundary is the link of ``face``, ``()`` for a
+        top facet (its move inserts a fresh vertex), or None, as for an
+        absent face.  The one admissibility predicate: the move is
+        admissible iff that simplex is not a face."""
+        containing, need = self._cofacets.get(face), self._dimension + 2 - len(face)
+        if containing is None or len(containing) != need:
+            return None
+        if need == 1:
+            return ()
+        if any(len(f) != self._dimension + 1 for f in containing):
+            return None
+        apex = set().union(*containing).difference(face)
+        return tuple(sorted(apex)) if len(apex) == need else None
+
     def _admits(self, move):
-        containing, B = self._cofacets.get(move.removed), move.inserted
-        link = containing and _link_simplex(move.removed, containing, self._dimension)
+        link, B = self._link_simplex(move.removed), move.inserted
         return link is not None and B not in self._cofacets and (
             link == B if link else len(B) == 1)
 
@@ -248,10 +241,7 @@ class MoveIndex:
             i = bisect_left(bucket, face)
             if i < len(bucket) and bucket[i] == face:
                 del bucket[i]
-            containing = self._cofacets.get(face)
-            if containing is None:
-                continue
-            link = _link_simplex(face, containing, self._dimension)
+            link = self._link_simplex(face)
             if link is None:
                 continue
             self._links[face] = link
@@ -317,12 +307,12 @@ def random_z2_walk(z2complex, steps, seed):
 
     Fully reproducible: candidates come in enumeration order and the
     choice is driven by a private ``random.Random(seed)``.  Returns the
-    final complex and the replayable flip sequence.
+    final complex and the replayable flip sequence; ``steps`` is an int >= 0.
     """
     rng = random.Random(seed)
     index = MoveIndex(z2complex)
     log = []
-    for _ in range(int(steps)):
+    for _ in range(_checked_count(steps, "steps")):
         move = index[rng.randrange(len(index))]
         index.apply(move)
         log.append(move)

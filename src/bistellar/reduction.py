@@ -27,9 +27,9 @@ from .errors import (
     InvalidLabelling,
     NotClosedPseudomanifold,
 )
-from .fan import alternating_counts, relabel_move, validate_fan
+from .fan import _symmetric, _transport, alternating_counts, validate_fan
 from .generators import cross_polytope, simplex_boundary
-from .moves import FlipSequence, MoveIndex, replay
+from .moves import FlipSequence, MoveIndex, _checked_count, replay
 from .z2 import _underlying
 
 _START_TEMPERATURE = 2.0
@@ -90,6 +90,7 @@ class ReductionReport:
 def _search(start, budget, seed):
     """The reduction loop: symmetric pairs towards the cross polytope on a
     :class:`Z2Complex`, plain moves towards the simplex boundary otherwise."""
+    budget = _checked_count(budget, "budget")
     if not is_closed_pseudomanifold(_underlying(start)):
         raise NotClosedPseudomanifold(
             "reduction needs a pure, closed, strongly connected complex")
@@ -160,7 +161,8 @@ def reduce_to_boundary_simplex(complex_, budget=100_000, seed=0):
     Success certifies that the input is a combinatorial sphere; an
     inconclusive outcome says nothing (the search is a heuristic, not a
     decision procedure).  ``budget`` bounds the tried flips of the fixed
-    schedule above.  Other inputs raise :class:`NotClosedPseudomanifold`.
+    schedule above and is an ``int`` of at least 0.  Other inputs raise
+    :class:`NotClosedPseudomanifold`.
     """
     return _search(complex_, budget, seed)
 
@@ -216,14 +218,15 @@ def fan_certificate(z2complex, labelling, budget=100_000, seed=0):
     """Reduce to the cross polytope while transporting the labelling,
     recording the positive alternating facet count mod 2 at every step.
 
-    Raises :class:`InvalidLabelling` if the input labelling breaks a
-    Fan condition, and :class:`CertificateUnavailable` if the search
-    does not reach the cross polytope (the directly counted numbers
-    ride along on the exception).  Any break in the parity trace or in
+    Raises :class:`TypeError` unless ``z2complex`` is a :class:`Z2Complex`,
+    :class:`InvalidLabelling` if the input labelling breaks a Fan
+    condition, and :class:`CertificateUnavailable` if the search does
+    not reach the cross polytope (the directly counted numbers ride
+    along on the exception).  Any break in the parity trace or in
     stepwise validity would falsify the machinery and raises a
     :class:`BistellarError`.
     """
-    bad = validate_fan(z2complex, labelling)
+    bad = validate_fan(_symmetric(z2complex), labelling)
     if bad:
         raise InvalidLabelling(f"not a Fan labelling: {bad[:3]}")
     start_counts = alternating_counts(z2complex, labelling)
@@ -237,10 +240,9 @@ def fan_certificate(z2complex, labelling, budget=100_000, seed=0):
     parity = start_counts.positive % 2
     trace = [parity]
     index, labels, counts = MoveIndex(z2complex), labelling, start_counts
-    # relabel_move validates the state it starts from; the last one is checked below
+    # each step validates the state it starts from; the last one is checked below
     for step, move in enumerate(report.sequence.moves):
-        labels = relabel_move(index.state, labels, move)
-        index.apply(move)
+        labels = _transport(index, labels, move)
         counts = alternating_counts(index.state, labels)
         trace.append(counts.positive % 2)
         if trace[-1] != parity:

@@ -292,6 +292,28 @@ class TestMalformedInput:
         assert main(["info", path]) == 2
         assert capsys.readouterr().out.startswith("error: z2:")
 
+    @pytest.mark.parametrize("argv, needle", [
+        (["walk", "--steps", "-2", "--seed", "1"], "steps must be an integer >= 0"),
+        (["reduce", "--z2", "--budget", "-1", "--seed", "1"],
+         "budget must be an integer >= 0"),
+        (["reduce", "--budget", "-1", "--seed", "1"], "budget must be an integer >= 0"),
+        (["certify", "--labels", "canon", "--budget", "-1", "--seed", "1"],
+         "budget must be an integer >= 0"),
+        (["certify", "--labels", "random", "--label-bound", "0", "--seed", "1"],
+         "label bound must be at least 1, got 0"),
+        (["subdivide", "--stellar", " , "], "the empty face has no stellar"),
+        (["subdivide", "--stellar", ""], "the empty face has no stellar"),
+    ], ids=["walk-steps", "reduce-z2-budget", "reduce-budget", "certify-budget",
+            "label-bound-zero", "stellar-blank", "stellar-empty"])
+    def test_bad_counts_and_empty_faces_rejected(self, octa_file, capsys, argv,
+                                                 needle):
+        # each used to exit 0: a negative count ran no step, a label bound
+        # of 0 fell back to dimension + 2, and an empty stellar face wrote
+        # {"facets": []} or ran the barycentric subdivision
+        assert main([argv[0], octa_file] + argv[1:]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and needle in out
+
     def test_repeated_label_rejected(self, tmp_path, capsys):
         # the last entry used to win, reported as an antipodality violation
         doc = complex_document(cross_polytope(3).complex, z2=True,

@@ -195,6 +195,11 @@ class TestStellarSubdivision:
             sub = cx.stellar_subdivide(face, 99)
             assert sub.euler_characteristic() == 2
 
+    def test_empty_face_rejected(self, tetra_boundary):
+        # used to return a complex without facets, whose repr raised
+        with pytest.raises(EmptyComplex):
+            tetra_boundary.stellar_subdivide((), 5)
+
 
 class TestBarycentricSubdivision:
     def test_three_cycle_becomes_six_cycle(self, triangle_boundary):

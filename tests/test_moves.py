@@ -5,6 +5,7 @@ import random
 import pytest
 
 from bistellar import (
+    BistellarError,
     BistellarMove,
     CorruptSequence,
     FaceNotPresent,
@@ -248,6 +249,12 @@ class TestRandomWalk:
     def test_f_vector_matches_naive_after_walk(self, octahedron):
         final, _ = random_z2_walk(octahedron, 12, seed=5)
         assert final.f_vector().counts == naive_f_vector(final.facets)
+
+    @pytest.mark.parametrize("steps", [2.7, True, -4, "3", None], ids=repr)
+    def test_bad_step_counts_rejected(self, octahedron, steps):
+        # 2.7 used to walk 2 steps, True 1 and -4 none
+        with pytest.raises(BistellarError, match="steps must be an integer >= 0"):
+            random_z2_walk(octahedron, steps, seed=1)
 
 
 class TestReplay:

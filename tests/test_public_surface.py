@@ -70,3 +70,34 @@ def test_public_names():
                    if not name.startswith("_")
                    and not isinstance(getattr(bistellar, name), ModuleType))
     assert names == PUBLIC_NAMES
+
+
+# The direct base class of every exported exception.
+EXCEPTION_BASES = {
+    "ActionNotFree": "BistellarError",
+    "BistellarError": "Exception",
+    "CertificateUnavailable": "BistellarError",
+    "CorruptSequence": "BistellarError",
+    "EmptyComplex": "BistellarError",
+    "FaceNotPresent": "BistellarError",
+    "GenerationFailed": "BistellarError",
+    "IncompleteLabelling": "BistellarError",
+    "InterferingAntipodalMove": "MoveNotAdmissible",
+    "InvalidDimension": "BistellarError",
+    "InvalidLabelling": "BistellarError",
+    "InvalidVertexId": "BistellarError",
+    "MoveNotAdmissible": "BistellarError",
+    "NoWitness": "BistellarError",
+    "NotClosedPseudomanifold": "BistellarError",
+    "NotEquivariant": "BistellarError",
+    "QuotientRequiresSubdivision": "BistellarError",
+    "VertexCollision": "BistellarError",
+}
+
+
+def test_exception_hierarchy():
+    exceptions = [getattr(bistellar, name) for name in PUBLIC_NAMES]
+    bases = {cls.__name__: ", ".join(base.__name__ for base in cls.__bases__)
+             for cls in exceptions
+             if isinstance(cls, type) and issubclass(cls, BaseException)}
+    assert bases == EXCEPTION_BASES

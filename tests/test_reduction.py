@@ -20,12 +20,12 @@ from bistellar import (
     random_fan_labelling,
     random_z2_walk,
     reduce_to_boundary_simplex,
-    relabel_move,
     replay_verify,
     simplex_boundary,
     z2_reduce_to_cross_polytope,
 )
 from bistellar import reduction
+from bistellar.fan import _transport
 
 
 class TestPseudomanifoldCheck:
@@ -84,6 +84,17 @@ class TestPlainReduction:
         assert report.flips_tried == 3
         # the sequence still replays to the best state found
         assert report.sequence.target_digest
+
+
+@pytest.mark.parametrize("budget", [2.5, True, -3, "9", None], ids=repr)
+@pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "z2"])
+def test_bad_budgets_rejected(budget, symmetric):
+    # 2.5 used to try 3 flips, and -3 to report inconclusive after none
+    walked, _ = random_z2_walk(cross_polytope(3), 6, seed=2)
+    source = walked if symmetric else walked.complex
+    reduce = z2_reduce_to_cross_polytope if symmetric else reduce_to_boundary_simplex
+    with pytest.raises(BistellarError, match="budget must be an integer >= 0"):
+        reduce(source, budget=budget, seed=1)
 
 
 class TestSymmetricReduction:
@@ -178,10 +189,10 @@ class TestFanCertificate:
         assert steps > 1
         calls = []
 
-        def corrupting(z2complex, labels, move):
+        def corrupting(index, labels, move):
             # Break antipodality at one vertex without touching the order
             # of magnitudes, so every count and the parity trace hold.
-            moved = relabel_move(z2complex, labels, move)
+            moved = _transport(index, labels, move)
             calls.append(move)
             if len(calls) == (steps if last else 1):
                 v = moved.items()[-1][0]
@@ -190,7 +201,7 @@ class TestFanCertificate:
                 moved = FanLabelling(tripled)
             return moved
 
-        monkeypatch.setattr(reduction, "relabel_move", corrupting)
+        monkeypatch.setattr(reduction, "_transport", corrupting)
         expected = (f"invalid after step {steps - 1}" if last
                     else "not a Fan labelling")
         with pytest.raises(BistellarError, match=expected):
