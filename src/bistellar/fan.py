@@ -12,19 +12,25 @@ Labels are integers.  Only their signs and the order of their absolute
 values matter, so a move that inserts a complementary diagonal doubles
 every label to make room for the one odd value that breaks the tie;
 :meth:`FanLabelling.integerize` maps labels back onto ``±1..±m``.
+A transport step reads only the star of its move: it checks the new edges,
+which all contain the inserted simplex or its antipode, and a removed
+vertex pair, and recounts only the replaced facets, since no other facet
+changes class.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 from types import MappingProxyType
 
 from .errors import (
+    BistellarError,
     IncompleteLabelling,
     InvalidLabelling,
     InvalidVertexId,
     NoWitness,
 )
 from .moves import MoveIndex
-from .z2 import Z2Complex, _underlying
+from .z2 import _checked_kind, _underlying
 
 
 def _complementary_edges(cx, labelling):
@@ -167,14 +173,6 @@ def tucker_witness(z2complex, labelling):
         "the hypotheses or this complex is a counterexample worth reporting")
 
 
-def _symmetric(state):
-    """``state`` if it is a :class:`Z2Complex`: a plain one would flip one
-    half of each symmetric pair that the labels are carried across."""
-    if not isinstance(state, Z2Complex):
-        raise TypeError(f"expected a Z2Complex, got {type(state).__name__}")
-    return state
-
-
 def relabel_move(z2complex, labelling, move):
     """Transport a Fan labelling across a symmetric bistellar move.
 
@@ -201,21 +199,26 @@ def relabel_move(z2complex, labelling, move):
     :class:`InvalidLabelling` or :class:`IncompleteLabelling` if
     ``labelling`` is not a Fan labelling of ``z2complex``.
     """
-    return _transport(MoveIndex(_symmetric(z2complex)), labelling, move)
-
-
-def _transport(index, labelling, move):
-    """:func:`relabel_move` on a symmetric :class:`MoveIndex`, which it
-    flips: the index checks the move, then the labelling is checked on
-    the state it starts from and carried."""
-    state = index.state
-    index.apply(move)
-    bad = validate_fan(state, labelling)
+    index = MoveIndex(_checked_kind(z2complex, True))
+    flipped = index.apply(move)
+    bad = validate_fan(z2complex, labelling)
     if bad:
         raise InvalidLabelling(f"not a Fan labelling: {bad[:3]}")
+    labels = {v: labelling[v] for v in z2complex.vertices}
+    _transport(labels, move, *flipped)
+    return FanLabelling(labels)
 
+
+def _transport(labels, move, gone, added):
+    """Carry ``labels`` (vertex -> label) in place across ``move``, which
+    has just replaced the facets ``gone`` by ``added``, and return the
+    change of the (positive, negative) counts: only those facets change
+    class.  Breaking the tie of ``±u`` after a doubling changes no kept
+    facet: one with ``u`` and a ``z`` of equal magnitude did not alternate
+    and still does not, as ``z`` has the sign of ``u`` (else ``uz`` would
+    be complementary) and stays next to it in magnitude."""
     removed, inserted = move.removed, move.inserted
-    labels = {v: labelling[v] for v in state.vertices}
+    before = [alternating_sign(f, labels) for f in gone]
 
     if len(inserted) == 1:
         # With no positive label on the removed facet, use the antipodal
@@ -226,11 +229,18 @@ def _transport(index, labelling, move):
         labels[inserted[0]], labels[-inserted[0]] = value, -value
     elif len(inserted) == 2 and labels[inserted[0]] + labels[inserted[1]] == 0:
         u = max(inserted, key=labels.get)
-        labels = {w: 2 * x for w, x in labels.items()}
+        for w in labels:
+            labels[w] *= 2
         labels[u] += 1
         labels[-u] -= 1
+    if len(removed) == 1 and labels.pop(removed[0]) != -labels.pop(-removed[0]):
+        raise BistellarError(f"the labels of ±{abs(removed[0])} are not antipodal")
 
-    if len(removed) == 1:
-        del labels[removed[0]]
-        del labels[-removed[0]]
-    return FanLabelling(labels)
+    if len(inserted) <= 2:  # every new face contains the inserted simplex
+        for half in (move, move.antipodal()):
+            for rest in combinations(half.removed, 2 - len(inserted)):
+                a, b = rest + half.inserted
+                if labels[a] + labels[b] == 0:
+                    raise BistellarError(f"the new edge {(a, b)} is complementary")
+    after = [alternating_sign(f, labels) for f in added]
+    return (after.count(1) - before.count(1), after.count(-1) - before.count(-1))

@@ -31,7 +31,7 @@ from .errors import (
     InterferingAntipodalMove,
     MoveNotAdmissible,
 )
-from .z2 import Z2Complex, _underlying, antipode
+from .z2 import Z2Complex, _checked_kind, _underlying, antipode
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,8 @@ class MoveIndex:
 
     def apply(self, move):
         """Check ``move`` (and its antipodal image, see :func:`apply_z2_move`)
-        and apply it; a rejected move changes nothing."""
+        and apply it; a rejected move changes nothing.  Returns the lists
+        ``(removed facets, added facets)`` of both halves."""
         if not self._admits(move):
             raise MoveNotAdmissible(f"{move} is not admissible here")
         halves = [move, move.antipodal()] if self.z2 else [move]
@@ -174,11 +175,10 @@ class MoveIndex:
                             and set(move.inserted).isdisjoint(halves[1].inserted)):
             raise InterferingAntipodalMove(
                 f"antipodal half of {move} is not admissible with it")
-        touched = set()
-        for m in halves:
-            touched |= self._swap(list(self._cofacets[m.removed]), [
-                tuple(sorted(set(m.removed).difference((v,)).union(m.inserted)))
-                for v in m.removed])
+        gone = [f for m in halves for f in self._cofacets[m.removed]]
+        added = [tuple(sorted(set(m.removed).difference((v,)).union(m.inserted)))
+                 for m in halves for v in m.removed]
+        touched = self._swap(gone, added)
         if self._links is not None:
             self._recheck(touched.union(*(self._owners.get(face, ())
                                           for face in touched)))
@@ -187,6 +187,7 @@ class MoveIndex:
             self.fresh = min(self.fresh, abs(move.removed[0]))
         while (self.fresh,) in self._cofacets or (-self.fresh,) in self._cofacets:
             self.fresh += 1
+        return gone, added
 
     def _link_simplex(self, face):
         """The simplex whose boundary is the link of ``face``, ``()`` for a
@@ -308,9 +309,10 @@ def random_z2_walk(z2complex, steps, seed):
     Fully reproducible: candidates come in enumeration order and the
     choice is driven by a private ``random.Random(seed)``.  Returns the
     final complex and the replayable flip sequence; ``steps`` is an int >= 0.
+    Raises :class:`TypeError` unless ``z2complex`` is a :class:`Z2Complex`.
     """
+    index = MoveIndex(_checked_kind(z2complex, True))
     rng = random.Random(seed)
-    index = MoveIndex(z2complex)
     log = []
     for _ in range(_checked_count(steps, "steps")):
         move = index[rng.randrange(len(index))]

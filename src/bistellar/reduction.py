@@ -27,10 +27,10 @@ from .errors import (
     InvalidLabelling,
     NotClosedPseudomanifold,
 )
-from .fan import _symmetric, _transport, alternating_counts, validate_fan
+from .fan import FanLabelling, _transport, alternating_counts, validate_fan
 from .generators import cross_polytope, simplex_boundary
 from .moves import FlipSequence, MoveIndex, _checked_count, replay
-from .z2 import _underlying
+from .z2 import _checked_kind, _underlying
 
 _START_TEMPERATURE = 2.0
 _COOLING = 0.995
@@ -162,16 +162,18 @@ def reduce_to_boundary_simplex(complex_, budget=100_000, seed=0):
     inconclusive outcome says nothing (the search is a heuristic, not a
     decision procedure).  ``budget`` bounds the tried flips of the fixed
     schedule above and is an ``int`` of at least 0.  Other inputs raise
-    :class:`NotClosedPseudomanifold`.
+    :class:`NotClosedPseudomanifold`, and a :class:`Z2Complex` raises
+    :class:`TypeError` (reduce its ``.complex``).
     """
-    return _search(complex_, budget, seed)
+    return _search(_checked_kind(complex_, False), budget, seed)
 
 
 def z2_reduce_to_cross_polytope(z2complex, budget=100_000, seed=0):
     """Like :func:`reduce_to_boundary_simplex`, but with symmetric move
     pairs only, aiming at the cross polytope boundary of the same
-    dimension; success is checked by signed isomorphism."""
-    return _search(z2complex, budget, seed)
+    dimension; success is checked by signed isomorphism.  Raises
+    :class:`TypeError` unless ``z2complex`` is a :class:`Z2Complex`."""
+    return _search(_checked_kind(z2complex, True), budget, seed)
 
 
 def replay_verify(source, sequence, target):
@@ -218,15 +220,27 @@ def fan_certificate(z2complex, labelling, budget=100_000, seed=0):
     """Reduce to the cross polytope while transporting the labelling,
     recording the positive alternating facet count mod 2 at every step.
 
+    The labels are validated and counted in full on the input and on the
+    final complex.  In between, each step checks the move, its new edges
+    and any removed vertex pair, and updates running counts from the star
+    of the move only (see :mod:`bistellar.fan`); the final recount must
+    equal them.
+
     Raises :class:`TypeError` unless ``z2complex`` is a :class:`Z2Complex`,
     :class:`InvalidLabelling` if the input labelling breaks a Fan
     condition, and :class:`CertificateUnavailable` if the search does
     not reach the cross polytope (the directly counted numbers ride
-    along on the exception).  Any break in the parity trace or in
-    stepwise validity would falsify the machinery and raises a
-    :class:`BistellarError`.
+    along on the exception).  Any break in the parity trace, in stepwise
+    validity or in the running counts would falsify the machinery and
+    raises a :class:`BistellarError`.
+
+    >>> from bistellar import canonical_cross_labelling, cross_polytope
+    >>> certificate = fan_certificate(cross_polytope(3),
+    ...                               canonical_cross_labelling(3), seed=1)
+    >>> certificate.initial_counts, certificate.parity_trace
+    ((1, 1), (1,))
     """
-    bad = validate_fan(_symmetric(z2complex), labelling)
+    bad = validate_fan(_checked_kind(z2complex, True), labelling)
     if bad:
         raise InvalidLabelling(f"not a Fan labelling: {bad[:3]}")
     start_counts = alternating_counts(z2complex, labelling)
@@ -239,17 +253,23 @@ def fan_certificate(z2complex, labelling, budget=100_000, seed=0):
 
     parity = start_counts.positive % 2
     trace = [parity]
-    index, labels, counts = MoveIndex(z2complex), labelling, start_counts
-    # each step validates the state it starts from; the last one is checked below
+    index = MoveIndex(z2complex)
+    labels = {v: labelling[v] for v in z2complex.vertices}
+    positive, negative = start_counts.as_tuple()
     for step, move in enumerate(report.sequence.moves):
-        labels = _transport(index, labels, move)
-        counts = alternating_counts(index.state, labels)
-        trace.append(counts.positive % 2)
+        dp, dn = _transport(labels, move, *index.apply(move))
+        positive, negative = positive + dp, negative + dn
+        trace.append(positive % 2)
         if trace[-1] != parity:
             raise BistellarError(f"parity trace broke at step {step}")
+    last = len(report.sequence) - 1
     if validate_fan(index.state, labels):
+        raise BistellarError(f"transported labelling invalid after step {last}")
+    counts = alternating_counts(index.state, labels)
+    if counts.as_tuple() != (positive, negative):
         raise BistellarError(
-            f"transported labelling invalid after step {len(report.sequence) - 1}")
+            f"running counts {(positive, negative)} drifted from the recount "
+            f"{counts.as_tuple()} by step {last}")
     if trace[-1] != 1:
         raise BistellarError(
             "trace does not end at 1 on the cross polytope; "
@@ -259,6 +279,6 @@ def fan_certificate(z2complex, labelling, budget=100_000, seed=0):
         sequence=report.sequence,
         initial_counts=start_counts.as_tuple(),
         parity_trace=tuple(trace),
-        final_labelling=labels.integerize(),
+        final_labelling=FanLabelling(labels).integerize(),
         final_counts=counts.as_tuple(),
     )

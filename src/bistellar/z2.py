@@ -31,6 +31,14 @@ def _underlying(state):
     return state.complex if isinstance(state, Z2Complex) else state
 
 
+def _checked_kind(state, z2):
+    """``state`` if it is a :class:`Z2Complex` exactly when ``z2``."""
+    if isinstance(state, Z2Complex) != z2:
+        raise TypeError(f"expected a Z2Complex, got {type(state).__name__}" if z2 else
+                        "expected a plain complex, got a Z2Complex; pass its .complex")
+    return state
+
+
 class Z2Complex:
     """A simplicial complex with the free involution ``v -> -v``.
 

@@ -4,7 +4,8 @@ Hypothesis drives plain and symmetric walks; after every flip the index's
 move list must equal a fresh enumeration, the naive oracle and, for
 symmetric complexes, the antipodal-pair filter that the index replaced.
 The complex it keeps must equal the naive flip of the one before, with
-the right fresh id, and a symmetric one must still validate: the index
+the right fresh id, the facets ``apply`` reports removed and added must be
+exactly the difference, and a symmetric one must still validate: the index
 checks moves only against the complex it starts from.
 """
 
@@ -88,8 +89,11 @@ def walk_and_check(start, picks):
     for pick in picks:
         move = index[pick % len(index)]
         before = index.complex.facets
-        index.apply(move)
+        gone, added = index.apply(move)
         check_index(index, before, move)
+        after = set(index.complex.facets)
+        assert sorted(gone) == sorted(set(before) - after)
+        assert sorted(added) == sorted(after - set(before))
         if pick % 5 == 0:
             # a search rebuilds its index from the best state on restart
             index = MoveIndex(index.state)

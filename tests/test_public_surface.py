@@ -101,3 +101,40 @@ def test_exception_hierarchy():
              for cls in exceptions
              if isinstance(cls, type) and issubclass(cls, BaseException)}
     assert bases == EXCEPTION_BASES
+
+
+def test_move_index_apply_returns_the_replaced_facets():
+    index = bistellar.MoveIndex(bistellar.cross_polytope(3))
+    gone, added = index.apply(bistellar.BistellarMove((1, 2, 3), (4,)))
+    assert gone == [(1, 2, 3), (-3, -2, -1)]
+    assert added == [(2, 3, 4), (1, 3, 4), (1, 2, 4),
+                     (-4, -2, -1), (-4, -3, -1), (-4, -3, -2)]
+
+
+def test_entry_points_check_the_kind_of_complex():
+    # symmetric entry points refuse a plain complex, the plain reduction
+    # a Z2Complex; each before it searches, walks or flips
+    octahedron = bistellar.cross_polytope(3)
+    labelling = bistellar.canonical_cross_labelling(3)
+    calls = {
+        "random_z2_walk": lambda cx: bistellar.random_z2_walk(cx, 1, 1),
+        "z2_reduce_to_cross_polytope":
+            lambda cx: bistellar.z2_reduce_to_cross_polytope(cx, budget=1),
+        "fan_certificate": lambda cx: bistellar.fan_certificate(cx, labelling, budget=1),
+        "relabel_move": lambda cx: bistellar.relabel_move(
+            cx, labelling, bistellar.BistellarMove((1, 2, 3), (4,))),
+        "reduce_to_boundary_simplex":
+            lambda cx: bistellar.reduce_to_boundary_simplex(cx, budget=1),
+    }
+    refused = {}
+    for name, call in calls.items():
+        for kind, cx in (("plain", octahedron.complex), ("z2", octahedron)):
+            try:
+                call(cx)
+            except TypeError:
+                refused[name] = kind
+    assert refused == {"random_z2_walk": "plain",
+                       "z2_reduce_to_cross_polytope": "plain",
+                       "fan_certificate": "plain",
+                       "relabel_move": "plain",
+                       "reduce_to_boundary_simplex": "z2"}

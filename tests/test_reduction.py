@@ -1,12 +1,13 @@
 """Reduction engine, replay certification, and the certificate pipeline."""
 
+from itertools import combinations
+
 import pytest
 
 from bistellar import (
     BistellarError,
     CertificateUnavailable,
     CorruptSequence,
-    FanLabelling,
     FlipSequence,
     NotClosedPseudomanifold,
     SimplicialComplex,
@@ -22,6 +23,7 @@ from bistellar import (
     reduce_to_boundary_simplex,
     replay_verify,
     simplex_boundary,
+    validate_fan,
     z2_reduce_to_cross_polytope,
 )
 from bistellar import reduction
@@ -156,6 +158,20 @@ class TestReplayVerify:
             replay_verify(octahedron, broken, octahedron)
 
 
+def drift_pairs(state, labels):
+    """Two positive vertices whose swapped label pairs leave a Fan
+    labelling of ``state`` with other alternating counts."""
+    counts = alternating_counts(state, labels)
+    for v, w in combinations(state.positive_vertices, 2):
+        swapped = dict(labels)
+        swapped[v], swapped[w] = labels[w], labels[v]
+        swapped[-v], swapped[-w] = labels[-w], labels[-v]
+        if not validate_fan(state, swapped) \
+                and alternating_counts(state, swapped) != counts:
+            return v, w
+    raise AssertionError("no swap changes the counts")
+
+
 class TestFanCertificate:
     def test_octahedron_canonical(self, octahedron):
         certificate = fan_certificate(octahedron, canonical_cross_labelling(3),
@@ -181,30 +197,39 @@ class TestFanCertificate:
                                       seed=1)
         assert certificate.initial_counts == (1, 1)
 
-    @pytest.mark.parametrize("last", [False, True], ids=["first", "last"])
-    def test_corrupted_transport_raises(self, octahedron, monkeypatch, last):
+    @pytest.mark.parametrize("case", ["first", "last", "drift"])
+    def test_corrupted_transport_raises(self, octahedron, monkeypatch, case):
         walked, _ = random_z2_walk(octahedron, 20, seed=7)
         labelling = random_fan_labelling(walked, 4, seed=3)
         steps = len(fan_certificate(walked, labelling, seed=1).sequence)
         assert steps > 1
         calls = []
 
-        def corrupting(index, labels, move):
-            # Break antipodality at one vertex without touching the order
-            # of magnitudes, so every count and the parity trace hold.
-            moved = _transport(index, labels, move)
+        def corrupting(labels, move, gone, added):
+            delta = _transport(labels, move, gone, added)
             calls.append(move)
-            if len(calls) == (steps if last else 1):
-                v = moved.items()[-1][0]
-                tripled = {w: 3 * x for w, x in moved.items()}
-                tripled[v] += 1
-                moved = FanLabelling(tripled)
-            return moved
+            if len(calls) != (steps if case == "last" else 1):
+                return delta
+            if case == "drift":
+                # Swap the labels of two pairs: still a Fan labelling, but
+                # some facet changes class behind the running counts.
+                v, w = drift_pairs(apply_z2_move(walked, move)[0], labels)
+                labels[v], labels[w] = labels[w], labels[v]
+                labels[-v], labels[-w] = labels[-w], labels[-v]
+            else:
+                # Break antipodality at one vertex without touching the
+                # order of magnitudes.
+                v = max(labels)
+                for u in labels:
+                    labels[u] *= 3
+                labels[v] += 1
+            return delta
 
         monkeypatch.setattr(reduction, "_transport", corrupting)
-        expected = (f"invalid after step {steps - 1}" if last
-                    else "not a Fan labelling")
-        with pytest.raises(BistellarError, match=expected):
+        expected = {"first": "not antipodal",
+                    "last": f"invalid after step {steps - 1}",
+                    "drift": f"drifted from the recount .* by step {steps - 1}"}
+        with pytest.raises(BistellarError, match=expected[case]):
             fan_certificate(walked, labelling, seed=1)
 
     def test_inconclusive_still_reports_counts(self, octahedron):

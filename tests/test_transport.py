@@ -1,14 +1,21 @@
-"""Label transport decides admissibility exactly as a symmetric flip does.
+"""Label transport decides admissibility exactly as a symmetric flip does,
+and its local step keeps counts that a full recount confirms.
 
 ``relabel_move`` and ``apply_z2_move`` both go through a ``MoveIndex``, so
 on every move, admissible or not, they must raise together, with the same
 exception type, and when they succeed the labels must cover exactly the
-moved complex.
+moved complex.  The step that ``fan_certificate`` runs per move reads only
+the star of the move; after every step of seeded walks its running counts
+must equal a full recount and its labels must stay a Fan labelling that
+ranks like the rational reference's.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bistellar import (
     BistellarError,
@@ -18,16 +25,22 @@ from bistellar import (
     InvalidLabelling,
     MoveIndex,
     MoveNotAdmissible,
+    alternating_counts,
+    alternating_sign,
     apply_z2_move,
     canonical_cross_labelling,
     cross_polytope,
     fan_certificate,
     random_fan_labelling,
     random_z2_walk,
+    reduce_to_boundary_simplex,
     relabel_move,
     validate_fan,
+    z2_reduce_to_cross_polytope,
 )
 from bistellar import reduction
+from bistellar.fan import _transport
+from conftest import naive_alpha, naive_ranks, rational_relabel
 
 SPHERES = {
     "C3": lambda: cross_polytope(3),
@@ -106,17 +119,102 @@ def test_move_is_checked_before_the_labels(octahedron):
 
 
 def test_plain_complex_is_a_type_error(octahedron, monkeypatch):
-    # both used to end in AttributeError, fan_certificate only after a
-    # whole plain reduction
+    # all used to go wrong late: relabel_move and fan_certificate ended in
+    # AttributeError, fan_certificate only after a whole plain reduction;
+    # the symmetric reduction reduced to a simplex boundary, and the walk
+    # made its plain flips before an AttributeError
     labelling = canonical_cross_labelling(3)
     with pytest.raises(TypeError, match="expected a Z2Complex"):
         relabel_move(octahedron.complex, labelling, BistellarMove((1, 2, 3), (7,)))
 
     def no_search(*args):
-        raise AssertionError("the search ran on a plain complex")
+        raise AssertionError("the search ran on the wrong kind of complex")
 
-    monkeypatch.setattr(reduction, "_search", no_search)
+    def no_flip(*args):
+        raise AssertionError("the walk flipped a plain complex")
+
     walked, _ = random_z2_walk(octahedron, 10, seed=1)
     walked_labels = random_fan_labelling(walked, 4, seed=1)
+    monkeypatch.setattr(reduction, "_search", no_search)
+    monkeypatch.setattr(MoveIndex, "apply", no_flip)
     with pytest.raises(TypeError, match="expected a Z2Complex"):
         fan_certificate(walked.complex, walked_labels, seed=1)
+    with pytest.raises(TypeError, match="expected a Z2Complex"):
+        z2_reduce_to_cross_polytope(walked.complex, seed=1)
+    with pytest.raises(TypeError, match="expected a Z2Complex"):
+        random_z2_walk(octahedron.complex, 5, 1)
+    # and the plain reduction used to run the symmetric search on a Z2Complex
+    with pytest.raises(TypeError, match=r"\.complex"):
+        reduce_to_boundary_simplex(walked, seed=1)
+
+
+# -- the local step against a full recount --------------------------------------
+
+
+def walk_with_oracle(base, walk_seed, label_seed, steps, bound=1):
+    """Walk ``base`` with seeded symmetric moves, carrying a random Fan
+    labelling into ``±1..±(dimension + bound)`` and its counts with the
+    certificate's local step, and check after every step that the counts
+    equal a full recount, that the labels are a Fan labelling and that
+    they rank like the rational reference's, and after a nudge (an inserted
+    complementary edge, which breaks the tie of ``±u``) that the kept
+    facets around ``±u`` keep their class; returns the number of nudges."""
+    index = MoveIndex(base)
+    labelling = random_fan_labelling(base, base.dimension + bound, label_seed)
+    labels = dict(labelling.items())
+    reference = {v: Fraction(x) for v, x in labels.items()}
+    counts = alternating_counts(base, labels).as_tuple()
+    rng = random.Random(walk_seed)
+    nudges = 0
+    for _ in range(steps):
+        move = index[rng.randrange(len(index))]
+        ins = move.inserted
+        nudged = len(ins) == 2 and labels[ins[0]] + labels[ins[1]] == 0
+        if nudged:
+            u = max(ins, key=labels.get)
+            around = {f: alternating_sign(f, labels)
+                      for w in (u, -u) for f in index._cofacets[(w,)]}
+        nudges += nudged
+        delta = _transport(labels, move, *index.apply(move))
+        if nudged:
+            assert all(alternating_sign(f, labels) == sign
+                       for f, sign in around.items() if f in index._facets)
+        counts = (counts[0] + delta[0], counts[1] + delta[1])
+        reference = rational_relabel(reference, move)
+        state = index.state
+        assert counts == naive_alpha(state.facets, labels)
+        assert counts == alternating_counts(state, labels).as_tuple()
+        assert validate_fan(state, labels) == []
+        assert naive_ranks(labels) == naive_ranks(reference)
+    return nudges
+
+
+# The walks and labels of test_fan.py's test_reference_walks_reach_nudges
+# (bound 1, walk seed = label seed) that reach a nudge.
+NUDGING = [("C3", 1), ("C4", 0), ("C4", 1), ("C4", 2)]
+
+
+@given(base=st.sampled_from(sorted(SPHERES)), walk_seed=st.integers(0, 2**16),
+       label_seed=st.integers(0, 2**16), bound=st.integers(1, 2))
+@example(base="C3", walk_seed=1, label_seed=1, bound=1)
+@example(base="C4", walk_seed=0, label_seed=0, bound=1)
+@example(base="C4", walk_seed=1, label_seed=1, bound=1)
+@example(base="C4", walk_seed=2, label_seed=2, bound=1)
+@settings(max_examples=20, deadline=None)
+def test_local_step_matches_full_recount(base, walk_seed, label_seed, bound):
+    walk_with_oracle(SPHERES[base](), walk_seed, label_seed, 40, bound)
+
+
+def test_local_step_oracle_reaches_nudges():
+    assert all(walk_with_oracle(SPHERES[base](), seed, seed, 40) > 0
+               for base, seed in NUDGING)
+
+
+def test_step_rejects_a_complementary_new_edge(octahedron):
+    # (1, 2) is complementary inside the removed facet, so the fresh vertex,
+    # which copies the label of 1, makes its new edge with 2 complementary
+    labels = {1: 1, 2: -1, 3: 2, -1: -1, -2: 1, -3: -2}
+    move = BistellarMove((1, 2, 3), (4,))
+    index = MoveIndex(octahedron)
+    with pytest.raises(BistellarError, match=r"new edge \(2, 4\) is complementary"):
+        _transport(labels, move, *index.apply(move))
