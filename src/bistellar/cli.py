@@ -14,6 +14,7 @@ violations are listed on stdout), 3 inconclusive reduction.
 import argparse
 import json
 import sys
+from itertools import chain
 
 from .complexes import SimplicialComplex, complex_digest
 from .errors import BistellarError, CertificateUnavailable
@@ -44,11 +45,11 @@ FORMAT_VERSION = 1
 
 def complex_document(complex_, z2=False, labelling=None):
     """The canonical JSON-ready form of a complex (plus optional labels)."""
-    doc = {"format": FORMAT_VERSION, "facets": [list(f) for f in complex_.facets]}
+    doc = {"format": FORMAT_VERSION, "facets": list(map(list, complex_.facets))}
     if z2:
         doc["z2"] = True
     if labelling is not None:
-        doc["labels"] = [[v, x] for v, x in labelling.items()]
+        doc["labels"] = list(map(list, labelling.items()))
     return doc
 
 
@@ -66,17 +67,42 @@ def _render(value, depth):
     if isinstance(value, list):
         if all(isinstance(x, (int, str, bool)) or x is None for x in value):
             return json.dumps(value)
+        if (set(map(type, value)) == {list}
+                and set(map(type, chain.from_iterable(value))) <= {int}):
+            # rows of plain ints (facets, labels): str() of each is its JSON
+            return f"[\n{inner}" + f",\n{inner}".join(map(str, value)) + f"\n{pad}]"
         lines = [f"{inner}{_render(x, depth + 1)}" for x in value]
         return "[\n" + ",\n".join(lines) + f"\n{pad}]"
     return json.dumps(value)
 
 
 def dumps_canonical(doc):
+    """The canonical text of a JSON-ready document: keys sorted, lists of
+    scalars inline, other lists one item per line, and a final newline.
+
+    >>> print(dumps_canonical({"z2": True, "facets": [[1, 2], [-2, -1]]}), end="")
+    {
+      "facets": [
+        [1, 2],
+        [-2, -1]
+      ],
+      "z2": true
+    }
+    """
     return _render(doc, 0) + "\n"
 
 
-def _integer_rows(rows, what, width=None):
-    """``rows`` if it is a list of lists (of ``width``) of JSON integers."""
+def _integer_rows(rows, what, build, width=None):
+    """``build(rows)`` for a list of lists (of ``width``) of JSON integers;
+    ``build`` makes the one type check of the entries.  A misshapen row, or
+    a non-integer entry when ``build`` fails, is named instead."""
+    if type(rows) is list and set(map(type, rows)) <= {list} and (
+            width is None or set(map(len, rows)) <= {width}):
+        try:
+            return build(rows)
+        except (BistellarError, TypeError):
+            if set(map(type, chain.from_iterable(rows))) <= {int}:
+                raise
     for row in rows if isinstance(rows, list) else [rows]:
         if type(row) is not list or width not in (None, len(row)):
             raise BistellarError(f"{what}: {json.dumps(row)} is not a "
@@ -84,31 +110,48 @@ def _integer_rows(rows, what, width=None):
         for v in row:
             if type(v) is not int:
                 raise BistellarError(f"{what}: {json.dumps(v)} is not an integer")
-    return rows
+
+
+def _document(text, valid, what):
+    """The JSON object in ``text``, if ``valid`` holds for it and its
+    "format" is 1 or absent (older documents have none)."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict) or not valid(doc):
+        raise BistellarError(f"document must be an object {what}")
+    version = doc.get("format", FORMAT_VERSION)
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise BistellarError(f"format: {json.dumps(version)} is not {FORMAT_VERSION}")
+    return doc
+
+
+def _labelling(rows):
+    labels = {}
+    for v, x in rows:
+        if v in labels:
+            raise BistellarError(f"labels: vertex {v} is labelled twice")
+        labels[v] = x
+    return FanLabelling(labels)
 
 
 def parse_complex_document(text):
     """Parse a document into (complex, z2complex-or-None, labelling-or-None).
 
-    Vertex ids and labels must be JSON integers and "z2" a JSON boolean;
-    nothing is coerced, and no vertex may be labelled twice.
+    Vertex ids and labels must be JSON integers, "z2" a JSON boolean and
+    "format", if present, the integer 1; nothing is coerced, and no vertex
+    may be labelled twice or be labelled without being in the complex.
     """
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or "facets" not in doc:
-        raise BistellarError("document must be an object with a 'facets' list")
-    complex_ = SimplicialComplex.from_facets(_integer_rows(doc["facets"], "facets"))
+    doc = _document(text, lambda doc: "facets" in doc, "with a 'facets' list")
+    complex_ = _integer_rows(doc["facets"], "facets", SimplicialComplex.from_facets)
     z2 = doc.get("z2", False)
     if type(z2) is not bool:
         raise BistellarError(f"z2: {json.dumps(z2)} is not true or false")
     signed = Z2Complex.from_complex(complex_) if z2 else None
     labelling = None
     if "labels" in doc:
-        labels = {}
-        for v, x in _integer_rows(doc["labels"], "labels", 2):
-            if v in labels:
-                raise BistellarError(f"labels: vertex {v} is labelled twice")
-            labels[v] = x
-        labelling = FanLabelling(labels)
+        labelling = _integer_rows(doc["labels"], "labels", _labelling, 2)
+        stray = set(labelling.labels).difference(complex_.vertices)
+        if stray:
+            raise BistellarError(f"labels: vertex {min(stray)} is not in the complex")
     return complex_, signed, labelling
 
 
@@ -135,10 +178,10 @@ def sequence_document(sequence):
 
 def parse_sequence_document(text):
     """Parse a "flip-sequence" document: a boolean "z2", string "source" and
-    "target" digests, and "moves" whose "removed"/"inserted" are integer lists."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("kind") != "flip-sequence":
-        raise BistellarError("document must be an object of kind 'flip-sequence'")
+    "target" digests, "moves" whose "removed"/"inserted" are integer lists,
+    and, if present, "format" 1."""
+    doc = _document(text, lambda doc: doc.get("kind") == "flip-sequence",
+                    "of kind 'flip-sequence'")
     for key, kind in (("z2", bool), ("source", str), ("target", str)):
         if type(doc.get(key)) is not kind:
             raise BistellarError(f"{key}: {json.dumps(doc.get(key))} is not a "
@@ -146,8 +189,8 @@ def parse_sequence_document(text):
     records = doc.get("moves")
     if type(records) is not list or any(type(m) is not dict for m in records):
         raise BistellarError("moves: not a list of objects")
-    moves = tuple(BistellarMove(*_integer_rows([m.get("removed"), m.get("inserted")],
-                                               "moves"))
+    moves = tuple(_integer_rows([m.get("removed"), m.get("inserted")], "moves",
+                                lambda rows: BistellarMove(*rows))
                   for m in records)
     return FlipSequence(moves=moves, z2=doc["z2"],
                         source_digest=doc["source"], target_digest=doc["target"])

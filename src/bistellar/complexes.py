@@ -18,7 +18,7 @@ worker processes.
 import hashlib
 import json
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 from .errors import (
     EmptyComplex,
@@ -118,7 +118,12 @@ class SimplicialComplex:
         >>> SimplicialComplex.from_facets([[1, 2, 3], [1, 2]]).facets
         ((1, 2, 3),)
         """
-        faces = [_checked_face(f) for f in facet_list]
+        faces = [tuple(f) for f in facet_list]
+        if not (set(map(type, chain.from_iterable(faces))) <= {int}
+                and all(chain.from_iterable(faces))):
+            for f in faces:
+                _checked_face(f)  # raises for the first face with a bad id
+        faces = [tuple(sorted(set(f))) for f in faces]
         if not any(faces):
             raise EmptyComplex("cannot build a complex without vertices")
         return cls(_canonical_facets(faces))

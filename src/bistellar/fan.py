@@ -19,7 +19,8 @@ changes class.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, compress
+from operator import add, not_
 from types import MappingProxyType
 
 from .errors import (
@@ -33,14 +34,30 @@ from .moves import MoveIndex
 from .z2 import _checked_kind, _underlying
 
 
-def _complementary_edges(cx, labelling):
-    """Lazily, in canonical order, the edges whose labels sum to zero;
-    an unlabelled vertex raises :class:`IncompleteLabelling` at once."""
-    for v in cx.vertices:
-        if v not in labelling:
-            raise IncompleteLabelling(f"vertex {v} is unlabelled")
-    return (edge for edge in cx.faces(1)
-            if labelling[edge[0]] + labelling[edge[1]] == 0)
+def _complete(state, labelling):
+    """The plain complex of ``state`` and the dict behind ``labelling`` (or
+    ``labelling``, a dict); an unlabelled vertex raises at the first one."""
+    cx = _underlying(state)
+    labels = labelling._labels if isinstance(labelling, FanLabelling) else labelling
+    if not all(map(labels.__contains__, cx.vertices)):
+        missing = next(v for v in cx.vertices if v not in labels)
+        raise IncompleteLabelling(f"vertex {missing} is unlabelled")
+    return cx, labels
+
+
+def _complementary_edges(cx, labels):
+    """In canonical order, the edges whose labels sum to zero: the facets of
+    each size ``k`` are read as ``k`` columns of labels, and only the facets
+    whose labels add up to zero at some pair of positions are touched."""
+    hits = set()
+    sizes = set(map(len, cx.facets))
+    for k in sizes:
+        group = cx.facets if len(sizes) == 1 else [f for f in cx.facets if len(f) == k]
+        flat = list(map(labels.__getitem__, chain.from_iterable(group)))
+        for i, j in combinations(range(k), 2):
+            sums = map(add, flat[i::k], flat[j::k])
+            hits.update((f[i], f[j]) for f in compress(group, map(not_, sums)))
+    return sorted(hits)
 
 
 class FanLabelling:
@@ -124,14 +141,12 @@ def validate_fan(complex_or_z2, labelling):
     :class:`IncompleteLabelling` instead, since nothing can be checked
     without it.
     """
-    cx = _underlying(complex_or_z2)
-    complementary = _complementary_edges(cx, labelling)
-    violations = []
+    cx, labels = _complete(complex_or_z2, labelling)
     present = set(cx.vertices)
-    for v in cx.vertices:
-        if v > 0 and -v in present and labelling[v] != -labelling[-v]:
-            violations.append(("antipodality", v))
-    violations.extend(("complementary-edge", edge) for edge in complementary)
+    violations = [("antipodality", v) for v in cx.vertices
+                  if v > 0 and -v in present and labels[v] != -labels[-v]]
+    violations.extend(("complementary-edge", edge)
+                      for edge in _complementary_edges(cx, labels))
     return violations
 
 
@@ -143,16 +158,20 @@ def alternating_sign(face, labelling):
     the smallest-magnitude label, or 0 if the simplex does not
     alternate.  Ties in absolute value never alternate.
     """
-    values = sorted((labelling[v] for v in face), key=abs)
-    for left, right in zip(values, values[1:]):
-        if abs(left) == abs(right) or (left > 0) == (right > 0):
+    values = sorted(map(labelling.__getitem__, face), key=abs)
+    left = values[0]
+    for right in values[1:]:
+        # of opposite signs, the two tie in magnitude only as x and -x
+        if (left > 0) == (right > 0) or left == -right:
             return 0
+        left = right
     return 1 if values[0] > 0 else -1
 
 
 def alternating_counts(complex_or_z2, labelling):
     """Count positive and negative alternating facets."""
-    signs = [alternating_sign(f, labelling) for f in _underlying(complex_or_z2).facets]
+    cx, labels = _complete(complex_or_z2, labelling)
+    signs = [alternating_sign(f, labels) for f in cx.facets]
     return AlternatingCounts(signs.count(1), signs.count(-1))
 
 
@@ -165,9 +184,10 @@ def tucker_witness(z2complex, labelling):
     qualifies the input was invalid or is a counterexample, and
     :class:`NoWitness` says so loudly.
     """
-    edge = next(_complementary_edges(_underlying(z2complex), labelling), None)
-    if edge is not None:
-        return edge
+    cx, labels = _complete(z2complex, labelling)
+    edges = _complementary_edges(cx, labels)
+    if edges:
+        return edges[0]
     raise NoWitness(
         "no complementary edge found; either the labelling does not satisfy "
         "the hypotheses or this complex is a counterexample worth reporting")

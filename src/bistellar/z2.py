@@ -8,6 +8,7 @@ sign checks and makes the file format readable.
 """
 
 from functools import cached_property
+from operator import neg
 
 from .complexes import (
     SimplicialComplex,
@@ -61,13 +62,13 @@ class Z2Complex:
         """
         facet_set = set(complex_.facets)
         for f in complex_.facets:
-            if antipode(f) not in facet_set:
+            # the antipode of an increasing face, negated in reverse order
+            if tuple(map(neg, reversed(f))) not in facet_set:
                 raise NotEquivariant(f"facet {f} has no antipodal facet")
         for f in complex_.facets:
-            fs = set(f)
-            hit = [v for v in f if -v in fs]
-            if hit:
-                raise ActionNotFree(f"facet {f} contains the antipodal pair ±{abs(hit[0])}")
+            if len(set(map(abs, f))) < len(f):
+                hit = next(v for v in f if -v in f)
+                raise ActionNotFree(f"facet {f} contains the antipodal pair ±{abs(hit)}")
         return cls(complex_, subdivided=subdivided)
 
     # -- passthroughs --------------------------------------------------------

@@ -6,6 +6,7 @@ deliberately share no code with the package so that tests compare two
 independent routes.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -131,6 +132,46 @@ def naive_alpha(facets, labelling):
         elif sign < 0:
             minus += 1
     return plus, minus
+
+
+def naive_fan_check(facets, labels):
+    """``(violations, tucker edge or None)`` by the whole-edge-list scan:
+    every edge of the complex in canonical order, tested one by one.  An
+    unlabelled vertex raises :class:`KeyError` naming the first in order."""
+    vertices = sorted({v for f in facets for v in f})
+    for v in vertices:
+        if v not in labels:
+            raise KeyError(v)
+    edges = sorted(f for f in naive_faces(facets) if len(f) == 2)
+    complementary = [e for e in edges if labels[e[0]] + labels[e[1]] == 0]
+    violations = [("antipodality", v) for v in vertices
+                  if v > 0 and -v in vertices and labels[v] != -labels[-v]]
+    violations += [("complementary-edge", e) for e in complementary]
+    return violations, (complementary[0] if complementary else None)
+
+
+def _naive_render(value, depth):
+    pad = "  " * depth
+    inner = "  " * (depth + 1)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        lines = [f'{inner}{json.dumps(str(k))}: {_naive_render(v, depth + 1)}'
+                 for k, v in sorted(value.items())]
+        return "{\n" + ",\n".join(lines) + f"\n{pad}}}"
+    if isinstance(value, list):
+        if all(isinstance(x, (int, str, bool)) or x is None for x in value):
+            return json.dumps(value)
+        lines = [f"{inner}{_naive_render(x, depth + 1)}" for x in value]
+        return "[\n" + ",\n".join(lines) + f"\n{pad}]"
+    return json.dumps(value)
+
+
+def naive_dumps_canonical(doc):
+    """The canonical layout one value at a time, with one ``json.dumps``
+    per scalar list: keys sorted, lists of scalars inline, any other list
+    one item per line."""
+    return _naive_render(doc, 0) + "\n"
 
 
 def naive_ranks(labels):

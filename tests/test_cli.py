@@ -10,9 +10,12 @@ from bistellar import (
     BistellarError,
     canonical_cross_labelling,
     cross_polytope,
+    fan_certificate,
+    random_fan_labelling,
     random_z2_walk,
 )
 from bistellar.cli import (
+    certificate_document,
     complex_document,
     dumps_canonical,
     main,
@@ -20,6 +23,7 @@ from bistellar.cli import (
     parse_sequence_document,
     sequence_document,
 )
+from conftest import naive_dumps_canonical
 
 
 @pytest.fixture
@@ -82,6 +86,18 @@ class TestRoundTrip:
         with pytest.raises(BistellarError, match=needle):
             parse_sequence_document(json.dumps(doc))
 
+    @pytest.mark.parametrize("version", [7, 2, 1.0, "1", True, None],
+                             ids=json.dumps)
+    def test_sequence_format_must_be_1(self, version):
+        # format 7 used to be read under the rules of format 1
+        _, sequence = random_z2_walk(cross_polytope(3), 2, seed=2)
+        doc = sequence_document(sequence)
+        doc["format"] = version
+        with pytest.raises(BistellarError, match=f"^format: {json.dumps(version)} is not 1$"):
+            parse_sequence_document(json.dumps(doc))
+        del doc["format"]
+        assert parse_sequence_document(json.dumps(doc)) == sequence
+
     @pytest.mark.parametrize("text", ["[]", "{}"])
     def test_sequence_document_not_an_object_of_its_kind(self, text):
         # [] used to raise TypeError and {} KeyError
@@ -97,6 +113,45 @@ class TestRoundTrip:
                 assert sorted((u, -u)) == record["fresh"]
             else:
                 assert record["fresh"] == []
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20)
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from(["", "], [", "[1, 2], [3]", "\\", '"']) | st.text(max_size=4))
+_ROWS = st.lists(st.lists(st.integers(-9, 9), max_size=4)
+                 | st.lists(st.integers(-9, 9) | st.booleans(), max_size=4)
+                 | st.lists(st.integers(-9, 9) | st.floats(-2, 2), max_size=4)
+                 | st.lists(st.lists(st.integers(-9, 9), max_size=3), max_size=3),
+                 max_size=5)
+_DOCUMENTS = st.recursive(
+    _SCALARS | _ROWS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=16)
+
+
+def _written_documents():
+    """One of each document the command line writes."""
+    walked, sequence = random_z2_walk(cross_polytope(3), 6, seed=1)
+    certificate = fan_certificate(walked, random_fan_labelling(walked, 4, 1), seed=1)
+    _, face_map = walked.equivariant_sd()
+    return [complex_document(walked.complex, z2=True),
+            complex_document(walked.complex, z2=True,
+                             labelling=random_fan_labelling(walked, 5, 2)),
+            complex_document(cross_polytope(2).complex),
+            sequence_document(sequence),
+            certificate_document(certificate),
+            {"format": 1, "kind": "face-map",
+             "map": [[v, list(f)] for v, f in sorted(face_map.items())]}]
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=_DOCUMENTS | st.sampled_from(_written_documents()))
+@example(doc=[[1, True], [2, 3]])
+@example(doc={"rows": [[], [1], [-2, 3]], "flags": [[True], [False, 0]], "empty": {}})
+@example(doc=[[[1, 2]], [[3]]])
+def test_renderer_matches_one_row_at_a_time(doc):
+    assert dumps_canonical(doc) == naive_dumps_canonical(doc)
 
 
 class TestCommands:
@@ -314,6 +369,41 @@ class TestMalformedInput:
         out = capsys.readouterr().out
         assert out.startswith("error: ") and needle in out
 
+    @pytest.mark.parametrize("version", [7, 0, 1.0, "1", True, None],
+                             ids=json.dumps)
+    @pytest.mark.parametrize("command", ["info", "fan-check"])
+    def test_unknown_format_rejected(self, tmp_path, capsys, version, command):
+        # "format": 7 used to be read under the rules of format 1
+        doc = complex_document(cross_polytope(3).complex, z2=True,
+                               labelling=canonical_cross_labelling(3))
+        doc["format"] = version
+        assert main([command, self._write(tmp_path, doc)]) == 2
+        assert capsys.readouterr().out == \
+            f"error: format: {json.dumps(version)} is not 1\n"
+
+    def test_missing_format_accepted(self, tmp_path, capsys):
+        doc = complex_document(cross_polytope(3).complex, z2=True,
+                               labelling=canonical_cross_labelling(3))
+        del doc["format"]
+        assert main(["fan-check", self._write(tmp_path, doc)]) == 0
+
+    @pytest.mark.parametrize("extra", [[5, 3], [-5, -3], [5, 1]])
+    @pytest.mark.parametrize("command", ["info", "fan-check", "tucker"])
+    def test_label_outside_the_complex_rejected(self, tmp_path, capsys, extra,
+                                                command):
+        # info and fan-check used to call this a valid Fan labelling
+        doc = {"facets": [[1, 2], [2, -1], [-1, -2], [-2, 1]], "z2": True,
+               "labels": [[1, 1], [-1, -1], [2, 2], [-2, -2], extra]}
+        assert main([command, self._write(tmp_path, doc)]) == 2
+        assert capsys.readouterr().out == \
+            f"error: labels: vertex {extra[0]} is not in the complex\n"
+
+    def test_labels_outside_the_complex_name_the_smallest(self):
+        doc = {"facets": [[1, 2], [2, -1], [-1, -2], [-2, 1]],
+               "labels": [[9, 1], [1, 1], [-7, 2]]}
+        with pytest.raises(BistellarError, match="^labels: vertex -7 is not in"):
+            parse_complex_document(json.dumps(doc))
+
     def test_repeated_label_rejected(self, tmp_path, capsys):
         # the last entry used to win, reported as an antipodality violation
         doc = complex_document(cross_polytope(3).complex, z2=True,
@@ -340,7 +430,7 @@ def _near_miss_documents(draw):
     """Complex documents that are often valid and often off by one detail:
     cross polytopes with a facet or two replaced, or random facet lists
     closed under negation or not, with labels that may break antipodality
-    or repeat a vertex."""
+    or repeat a vertex or label one outside the complex."""
     if draw(st.booleans()):
         facets = [list(f) for f in draw(st.sampled_from(_SPHERES))]
         for _ in range(draw(st.integers(0, 2))):
@@ -361,6 +451,8 @@ def _near_miss_documents(draw):
         if doc["labels"]:
             doc["labels"] += draw(st.lists(st.sampled_from(doc["labels"]),
                                            max_size=1))
+        if draw(st.booleans()):
+            doc["labels"].append([draw(st.sampled_from([5, -5, 9])), draw(_VERTEX)])
     return doc
 
 
@@ -370,6 +462,9 @@ def _near_miss_documents(draw):
 @example(doc={"facets": [[1, 2], [-1, -2], [1, -2], [-1, 2]], "z2": 1})
 @example(doc={"facets": [[1, 2], [-1, -2], [1, -2], [-1, 2]], "z2": True,
               "labels": [[1, 1], [-1, -1], [2, 2], [-2, -2], [1, 5]]})
+@example(doc={"facets": [[1, 2], [2, -1], [-1, -2], [-2, 1]], "z2": True,
+              "labels": [[1, 1], [-1, -1], [2, 2], [-2, -2], [5, 3]]})
+@example(doc={"facets": [[1, 2], [-1, -2], [1, -2], [-1, 2]], "format": 7})
 def test_main_fuzz(tmp_path_factory, doc):
     """Every document exits 0, 2 or 3 under every command; nothing escapes."""
     path = tmp_path_factory.mktemp("fuzz") / "doc.json"

@@ -16,6 +16,7 @@ from bistellar import (
     InvalidVertexId,
     MoveNotAdmissible,
     NoWitness,
+    SimplicialComplex,
     alternating_counts,
     alternating_sign,
     apply_z2_move,
@@ -31,6 +32,7 @@ from bistellar import (
 from conftest import (
     naive_alpha,
     naive_alternating_sign,
+    naive_fan_check,
     naive_ranks,
     rational_relabel,
 )
@@ -170,6 +172,67 @@ class TestTuckerWitness:
     def test_no_witness_is_loud(self, octahedron):
         with pytest.raises(NoWitness):
             tucker_witness(octahedron, canonical_cross_labelling(3))
+
+
+@st.composite
+def _labelled_spheres(draw):
+    """A symmetric sphere (C3 or C4, maybe walked, maybe subdivided) with a
+    Fan labelling (bound d+2 or d+3) or an antipodal labelling into ±1..±d."""
+    k = draw(st.sampled_from([3, 4]))
+    subdivided = draw(st.booleans())
+    steps = draw(st.integers(0, 8 if subdivided else 40 if k == 3 else 25))
+    sphere, _ = random_z2_walk(cross_polytope(k), steps, seed=draw(st.integers(0, 99)))
+    if subdivided:
+        sphere, _ = sphere.equivariant_sd()
+    d, seed = sphere.dimension, draw(st.integers(0, 99))
+    if draw(st.booleans()):
+        bound = draw(st.sampled_from([d + 2, d + 3]))
+        return sphere, random_fan_labelling(sphere, bound, seed)
+    rng, labels = random.Random(seed), {}
+    for v in sphere.positive_vertices:
+        labels[v] = rng.randint(1, d) * rng.choice((1, -1))
+        labels[-v] = -labels[v]
+    return sphere, FanLabelling(labels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_labelled_spheres(), drop=st.integers(0, 10 ** 6))
+def test_edge_scan_matches_whole_edge_list(case, drop):
+    """validate_fan, tucker_witness and alternating_counts agree with the
+    scan of every edge in canonical order, and all three name the same
+    unlabelled vertex as that scan."""
+    sphere, labelling = case
+    labels = dict(labelling.labels)
+    violations, edge = naive_fan_check(sphere.facets, labels)
+    assert validate_fan(sphere, labelling) == violations
+    assert validate_fan(sphere, labels) == violations
+    if edge is None:
+        with pytest.raises(NoWitness):
+            tucker_witness(sphere, labelling)
+    else:
+        assert tucker_witness(sphere, labelling) == edge
+    assert alternating_counts(sphere, labelling).as_tuple() == \
+        naive_alpha(sphere.facets, labels)
+
+    missing = sphere.vertices[drop % len(sphere.vertices)]
+    del labels[missing]
+    with pytest.raises(KeyError):
+        naive_fan_check(sphere.facets, labels)
+    for check in (validate_fan, tucker_witness, alternating_counts):
+        with pytest.raises(IncompleteLabelling) as raised:
+            check(sphere, FanLabelling(labels))
+        assert str(raised.value) == f"vertex {missing} is unlabelled"
+
+
+def test_edge_scan_on_a_non_pure_complex():
+    """Facets of two sizes are scanned size by size."""
+    cx = SimplicialComplex.from_facets([[1, 2, 3], [-3, -2, -1], [3, 4], [-4, -3]])
+    labels = {1: 1, 2: 2, 3: 3, 4: -3, -1: -1, -2: -2, -3: -3, -4: 3}
+    violations, edge = naive_fan_check(cx.facets, labels)
+    assert violations == [("complementary-edge", (-4, -3)),
+                          ("complementary-edge", (3, 4))]
+    assert validate_fan(cx, FanLabelling(labels)) == violations
+    assert tucker_witness(cx, FanLabelling(labels)) == edge
 
 
 def split_cross_with_labels():

@@ -20,7 +20,7 @@ from bistellar import (
     simplex_boundary,
     z2_reduce_to_cross_polytope,
 )
-from bistellar.cli import certificate_document, dumps_canonical
+from bistellar.cli import certificate_document, complex_document, dumps_canonical
 
 
 def _trajectory(report):
@@ -72,3 +72,20 @@ def test_certificate_bytes_of_walked_sphere():
     assert len(certificate.sequence) == 20
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "005e7688c8efca9977a3b65892284984e5996c56b2280b89aead214904ce502e"
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("sd-cross-4", "2c8a60f94d57176ae673a982c838b3862ded10b72b123d2438bff7ca35c881ee"),
+    ("walk-cross-3", "0c3e30fbb8880668f62279a4accfe469ec622548009e224957f922ef68f91eae"),
+], ids=["sd-cross-4", "walk-cross-3"])
+def test_labelled_document_bytes(name, expected):
+    # sd(boundary of C4) with labels of bound 6 and seed 1; a 40-step walk
+    # of C3 (seed 5) with labels of bound 4 and seed 2
+    if name == "sd-cross-4":
+        sphere, _ = cross_polytope(4).equivariant_sd()
+        labelling = random_fan_labelling(sphere, sphere.dimension + 2, 1)
+    else:
+        sphere, _ = random_z2_walk(cross_polytope(3), 40, seed=5)
+        labelling = random_fan_labelling(sphere, sphere.dimension + 2, 2)
+    text = dumps_canonical(complex_document(sphere.complex, z2=True, labelling=labelling))
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
