@@ -100,7 +100,7 @@ class CertificateUnavailable(BistellarError):
 # -- generators --------------------------------------------------------------
 
 class GenerationFailed(BistellarError):
-    """Random generation exhausted its retry budget."""
+    """Random generation got a bad bound or exhausted its retry budget."""
 
 
 class InvalidDimension(BistellarError):

@@ -6,7 +6,7 @@ from itertools import combinations, product
 from .complexes import SimplicialComplex
 from .errors import GenerationFailed, InvalidDimension
 from .fan import FanLabelling
-from .z2 import Z2Complex
+from .z2 import Z2Complex, _checked_kind
 
 _SAMPLING_ROUNDS = 64
 _REPAIR_ROUNDS = 50
@@ -59,13 +59,15 @@ def random_fan_labelling(z2complex, bound, seed):
     is raised rather than looping forever.  Bounds of at least
     dimension + 2 sample comfortably; on a sphere any bound at or below
     the dimension cannot succeed at all, since a complementary edge is
-    then unavoidable.
+    then unavoidable.  A ``bound`` that is not an ``int`` of at least 1
+    raises :class:`GenerationFailed`, a plain complex :class:`TypeError`.
     """
-    if bound < 1:
-        raise GenerationFailed(f"label bound must be at least 1, got {bound}")
+    if type(bound) is not int or bound < 1:
+        kind = "" if type(bound) is int else " (not an int)"
+        raise GenerationFailed(f"label bound must be at least 1, got {bound!r}{kind}")
     rng = random.Random(seed)
     values = [s * a for a in range(1, bound + 1) for s in (1, -1)]
-    cx = z2complex.complex
+    cx = _checked_kind(z2complex, True).complex
     edges = cx.faces(1)
     neighbours = {v: set() for v in cx.vertices}
     for u, v in edges:

@@ -8,13 +8,14 @@ complex the move and its antipodal image are applied together so the
 result stays symmetric.
 
 Enumeration order is a contract: moves are listed by ``(len(removed),
-removed, inserted)``, and seeded walks and searches draw from that list
-by position.  On a symmetric complex a pair is listed once, under the
-move whose removed face is smaller than its antipode, if its inserted
-simplex is disjoint from its own antipode.  Every flip, by walks,
-searches, :func:`replay`, the ``apply`` functions or label transport,
-goes through a :class:`MoveIndex`, which alone decides admissibility
-and updates itself in the star of the move.
+removed, inserted)``, and seeded walks and searches draw from that list by
+position.  On a symmetric complex a pair is listed once, under the move
+whose removed face is smaller than its antipode, if its inserted simplex
+is disjoint from its own antipode.  Every flip, by walks, searches,
+:func:`replay`, the ``apply`` functions or label transport, goes through a
+:class:`MoveIndex`, which alone decides admissibility and updates itself
+in the star of the move.  The ``z2`` functions raise :class:`TypeError`
+unless given a :class:`Z2Complex`, the others if given one.
 """
 
 import random
@@ -53,6 +54,15 @@ class BistellarMove:
         object.__setattr__(self, "inserted", _checked_face(self.inserted))
 
     def inverse(self):
+        """The move that undoes this one; it restores an index exactly:
+
+        >>> from bistellar import cross_polytope
+        >>> index = MoveIndex(cross_polytope(3))
+        >>> before, move = (index.complex, index.fresh, list(index)), index[0]
+        >>> _ = index.apply(move), index.apply(move.inverse())
+        >>> move, (index.complex, index.fresh, list(index)) == before
+        (BistellarMove([-3, -2, -1] -> [4]), True)
+        """
         return BistellarMove(self.inserted, self.removed)
 
     def antipodal(self):
@@ -102,7 +112,7 @@ def find_move(complex_, face):
     vertex is chosen as the smallest unused positive id (with its
     negation also unused, so the same id works for symmetric pairs).
     """
-    face = complex_._star_indices(face)[0]
+    face = _checked_kind(complex_, False)._star_indices(face)[0]
     return next((m for m in MoveIndex(complex_) if m.removed == face), None)
 
 
@@ -262,7 +272,7 @@ def enumerate_moves(complex_):
     Facet moves all propose the same fresh vertex id; they are
     alternatives, not a batch.
     """
-    return list(MoveIndex(complex_))
+    return list(MoveIndex(_checked_kind(complex_, False)))
 
 
 def apply_move(complex_, move):
@@ -270,7 +280,7 @@ def apply_move(complex_, move):
     the facets containing ``removed`` give way to one facet per vertex of
     ``removed``, joined with ``inserted``.  Raises :class:`MoveNotAdmissible`
     if the move does not apply."""
-    index = MoveIndex(complex_)
+    index = MoveIndex(_checked_kind(complex_, False))
     index.apply(move)
     return index.complex, move.inverse()
 
@@ -287,7 +297,7 @@ def apply_z2_move(z2complex, move):
     applies, equivariant and free, unless ``inserted`` meets its antipode
     (``{v, -v}``) or the antipodal half is not admissible, which needs a
     complex that is not symmetric; both raise :class:`InterferingAntipodalMove`."""
-    index = MoveIndex(z2complex)
+    index = MoveIndex(_checked_kind(z2complex, True))
     index.apply(move)
     return index.state, move.inverse()
 
@@ -300,7 +310,7 @@ def enumerate_z2_moves(z2complex):
     disjoint from its own antipode; the pair is listed under the move
     whose removed face is smaller than its antipode.
     """
-    return list(MoveIndex(z2complex))
+    return list(MoveIndex(_checked_kind(z2complex, True)))
 
 
 def random_z2_walk(z2complex, steps, seed):
@@ -309,7 +319,6 @@ def random_z2_walk(z2complex, steps, seed):
     Fully reproducible: candidates come in enumeration order and the
     choice is driven by a private ``random.Random(seed)``.  Returns the
     final complex and the replayable flip sequence; ``steps`` is an int >= 0.
-    Raises :class:`TypeError` unless ``z2complex`` is a :class:`Z2Complex`.
     """
     index = MoveIndex(_checked_kind(z2complex, True))
     rng = random.Random(seed)
@@ -356,10 +365,10 @@ def replay(source, sequence):
     """Re-apply a recorded sequence, checking admissibility at every step.
 
     ``source`` must be a :class:`Z2Complex` for symmetric sequences and
-    a plain complex otherwise.  Raises :class:`CorruptSequence` with the
-    failing step index if any move does not apply.
+    a plain complex otherwise (else :class:`TypeError`); a move that does
+    not apply raises :class:`CorruptSequence` with its step index.
     """
-    index = MoveIndex(source)
+    index = MoveIndex(_checked_kind(source, sequence.z2))
     for i, move in enumerate(sequence.moves):
         try:
             index.apply(move)

@@ -1,15 +1,15 @@
 """Heuristic bistellar reduction and the parity certificate pipeline.
 
-The search minimizes the reversed f-vector lexicographically (facet
-count first) by steepest descent and accepts non-improving moves with
-a cooling temperature.  The schedule is fixed, after Björner and Lutz
-(BISTELLAR, Exp. Math. 9, 2000): the temperature starts at 2.0, cools
-by 0.995 per tried flip, and once below 0.05 is reset to 2.0 while the
-search restarts from the best state seen.  Success means the final
-complex is isomorphic to the declared canonical target and is
-certified by replaying the recorded sequence; failure is reported as
-inconclusive and never claims inequivalence, since recognizing spheres
-is undecidable in high dimension.
+The search minimizes the reversed f-vector lexicographically (facet count
+first) by steepest descent and accepts non-improving moves with a cooling
+temperature.  The schedule is fixed, after Björner and Lutz (BISTELLAR,
+Exp. Math. 9, 2000): the temperature starts at 2.0, cools by 0.995 per
+tried flip, and once below 0.05 is reset to 2.0 while the search restarts:
+inverse moves rewind its one :class:`MoveIndex` to the best state
+seen.  Success means the final complex is isomorphic to the declared
+canonical target and is certified by replaying the recorded sequence;
+failure is reported as inconclusive and never claims inequivalence, since
+recognizing spheres is undecidable in high dimension.
 
 A search run is a pure function of (input, budget, seed); parallel
 chains just need distinct seeds, merged by keeping the first certified
@@ -103,26 +103,20 @@ def _search(start, budget, seed):
     counts = list(index.complex.f_vector().counts)
     source_digest = complex_digest(index.complex)
 
-    def matched():
-        return counts == target_f and find_isomorphism(
-            index.complex, target, signed=index.z2) is not None
-
-    def report(outcome, final, log, best_f):
-        sequence = FlipSequence(
-            moves=tuple(log), z2=index.z2, source_digest=source_digest,
-            target_digest=complex_digest(final))
-        return ReductionReport(outcome, sequence, flips, applied, restarts,
-                               tuple(best_f), budget, seed)
-
-    log = []
-    best_energy = tuple(reversed(counts))
-    best = (index.state, index.complex, [], list(counts))
-    flips = applied = restarts = 0
-    if matched():
-        return report("reduced", index.complex, log, counts)
-
+    log, flips, applied, restarts = [], 0, 0, 0
+    best = (tuple(reversed(counts)), 0, counts)  # (energy, len(log), counts)
     temperature = _START_TEMPERATURE
-    while flips < budget:
+    while not (reduced := counts == target_f and find_isomorphism(
+            index.complex, target, signed=index.z2) is not None):
+        if temperature < _RESTART_BELOW or flips == budget:
+            # Rewind to the best state; removed vertices come back under their ids.
+            while len(log) > best[1]:
+                index.apply(log.pop().inverse())
+            counts = best[2]
+            if temperature < _RESTART_BELOW:
+                temperature, restarts = _START_TEMPERATURE, restarts + 1
+            if flips == budget:
+                break
         flips += 1
         # Moves come sorted by facet delta, so the downhill pool is a prefix.
         delta, pool = index.lowest()
@@ -141,18 +135,13 @@ def _search(start, budget, seed):
             log.append(move)
             applied += 1
             energy = tuple(reversed(counts))
-            if energy < best_energy:
-                best_energy = energy
-                best = (index.state, index.complex, list(log), list(counts))
-            if matched():
-                return report("reduced", index.complex, log, best[3])
+            if energy < best[0]:
+                best = (energy, len(log), counts)
         temperature *= _COOLING
-        if temperature < _RESTART_BELOW:
-            temperature = _START_TEMPERATURE
-            restarts += 1
-            index = MoveIndex(best[0])
-            log, counts = list(best[2]), list(best[3])
-    return report("inconclusive", best[1], best[2], best[3])
+    return ReductionReport(
+        "reduced" if reduced else "inconclusive",
+        FlipSequence(tuple(log), index.z2, source_digest, complex_digest(index.complex)),
+        flips, applied, restarts, tuple(best[2]), budget, seed)
 
 
 def reduce_to_boundary_simplex(complex_, budget=100_000, seed=0):
@@ -183,15 +172,15 @@ def replay_verify(source, sequence, target):
     Returns True iff every move applies, the final digest matches the
     recorded one, and the final complex is isomorphic to ``target``
     (signed isomorphism for symmetric sequences).  Raises
-    :class:`CorruptSequence` when a move fails to apply.
+    :class:`CorruptSequence` when a move fails to apply, and
+    :class:`TypeError` unless ``source`` is of the sequence's kind.
     """
-    if complex_digest(_underlying(source)) != sequence.source_digest:
+    if complex_digest(_underlying(_checked_kind(source, sequence.z2))) \
+            != sequence.source_digest:
         return False
     final = _underlying(replay(source, sequence))
-    if complex_digest(final) != sequence.target_digest:
-        return False
-    return find_isomorphism(final, _underlying(target),
-                            signed=sequence.z2) is not None
+    return complex_digest(final) == sequence.target_digest and find_isomorphism(
+        final, _underlying(target), signed=sequence.z2) is not None
 
 
 @dataclass(frozen=True)

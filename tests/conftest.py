@@ -7,12 +7,24 @@ independent routes.
 """
 
 import json
+import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from bistellar import SimplicialComplex, cross_polytope, simplex_boundary
+from bistellar import (
+    FlipSequence,
+    MoveIndex,
+    ReductionReport,
+    SimplicialComplex,
+    complex_digest,
+    cross_polytope,
+    find_isomorphism,
+    simplex_boundary,
+)
+from bistellar import reduction
 
 
 # -- naive oracles over raw facet tuples ---------------------------------------
@@ -207,6 +219,71 @@ def rational_relabel(labels, move):
     if len(removed) == 1:
         del labels[removed[0]], labels[-removed[0]]
     return labels
+
+
+def rebuild_search(start, budget, seed):
+    """The reduction loop as it was before it rewound its index: every new
+    best state is snapshotted whole, and a restart builds a second
+    :class:`MoveIndex` from the snapshot.  Same schedule (read from the
+    module, so a test may patch it), same rng calls, so it must return the
+    same :class:`ReductionReport` as the search."""
+    rng = random.Random(seed)
+    index = MoveIndex(start)
+    multiplier = 2 if index.z2 else 1
+    k = index.complex.dimension + 1
+    target = cross_polytope(k).complex if index.z2 else simplex_boundary(k)
+    target_f = list(target.f_vector().counts)
+    counts = list(index.complex.f_vector().counts)
+    source_digest = complex_digest(index.complex)
+
+    def matched():
+        return counts == target_f and find_isomorphism(
+            index.complex, target, signed=index.z2) is not None
+
+    def report(outcome, final, log, best_f):
+        sequence = FlipSequence(
+            moves=tuple(log), z2=index.z2, source_digest=source_digest,
+            target_digest=complex_digest(final))
+        return ReductionReport(outcome, sequence, flips, applied, restarts,
+                               tuple(best_f), budget, seed)
+
+    log = []
+    best_energy = tuple(reversed(counts))
+    best = (index.state, index.complex, [], list(counts))
+    flips = applied = restarts = 0
+    if matched():
+        return report("reduced", index.complex, log, counts)
+    temperature = reduction._START_TEMPERATURE
+    while flips < budget:
+        flips += 1
+        delta, pool = index.lowest()
+        if delta < 0:
+            move = index[rng.randrange(pool)]
+            accepted = True
+        else:
+            move = index[rng.randrange(len(index))]
+            delta = move.facet_delta()
+            accepted = delta <= 0 or rng.random() < math.exp(
+                -delta * multiplier / temperature)
+        if accepted:
+            index.apply(move)
+            counts = [c + multiplier * d
+                      for c, d in zip(counts, move.f_delta(k - 1))]
+            log.append(move)
+            applied += 1
+            energy = tuple(reversed(counts))
+            if energy < best_energy:
+                best_energy = energy
+                best = (index.state, index.complex, list(log), list(counts))
+            if matched():
+                return report("reduced", index.complex, log, best[3])
+        temperature *= reduction._COOLING
+        if temperature < reduction._RESTART_BELOW:
+            temperature = reduction._START_TEMPERATURE
+            restarts += 1
+            index = MoveIndex(best[0])
+            log, counts = list(best[2]), list(best[3])
+    return report("inconclusive", best[1], best[2], best[3])
 
 
 # -- fixtures -------------------------------------------------------------------

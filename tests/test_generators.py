@@ -101,6 +101,18 @@ class TestRandomFanLabelling:
         with pytest.raises(GenerationFailed):
             random_fan_labelling(octahedron, 1, seed=0)
 
+    def test_plain_complex_rejected(self, octahedron):
+        # used to die with AttributeError
+        with pytest.raises(TypeError):
+            random_fan_labelling(octahedron.complex, 3, seed=0)
+
+    @pytest.mark.parametrize("bound", [True, 2.5, "3", 0, -1], ids=repr)
+    def test_bad_bounds_rejected(self, octahedron, bound):
+        # True used to run as 1 through all 64 x 50 rounds, and 2.5 and
+        # "3" to end in a bare TypeError
+        with pytest.raises(GenerationFailed, match="label bound must be at least 1"):
+            random_fan_labelling(octahedron, bound, seed=0)
+
     def test_values_within_bound(self, octahedron):
         labelling = random_fan_labelling(octahedron, 3, seed=8)
         assert all(1 <= abs(x) <= 3 for _, x in labelling.items())

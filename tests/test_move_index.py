@@ -6,7 +6,8 @@ symmetric complexes, the antipodal-pair filter that the index replaced.
 The complex it keeps must equal the naive flip of the one before, with
 the right fresh id, the facets ``apply`` reports removed and added must be
 exactly the difference, and a symmetric one must still validate: the index
-checks moves only against the complex it starts from.
+checks moves only against the complex it starts from.  Rewound through
+inverse moves, the index must equal one built afresh at that earlier state.
 """
 
 import pytest
@@ -86,6 +87,7 @@ def check_index(index, before=None, move=None):
 def walk_and_check(start, picks):
     index = MoveIndex(start)
     check_index(index)
+    log, facets = [], [index.complex.facets]
     for pick in picks:
         move = index[pick % len(index)]
         before = index.complex.facets
@@ -94,9 +96,16 @@ def walk_and_check(start, picks):
         after = set(index.complex.facets)
         assert sorted(gone) == sorted(set(before) - after)
         assert sorted(added) == sorted(after - set(before))
+        log.append(move)
+        facets.append(index.complex.facets)
         if pick % 5 == 0:
-            # a search rebuilds its index from the best state on restart
-            index = MoveIndex(index.state)
+            # rewind through inverse moves to an earlier length, as a
+            # search does on a restart
+            del facets[(pick // 5) % len(facets) + 1:]
+            while len(log) >= len(facets):
+                index.apply(log.pop().inverse())
+            check_index(index)
+            assert index.complex.facets == facets[-1]
 
 
 @pytest.mark.parametrize("base", [simplex_boundary(3), simplex_boundary(4)],

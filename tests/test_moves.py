@@ -9,6 +9,7 @@ from bistellar import (
     BistellarMove,
     CorruptSequence,
     FaceNotPresent,
+    FlipSequence,
     InterferingAntipodalMove,
     InvalidVertexId,
     MoveIndex,
@@ -257,6 +258,26 @@ class TestRandomWalk:
             random_z2_walk(octahedron, steps, seed=1)
 
 
+# Each used to go by the kind it was given: apply_move made the symmetric
+# pair on a Z2Complex, enumerate_moves listed 4 pairs of the octahedron for
+# its 20 moves, the z2 functions made or listed plain moves on a plain
+# complex, and find_move died with AttributeError on a Z2Complex.
+WRONG_KIND = {
+    "apply_move": lambda signed: apply_move(signed, BistellarMove((1, 2, 3), (4,))),
+    "enumerate_moves": enumerate_moves,
+    "find_move": lambda signed: find_move(signed, (1, 2, 3)),
+    "apply_z2_move": lambda signed: apply_z2_move(
+        signed.complex, BistellarMove((1, 2, 3), (4,))),
+    "enumerate_z2_moves": lambda signed: enumerate_z2_moves(signed.complex),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_KIND.values(), ids=WRONG_KIND)
+def test_wrappers_reject_the_other_kind(octahedron, call):
+    with pytest.raises(TypeError):
+        call(octahedron)
+
+
 class TestReplay:
     def test_replay_reaches_target(self, octahedron):
         final, sequence = random_z2_walk(octahedron, 8, seed=4)
@@ -281,3 +302,12 @@ class TestReplay:
         with pytest.raises(CorruptSequence) as info:
             replay(octahedron, broken)
         assert info.value.step == 0
+
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "z2"])
+    def test_source_of_the_other_kind_rejected(self, octahedron, symmetric):
+        # a plain sequence used to replay as symmetric pairs on a Z2Complex,
+        # and a symmetric one as lone moves on a plain complex
+        sequence = FlipSequence(moves=(BistellarMove((1, 2, 3), (4,)),),
+                                z2=symmetric, source_digest="", target_digest="")
+        with pytest.raises(TypeError):
+            replay(octahedron.complex if symmetric else octahedron, sequence)

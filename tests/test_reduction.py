@@ -1,5 +1,6 @@
 """Reduction engine, replay certification, and the certificate pipeline."""
 
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -28,6 +29,7 @@ from bistellar import (
 )
 from bistellar import reduction
 from bistellar.fan import _transport
+from conftest import rebuild_search
 
 
 class TestPseudomanifoldCheck:
@@ -135,6 +137,40 @@ class TestSymmetricReduction:
         assert report == z2_reduce_to_cross_polytope(sd, seed=2)
 
 
+@cache
+def search_input(name):
+    if name == "sd-c4":
+        return cross_polytope(4).equivariant_sd()[0]
+    if name == "sd-simplex4":
+        return simplex_boundary(4).barycentric_subdivide()[0]
+    return random_z2_walk(cross_polytope(3), 80, seed=5)[0]
+
+
+@pytest.mark.parametrize("name, budget, seed", [
+    *[("sd-c4", 100_000, seed) for seed in (1, 2, 3, 4)],  # 2-4 restarts
+    ("sd-c4", 3000, 1), ("sd-c4", 3000, 3),  # inconclusive after 4 restarts
+    ("sd-simplex4", 100_000, 1), ("sd-simplex4", 100_000, 2),  # one restart
+    ("walk-c3", 100_000, 1), ("walk-c3", 40, 1),  # the second ends 3 moves past its best
+])
+def test_rewinding_search_matches_rebuilding_one(name, budget, seed):
+    # The search rewinds its one index through inverse moves where the
+    # reference loop snapshots every best state and rebuilds from it.
+    start = search_input(name)
+    assert reduction._search(start, budget, seed) == rebuild_search(start, budget, seed)
+
+
+@pytest.mark.parametrize("name, seed", [("sd-c4", 1), ("sd-simplex4", 2)])
+def test_hot_restarts_rewind_from_above_the_best(monkeypatch, name, seed):
+    # At the real schedule every restart above finds the search back at its
+    # best f-vector; restarting at temperature 1 leaves it above, so the
+    # rewound counts matter as much as the rewound complex.
+    monkeypatch.setattr(reduction, "_RESTART_BELOW", 1.0)
+    start = search_input(name)
+    report = reduction._search(start, 400, seed)
+    assert report.restarts == 2
+    assert report == rebuild_search(start, 400, seed)
+
+
 class TestReplayVerify:
     def test_empty_sequence_identity(self, octahedron):
         _, sequence = random_z2_walk(octahedron, 0, seed=0)
@@ -143,6 +179,21 @@ class TestReplayVerify:
     def test_wrong_source_rejected(self, octahedron, four_cycle):
         _, sequence = random_z2_walk(octahedron, 0, seed=0)
         assert not replay_verify(four_cycle, sequence, four_cycle)
+
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "z2"])
+    def test_source_of_the_other_kind_rejected(self, octahedron, symmetric):
+        # a plain sequence on the Z2Complex used to raise CorruptSequence
+        # "step 9: ... not admissible", blaming the sequence; a symmetric
+        # one on the plain complex replayed as lone moves and gave False
+        walked, _ = random_z2_walk(octahedron, 10, seed=1)
+        if symmetric:
+            report = z2_reduce_to_cross_polytope(walked, seed=1)
+            source, target = walked.complex, octahedron.complex
+        else:
+            report = reduce_to_boundary_simplex(walked.complex, seed=1)
+            source, target = walked, octahedron
+        with pytest.raises(TypeError):
+            replay_verify(source, report.sequence, target)
 
     def test_deleted_move_raises(self, octahedron):
         # a walk whose second move touches the first move's fresh vertex
