@@ -7,8 +7,8 @@ sorted by vertex id, so serialization is canonical: writing the same
 object twice gives byte-identical files, which keeps certificates and
 golden outputs diffable.
 
-Exit codes: 0 success / verified, 2 validation or input failure (the
-violations are listed on stdout), 3 inconclusive reduction.
+Exit codes: 0 success / verified, 2 validation, input or file failure
+(the violations are listed on stdout), 3 inconclusive reduction.
 """
 
 import argparse
@@ -219,13 +219,19 @@ def certificate_document(certificate):
 # -- helpers -------------------------------------------------------------------
 
 def _read(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BistellarError(f"{path}: {exc}") from exc
 
 
 def _write(path, text):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise BistellarError(f"{path}: {exc}") from exc
 
 
 def _emit(doc, path=None):

@@ -83,7 +83,10 @@ class FVector:
     def __eq__(self, other):
         if isinstance(other, FVector):
             return self.counts == other.counts
-        return self.counts == tuple(other)
+        try:
+            return self.counts == tuple(other)
+        except TypeError:
+            return NotImplemented
 
     def __hash__(self):
         return hash(self.counts)
@@ -354,17 +357,15 @@ def _vertex_invariant(cx, v):
 def find_isomorphism(left, right, signed=False):
     """Search for a face-preserving vertex bijection, or return None.
 
-    Backtracking with pruning by per-vertex invariants (facet size
-    profile and link f-vector).  With ``signed=True`` the bijection is
-    additionally required to commute with vertex negation, which is the
-    isomorphism notion for centrally symmetric complexes.  Intended for
-    small instances; the search is exponential in the worst case.
+    Backtracking over vertex orbits, pruned by per-vertex invariants (facet
+    size profile and link f-vector).  The orbits are ``(v,)``, or with
+    ``signed=True`` ``(v, -v)``: then the bijection commutes with negation
+    (pairs go to pairs, an unpaired vertex to an unpaired one), the notion
+    for centrally symmetric complexes.  Exponential in the worst case.
     """
     if left.f_vector() != right.f_vector():
         return None
     lv, rv = left.vertices, right.vertices
-    if len(lv) != len(rv):
-        return None
 
     inv_l = {v: _vertex_invariant(left, v) for v in lv}
     inv_r = {v: _vertex_invariant(right, v) for v in rv}
@@ -374,18 +375,16 @@ def find_isomorphism(left, right, signed=False):
     if sorted(inv_l.values()) != sorted(inv_r[v] for v in rv):
         return None
 
+    def orbit(v):
+        return (v, -v) if signed else (v,)
+
     right_facets = set(right._facet_sets)
-    # Most-constrained-first vertex order, ties broken by id for determinism.
-    if signed:
-        seen = set()
-        order = []
-        for v in sorted(lv, key=lambda v: (len(by_inv.get(inv_l[v], ())), abs(v), v)):
-            if v in seen:
-                continue
-            seen.update((v, -v))
+    # Most-constrained orbits first, ties broken by id for determinism.
+    order, seen = [], set()
+    for v in sorted(lv, key=lambda v: (len(by_inv[inv_l[v]]), max(orbit(v)), v)):
+        if v not in seen:
+            seen.update(orbit(v))
             order.append(v)
-    else:
-        order = sorted(lv, key=lambda v: (len(by_inv.get(inv_l[v], ())), v))
 
     mapping = {}
     used = set()
@@ -393,49 +392,34 @@ def find_isomorphism(left, right, signed=False):
     def facets_ok(v):
         # Every facet of `left` at v whose vertices are all assigned must
         # land on a facet of `right`.
-        for i in left._vertex_to_facets[v]:
+        for i in left._vertex_to_facets.get(v, ()):
             f = left.facets[i]
             if all(u in mapping for u in f):
                 if frozenset(mapping[u] for u in f) not in right_facets:
                     return False
         return True
 
-    def assign(v, w):
-        mapping[v] = w
-        used.add(w)
-        if signed:
-            mapping[-v] = -w
-            used.add(-w)
-
-    def unassign(v, w):
-        del mapping[v]
-        used.discard(w)
-        if signed:
-            del mapping[-v]
-            used.discard(-w)
-
     def backtrack(pos):
         if pos == len(order):
             return True
         v = order[pos]
-        for w in by_inv.get(inv_l[v], ()):
-            if w in used:
+        for w in by_inv[inv_l[v]]:
+            pairs = list(zip(orbit(v), orbit(w)))
+            if any(b in used or inv_r.get(b) != inv_l.get(a) for a, b in pairs):
                 continue
-            if signed and (-w in used or inv_r.get(-w) != inv_l[-v]):
-                continue
-            assign(v, w)
-            ok = facets_ok(v) and (not signed or facets_ok(-v))
-            if ok and backtrack(pos + 1):
+            mapping.update(pairs)
+            used.update(b for _, b in pairs)
+            if all(facets_ok(a) for a, _ in pairs) and backtrack(pos + 1):
                 return True
-            unassign(v, w)
+            for a, b in pairs:
+                del mapping[a]
+                used.discard(b)
         return False
 
+    # One to one into facets, so onto by f-vectors; drop absent antipodes.
     if not backtrack(0):
         return None
-    image = {frozenset(mapping[u] for u in f) for f in left.facets}
-    if image != right_facets:
-        return None
-    return dict(mapping)
+    return {v: mapping[v] for v in mapping if v in inv_l}
 
 
 def is_isomorphic(left, right):

@@ -13,9 +13,9 @@ position.  On a symmetric complex a pair is listed once, under the move
 whose removed face is smaller than its antipode, if its inserted simplex
 is disjoint from its own antipode.  Every flip, by walks, searches,
 :func:`replay`, the ``apply`` functions or label transport, goes through a
-:class:`MoveIndex`, which alone decides admissibility and updates itself
-in the star of the move.  The ``z2`` functions raise :class:`TypeError`
-unless given a :class:`Z2Complex`, the others if given one.
+:class:`MoveIndex`, which alone decides admissibility, keeps the f-vector
+and updates itself in the star of the move.  The ``z2`` functions raise
+:class:`TypeError` unless given a :class:`Z2Complex`, the others if given one.
 """
 
 import random
@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import combinations, count
 from math import comb
 
-from .complexes import SimplicialComplex, _checked_face, complex_digest
+from .complexes import FVector, SimplicialComplex, _checked_face, complex_digest
 from .errors import (
     BistellarError,
     CorruptSequence,
@@ -122,7 +122,8 @@ class MoveIndex:
 
     :meth:`apply` is the one place where a flip is checked and made.
     ``state`` is built from the facet set ``_facets`` when read;
-    ``_cofacets`` maps each face to the facets containing it.  Moves are
+    ``_cofacets`` maps each face to the facets containing it, and ``_f``
+    counts its keys by dimension for :meth:`f_vector`.  Moves are
     listed on the first read, then kept by rechecking only the faces of the
     removed and added facets and the faces that would insert one of those:
     ``_links`` maps each face to :meth:`_link_simplex` where that is not
@@ -138,6 +139,7 @@ class MoveIndex:
         self.state, self._dimension = state, cx.dimension
         self.fresh = fresh_vertex(cx)
         self._facets, self._cofacets, self._links = set(), {}, None
+        self._f = [0] * (cx.dimension + 1)
         self._swap((), cx.facets)
 
     @cached_property
@@ -148,6 +150,10 @@ class MoveIndex:
     @property
     def complex(self):
         return _underlying(self.state)
+
+    def f_vector(self):
+        """The face counts of :attr:`complex`, kept without building it."""
+        return FVector(self._f)
 
     def _listed(self):
         """The buckets, listed on first use: a lone flip needs none."""
@@ -220,8 +226,8 @@ class MoveIndex:
             link == B if link else len(B) == 1)
 
     def _swap(self, gone, added):
-        """Replace facets in the facet set and the cofacet map; returns
-        the faces touched."""
+        """Replace facets in the facet set and the cofacet map, counting
+        each face as it enters or leaves the map; returns the faces touched."""
         touched = set()
         for facet in gone:
             self._facets.remove(facet)
@@ -231,13 +237,16 @@ class MoveIndex:
                     containing.remove(facet)
                     if not containing:
                         del self._cofacets[face]
+                        self._f[k - 1] -= 1
                     touched.add(face)
         for facet in added:
             self._facets.add(facet)
             for k in range(1, len(facet) + 1):
+                known = len(self._cofacets)
                 for face in combinations(facet, k):
                     self._cofacets.setdefault(face, []).append(facet)
                     touched.add(face)
+                self._f[k - 1] += len(self._cofacets) - known
         return touched
 
     def _recheck(self, faces):

@@ -5,11 +5,11 @@ first) by steepest descent and accepts non-improving moves with a cooling
 temperature.  The schedule is fixed, after Björner and Lutz (BISTELLAR,
 Exp. Math. 9, 2000): the temperature starts at 2.0, cools by 0.995 per
 tried flip, and once below 0.05 is reset to 2.0 while the search restarts:
-inverse moves rewind its one :class:`MoveIndex` to the best state
-seen.  Success means the final complex is isomorphic to the declared
-canonical target and is certified by replaying the recorded sequence;
-failure is reported as inconclusive and never claims inequivalence, since
-recognizing spheres is undecidable in high dimension.
+inverse moves rewind its one :class:`MoveIndex`, which also keeps the
+f-vector, to the best state seen.  Success means the final complex is
+isomorphic to the declared canonical target and is certified by replaying
+the recorded sequence; failure is reported as inconclusive and never claims
+inequivalence, since recognizing spheres is undecidable in high dimension.
 
 A search run is a pure function of (input, budget, seed); parallel
 chains just need distinct seeds, merged by keeping the first certified
@@ -99,20 +99,18 @@ def _search(start, budget, seed):
     multiplier = 2 if index.z2 else 1
     k = index.complex.dimension + 1
     target = cross_polytope(k).complex if index.z2 else simplex_boundary(k)
-    target_f = list(target.f_vector().counts)
-    counts = list(index.complex.f_vector().counts)
+    target_f = target.f_vector()
     source_digest = complex_digest(index.complex)
 
     log, flips, applied, restarts = [], 0, 0, 0
-    best = (tuple(reversed(counts)), 0, counts)  # (energy, len(log), counts)
+    best = (index.f_vector().counts[::-1], 0)  # (energy, len(log))
     temperature = _START_TEMPERATURE
-    while not (reduced := counts == target_f and find_isomorphism(
+    while not (reduced := index.f_vector() == target_f and find_isomorphism(
             index.complex, target, signed=index.z2) is not None):
         if temperature < _RESTART_BELOW or flips == budget:
             # Rewind to the best state; removed vertices come back under their ids.
             while len(log) > best[1]:
                 index.apply(log.pop().inverse())
-            counts = best[2]
             if temperature < _RESTART_BELOW:
                 temperature, restarts = _START_TEMPERATURE, restarts + 1
             if flips == budget:
@@ -130,18 +128,16 @@ def _search(start, budget, seed):
                 -delta * multiplier / temperature)
         if accepted:
             index.apply(move)
-            counts = [c + multiplier * d
-                      for c, d in zip(counts, move.f_delta(k - 1))]
             log.append(move)
             applied += 1
-            energy = tuple(reversed(counts))
+            energy = index.f_vector().counts[::-1]
             if energy < best[0]:
-                best = (energy, len(log), counts)
+                best = (energy, len(log))
         temperature *= _COOLING
     return ReductionReport(
         "reduced" if reduced else "inconclusive",
         FlipSequence(tuple(log), index.z2, source_digest, complex_digest(index.complex)),
-        flips, applied, restarts, tuple(best[2]), budget, seed)
+        flips, applied, restarts, best[0][::-1], budget, seed)
 
 
 def reduce_to_boundary_simplex(complex_, budget=100_000, seed=0):

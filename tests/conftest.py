@@ -10,7 +10,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -78,6 +78,27 @@ def naive_link_faces(facets, face):
         if tuple(sorted(fs | set(b))) in faces:
             out.add(b)
     return out
+
+
+def naive_isomorphism(left, right, signed):
+    """A vertex bijection sending the facets ``left`` onto the facets
+    ``right``, or None, by trying every permutation.  With ``signed`` it must
+    also send ``u`` and ``v`` to antipodes exactly when ``v == -u``.  For at
+    most 8 vertices."""
+    lv = sorted({v for f in left for v in f})
+    rv = sorted({v for f in right for v in f})
+    assert len(lv) <= 8
+    target = {frozenset(f) for f in right}
+    if len(lv) != len(rv):
+        return None
+    for image in permutations(rv):
+        sigma = dict(zip(lv, image))
+        if signed and any((sigma[u] == -sigma[v]) != (u == -v)
+                          for u in lv for v in lv):
+            continue
+        if {frozenset(sigma[v] for v in f) for f in left} == target:
+            return sigma
+    return None
 
 
 def naive_admissible_moves(facets):

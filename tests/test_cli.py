@@ -415,6 +415,34 @@ class TestMalformedInput:
         assert out == "error: labels: vertex 1 is labelled twice\n"
 
 
+class TestFileErrors:
+    """A file that cannot be read or written exits 2 with a message that
+    names it, instead of a traceback."""
+
+    @pytest.mark.parametrize("make", [
+        lambda path: None,
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b"\xff\xfe{\x00}\x00"),
+    ], ids=["missing", "directory", "utf-16-bytes"])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, make):
+        path = tmp_path / "in.json"
+        make(path)
+        assert main(["info", str(path)]) == 2
+        assert capsys.readouterr().out.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["flip", "--removed", "1,2,3", "--inserted", "7", "-o"],
+        ["walk", "--steps", "1", "--seed", "1", "--log"],
+        ["certify", "--labels", "canon", "--seed", "1", "--out"],
+        ["subdivide", "--barycentric", "--map"],
+    ], ids=["flip-output", "walk-log", "certify-out", "subdivide-map"])
+    def test_unwritable_output_exits_2(self, octa_file, tmp_path, capsys, argv):
+        out = tmp_path / "no-such-dir" / "out.json"
+        assert main([argv[0], octa_file, *argv[1:], str(out)]) == 2
+        assert f"error: {out}: " in capsys.readouterr().out
+        assert not out.parent.exists()
+
+
 _KEYS = st.sampled_from(["facets", "z2", "labels", "format"]) | st.text(max_size=4)
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-5, 5) | st.floats() | st.text(max_size=4),

@@ -15,6 +15,7 @@ from bistellar import (
     find_isomorphism,
     find_move,
     is_isomorphic,
+    random_z2_walk,
     simplex_boundary,
 )
 from bistellar.complexes import _canonical_facets
@@ -22,6 +23,7 @@ from conftest import (
     naive_canonical_facets,
     naive_euler,
     naive_f_vector,
+    naive_isomorphism,
     naive_link_faces,
 )
 
@@ -90,6 +92,15 @@ class TestFVector:
     def test_matches_naive_on_corpus(self, octahedron, tetra_boundary):
         for cx in (octahedron.complex, tetra_boundary, simplex_boundary(4)):
             assert cx.f_vector().counts == naive_f_vector(cx.facets)
+
+    def test_equality(self, tetra_boundary):
+        # comparing with a non-iterable used to raise TypeError
+        fv = simplex_boundary(3).f_vector()
+        assert fv == tetra_boundary.f_vector() == (4, 6, 4) == fv
+        assert fv == [4, 6, 4] and [4, 6, 4] == fv
+        assert fv != (4, 6) and fv != tetra_boundary
+        assert not fv == None and fv != 3  # noqa: E711
+        assert hash(fv) == hash((4, 6, 4))
 
 
 class TestLinkStar:
@@ -267,13 +278,64 @@ class TestIsomorphism:
     def test_detects_nonisomorphic_same_f(self):
         # same f-vector (6,12,8), different triangulations: octahedron has
         # no degree-3 vertex, the stacked sphere does
-        stacked = simplex_boundary(3)
-        stacked = stacked.stellar_subdivide((1, 2, 3), 5)
-        stacked = stacked.stellar_subdivide((1, 2, 4), 6)
-        from bistellar import cross_polytope
+        stacked = _stacked_sphere()
         octa = cross_polytope(3).complex
         assert stacked.f_vector() == octa.f_vector()
         assert not is_isomorphic(stacked, octa)
+
+
+def _stacked_sphere():
+    """A 2-sphere with the f-vector of the octahedron, but not isomorphic."""
+    return simplex_boundary(3).stellar_subdivide((1, 2, 3), 5) \
+        .stellar_subdivide((1, 2, 4), 6)
+
+
+_SHORT_WALKS = [random_z2_walk(cross_polytope(3), steps, seed)[0].complex
+                for steps in (1, 2, 3) for seed in range(6)]
+# (left, right before relabelling): every complex against itself, and the
+# stacked sphere against the octahedron; all have at most 8 vertices.
+_ISO_PAIRS = [(cx, cx) for cx in (
+    *(cross_polytope(k).complex for k in (2, 3, 4)),
+    simplex_boundary(3), simplex_boundary(4),
+    *(cx for cx in _SHORT_WALKS if len(cx.vertices) <= 8),
+)] + [(_stacked_sphere(), cross_polytope(3).complex)]
+
+
+@st.composite
+def _relabelled(draw, cx):
+    """``cx`` under a random signed permutation (one commuting with
+    negation) or a random injection into ``±1..±n`` (which keeps, breaks
+    or makes antipodal pairs)."""
+    n = len(cx.vertices)
+    if draw(st.booleans()):
+        magnitudes = sorted({abs(v) for v in cx.vertices})
+        image = draw(st.permutations(magnitudes))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        table = {m: s * w for m, w, s in zip(magnitudes, image, signs)}
+        table.update({-m: -w for m, w in table.items()})
+    else:
+        pool = draw(st.permutations([v for k in range(1, n + 1) for v in (k, -k)]))
+        table = dict(zip(cx.vertices, pool))
+    return SimplicialComplex.from_facets([[table[v] for v in f] for f in cx.facets])
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_isomorphism_matches_brute_force(data):
+    left, right = data.draw(st.sampled_from(_ISO_PAIRS))
+    right = data.draw(_relabelled(right))
+    for signed in (False, True):
+        found = find_isomorphism(left, right, signed=signed)
+        expected = naive_isomorphism(left.facets, right.facets, signed)
+        assert (found is None) == (expected is None)
+        if found is None:
+            continue
+        assert sorted(found) == list(left.vertices)
+        assert {frozenset(found[v] for v in f) for f in left.facets} \
+            == {frozenset(f) for f in right.facets}
+        if signed:
+            assert all((found[u] == -found[v]) == (u == -v)
+                       for u in found for v in found)
 
 
 class TestBoundaryOfSimplex:

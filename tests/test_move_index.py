@@ -4,10 +4,11 @@ Hypothesis drives plain and symmetric walks; after every flip the index's
 move list must equal a fresh enumeration, the naive oracle and, for
 symmetric complexes, the antipodal-pair filter that the index replaced.
 The complex it keeps must equal the naive flip of the one before, with
-the right fresh id, the facets ``apply`` reports removed and added must be
-exactly the difference, and a symmetric one must still validate: the index
-checks moves only against the complex it starts from.  Rewound through
-inverse moves, the index must equal one built afresh at that earlier state.
+the right fresh id, its f-vector must equal a naive count, the facets
+``apply`` reports removed and added must be exactly the difference, and a
+symmetric one must still validate: the index checks moves only against the
+complex it starts from.  Rewound through inverse moves, the index must equal
+one built afresh at that earlier state.
 """
 
 import pytest
@@ -25,7 +26,7 @@ from bistellar import (
     fresh_vertex,
     simplex_boundary,
 )
-from conftest import naive_admissible_moves, naive_flip
+from conftest import naive_admissible_moves, naive_f_vector, naive_flip
 
 choices = st.lists(st.integers(0, 10**6), min_size=1, max_size=25)
 
@@ -54,6 +55,7 @@ def check_index(index, before=None, move=None):
     listed = list(index)
     cx = index.complex
     assert index._facets == set(cx.facets)
+    assert index.f_vector() == naive_f_vector(cx.facets)
     assert index.fresh == fresh_vertex(cx)
     if index.z2:
         Z2Complex.from_complex(cx)

@@ -137,8 +137,9 @@ class TestApplyMove:
             apply_move(tetra_boundary, BistellarMove((1, 2), (3, 4)))
 
     def test_mechanics_on_random_walks(self):
-        # facet-count delta, full f-vector delta, Euler invariance and
-        # exact inversion along seeded walks over the plain move graph
+        # facet-count delta, full f-vector delta (against the index's count
+        # too), Euler invariance and exact inversion along seeded walks over
+        # the plain move graph
         rng = random.Random(42)
         for base in (simplex_boundary(3), cross_polytope(3).complex,
                      simplex_boundary(4)):
@@ -154,6 +155,9 @@ class TestApplyMove:
                 assert after[-1] - before[-1] == 2 * r - n
                 predicted = tuple(b + d for b, d in zip(before, move.f_delta(n)))
                 assert after == predicted
+                index = MoveIndex(state)
+                index.apply(move)
+                assert index.f_vector() == predicted
                 assert sum((-1) ** i * c for i, c in enumerate(after)) \
                     == sum((-1) ** i * c for i, c in enumerate(before))
                 restored, _ = apply_move(after_state, inverse)
