@@ -18,9 +18,11 @@ worker processes.
 import hashlib
 import json
 from functools import cached_property
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, pairwise, permutations
+from operator import lt
 
 from .errors import (
+    BistellarError,
     EmptyComplex,
     FaceNotPresent,
     InvalidVertexId,
@@ -64,13 +66,31 @@ def _canonical_facets(faces):
     return tuple(sorted(kept))
 
 
+def _is_canonical(faces):
+    """True if ``faces`` (tuples of ints) are already what
+    :func:`_canonical_facets` makes of them: rows of one size, each strictly
+    increasing, in strictly increasing order.  Compared column by column,
+    so no row is sorted."""
+    if len(set(map(len, faces))) != 1 or not all(map(lt, faces, faces[1:])):
+        return False
+    return all(all(map(lt, a, b)) for a, b in pairwise(zip(*faces)))
+
+
 class FVector:
-    """Face counts of a complex, one entry per dimension starting at 0."""
+    """Face counts of a complex, one entry per dimension starting at 0.
+
+    Every entry must be an ``int`` (not a ``bool``); anything else raises
+    :class:`BistellarError` naming it, rather than being rounded.
+    """
 
     __slots__ = ("counts",)
 
     def __init__(self, counts):
-        self.counts = tuple(int(c) for c in counts)
+        counts = tuple(counts)
+        if not set(map(type, counts)) <= {int}:
+            i, bad = next((i, c) for i, c in enumerate(counts) if type(c) is not int)
+            raise BistellarError(f"f-vector entry {i} must be an int, not {bad!r}")
+        self.counts = counts
 
     @property
     def dimension(self):
@@ -126,10 +146,11 @@ class SimplicialComplex:
                 and all(chain.from_iterable(faces))):
             for f in faces:
                 _checked_face(f)  # raises for the first face with a bad id
-        faces = [tuple(sorted(set(f))) for f in faces]
+        if not _is_canonical(faces):
+            faces = _canonical_facets([tuple(sorted(set(f))) for f in faces])
         if not any(faces):
             raise EmptyComplex("cannot build a complex without vertices")
-        return cls(_canonical_facets(faces))
+        return cls(tuple(faces))
 
     # -- basic queries -----------------------------------------------------
 

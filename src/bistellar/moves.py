@@ -11,11 +11,14 @@ Enumeration order is a contract: moves are listed by ``(len(removed),
 removed, inserted)``, and seeded walks and searches draw from that list by
 position.  On a symmetric complex a pair is listed once, under the move
 whose removed face is smaller than its antipode, if its inserted simplex
-is disjoint from its own antipode.  Every flip, by walks, searches,
-:func:`replay`, the ``apply`` functions or label transport, goes through a
-:class:`MoveIndex`, which alone decides admissibility, keeps the f-vector
-and updates itself in the star of the move.  The ``z2`` functions raise
-:class:`TypeError` unless given a :class:`Z2Complex`, the others if given one.
+is disjoint from its own antipode; in a free complex the increasing face
+``(a, ..., b)`` is the smaller one exactly when ``a + b < 0``, and a
+symmetric index keeps its bookkeeping for that face only.  Every flip, by
+walks, searches, :func:`replay`, the ``apply`` functions or label
+transport, goes through a :class:`MoveIndex`, which alone decides
+admissibility, keeps the f-vector and updates itself in the star of the
+move.  The ``z2`` functions raise :class:`TypeError` unless given a
+:class:`Z2Complex`, the others if given one.
 """
 
 import random
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, count
 from math import comb
+from operator import neg
 
 from .complexes import FVector, SimplicialComplex, _checked_face, complex_digest
 from .errors import (
@@ -130,7 +134,10 @@ class MoveIndex:
     None (``fresh`` fills in ``()`` on reading, so new vertices never dirty
     facet moves); ``_owners`` inverts ``_links``, so a face blocked by a
     present simplex is rechecked when it goes; ``_buckets[k]`` sorts the
-    listed ``k``-vertex faces.
+    listed ``k``-vertex faces.  A symmetric index keeps all three for the
+    smaller face of each antipodal pair only, the face ``(a, ..., b)`` with
+    ``a + b < 0`` (``(-b, ..., -a)`` is its antipode, and ``a + b == 0``
+    would put ``a`` and ``-a`` in one face), and skips the other unread.
     """
 
     def __init__(self, state):
@@ -251,16 +258,19 @@ class MoveIndex:
 
     def _recheck(self, faces):
         for face in faces:
-            link = self._links.pop(face, None)
-            if link:
-                owners = self._owners[link]
-                owners.remove(face)
-                if not owners:
-                    del self._owners[link]
+            if self.z2 and face[0] + face[-1] > 0:  # the larger face of its pair
+                continue
             bucket = self._buckets[len(face)]
-            i = bisect_left(bucket, face)
-            if i < len(bucket) and bucket[i] == face:
-                del bucket[i]
+            link = self._links.pop(face, None)
+            if link is not None:
+                if link:
+                    owners = self._owners[link]
+                    owners.remove(face)
+                    if not owners:
+                        del self._owners[link]
+                i = bisect_left(bucket, face)
+                if i < len(bucket) and bucket[i] == face:
+                    del bucket[i]
             link = self._link_simplex(face)
             if link is None:
                 continue
@@ -269,8 +279,7 @@ class MoveIndex:
                 self._owners.setdefault(link, []).append(face)
                 if link in self._cofacets:
                     continue
-            if self.z2 and (antipode(face) < face
-                            or not set(link).isdisjoint(antipode(link))):
+            if self.z2 and not set(link).isdisjoint(map(neg, link)):
                 continue
             insort(bucket, face)
 

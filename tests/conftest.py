@@ -101,23 +101,19 @@ def naive_isomorphism(left, right, signed):
     return None
 
 
-def naive_admissible_moves(facets):
-    """All bistellar moves straight from the definition.
-
-    For each face A, the link must equal the boundary of a simplex B
-    that is not a face (a fresh vertex when A is a facet).  Returns
-    (removed, inserted) pairs with 'fresh' standing in for the new id.
-    """
+def naive_link_simplices(facets):
+    """Each face A whose link is the boundary of a simplex B, mapped to B,
+    straight from the definition: B is the union of the link's faces, and
+    a facet maps to ``()`` (its link is the empty face alone)."""
     facets = [frozenset(f) for f in facets]
     n = max(len(f) for f in facets) - 1
-    all_faces = naive_faces([tuple(sorted(f)) for f in facets])
-    moves = []
-    for face in sorted(all_faces, key=lambda t: (len(t), t)):
+    out = {}
+    for face in naive_faces([tuple(sorted(f)) for f in facets]):
         r = len(face) - 1
         link = {tuple(sorted(f - set(face))) for f in facets if set(face) <= f}
         if r == n:
             if link == {()}:
-                moves.append((face, "fresh"))
+                out[face] = ()
             continue
         strands = set()
         for piece in link:
@@ -126,9 +122,23 @@ def naive_admissible_moves(facets):
         if len(candidate) != n - r + 1:
             continue
         boundary = {tuple(sorted(set(candidate) - {w})) for w in candidate}
-        if link == boundary and candidate not in all_faces:
-            moves.append((face, candidate))
-    return moves
+        if link == boundary:
+            out[face] = candidate
+    return out
+
+
+def naive_admissible_moves(facets):
+    """All bistellar moves straight from the definition.
+
+    For each face A, the link must equal the boundary of a simplex B
+    that is not a face (a fresh vertex when A is a facet).  Returns
+    (removed, inserted) pairs with 'fresh' standing in for the new id.
+    """
+    all_faces = naive_faces(facets)
+    return [(face, b or "fresh")
+            for face, b in sorted(naive_link_simplices(facets).items(),
+                                  key=lambda item: (len(item[0]), item[0]))
+            if b not in all_faces]
 
 
 def naive_flip(facets, move, symmetric=False):

@@ -1,11 +1,15 @@
 """Core complex operations against naive recomputation."""
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bistellar import (
+    BistellarError,
     EmptyComplex,
+    FVector,
     FaceNotPresent,
     InvalidVertexId,
     SimplicialComplex,
@@ -18,6 +22,7 @@ from bistellar import (
     random_z2_walk,
     simplex_boundary,
 )
+from bistellar import complexes
 from bistellar.complexes import _canonical_facets
 from conftest import (
     naive_canonical_facets,
@@ -72,6 +77,33 @@ class TestFromFacets:
                 assert tuple(x for x in f if x != v) in cx
 
 
+rows = st.sets(st.frozensets(st.integers(-6, 6).filter(bool), min_size=3,
+                             max_size=3), min_size=1, max_size=10)
+
+
+@given(rows=rows, data=st.data(),
+       kind=st.sampled_from(["canonical", "unsorted", "duplicated", "mixed"]))
+def test_canonical_input_skips_the_sort(rows, data, kind):
+    # rows already canonical take a fast path; any other input the general
+    # one, and both give the same facets
+    facets = sorted(tuple(sorted(f)) for f in rows)
+    if kind == "unsorted":
+        facets = [tuple(data.draw(st.permutations(f))) for f in
+                  data.draw(st.permutations(facets))]
+    elif kind == "duplicated":
+        facets.insert(data.draw(st.integers(0, len(facets))),
+                      data.draw(st.sampled_from(facets)))
+    elif kind == "mixed":
+        extra = data.draw(st.sampled_from(facets))
+        facets.append(extra[:data.draw(st.integers(1, 2))]
+                      if data.draw(st.booleans()) else extra + (7,))
+    expected = _canonical_facets([tuple(sorted(set(f))) for f in facets])
+    with patch.object(complexes, "_canonical_facets",
+                      wraps=complexes._canonical_facets) as general:
+        assert SimplicialComplex.from_facets(facets).facets == expected
+    assert general.called == (list(expected) != facets)
+
+
 class TestFVector:
     def test_tetra(self, tetra_boundary):
         fv = tetra_boundary.f_vector()
@@ -101,6 +133,15 @@ class TestFVector:
         assert fv != (4, 6) and fv != tetra_boundary
         assert not fv == None and fv != 3  # noqa: E711
         assert hash(fv) == hash((4, 6, 4))
+
+    @pytest.mark.parametrize("counts, bad", [([1.9, True, 2.0], "entry 0 .* 1.9"),
+                                             ([1, True, 2], "entry 1 .* True"),
+                                             ([4, 6, "4"], "entry 2 .* '4'")])
+    def test_entries_are_ints(self, counts, bad):
+        # FVector([1.9, True, 2.0]) used to equal (1, 1, 2)
+        with pytest.raises(BistellarError, match=bad):
+            FVector(counts)
+        assert FVector(iter([4, 6, 4])) == (4, 6, 4)
 
 
 class TestLinkStar:

@@ -7,8 +7,10 @@ The complex it keeps must equal the naive flip of the one before, with
 the right fresh id, its f-vector must equal a naive count, the facets
 ``apply`` reports removed and added must be exactly the difference, and a
 symmetric one must still validate: the index checks moves only against the
-complex it starts from.  Rewound through inverse moves, the index must equal
-one built afresh at that earlier state.
+complex it starts from.  The faces it tracks links for must be those whose
+link is a simplex boundary, only the smaller of each antipodal pair if it is
+symmetric.  Rewound through inverse moves, the index must equal one built
+afresh at that earlier state.
 """
 
 import pytest
@@ -26,7 +28,12 @@ from bistellar import (
     fresh_vertex,
     simplex_boundary,
 )
-from conftest import naive_admissible_moves, naive_f_vector, naive_flip
+from conftest import (
+    naive_admissible_moves,
+    naive_f_vector,
+    naive_flip,
+    naive_link_simplices,
+)
 
 choices = st.lists(st.integers(0, 10**6), min_size=1, max_size=25)
 
@@ -76,6 +83,19 @@ def check_index(index, before=None, move=None):
     delta, count = index.lowest()
     assert [m.facet_delta() for m in listed[:count + 1]].count(delta) == count
     assert delta == min(m.facet_delta() for m in listed)
+    # the faces tracked, against the definition rather than a rebuilt index:
+    # every face whose link simplex exists, or for a symmetric index the
+    # smaller face of each antipodal pair only
+    links = naive_link_simplices(cx.facets)
+    if index.z2:
+        links = {a: b for a, b in links.items() if a < antipode(a)}
+    assert index._links == links
+    owners = {}
+    for a, b in links.items():
+        if b:
+            owners.setdefault(b, []).append(a)
+    assert {k: sorted(v) for k, v in index._owners.items()} \
+        == {k: sorted(v) for k, v in owners.items()}
     rebuilt = MoveIndex(index.state)
     assert list(rebuilt) == listed
     assert rebuilt._cofacets.keys() == index._cofacets.keys()
