@@ -31,7 +31,7 @@ from .errors import (
     NoWitness,
 )
 from .moves import MoveIndex
-from .z2 import _checked_kind, _underlying
+from .z2 import _checked_kind, _negated, _underlying
 
 
 def _complete(state, labelling):
@@ -257,9 +257,9 @@ def _transport(labels, move, gone, added):
         raise BistellarError(f"the labels of ±{abs(removed[0])} are not antipodal")
 
     if len(inserted) <= 2:  # every new face contains the inserted simplex
-        for half in (move, move.antipodal()):
-            for rest in combinations(half.removed, 2 - len(inserted)):
-                a, b = rest + half.inserted
+        for face, simplex in ((removed, inserted), map(_negated, (removed, inserted))):
+            for rest in combinations(face, 2 - len(inserted)):
+                a, b = rest + simplex
                 if labels[a] + labels[b] == 0:
                     raise BistellarError(f"the new edge {(a, b)} is complementary")
     after = [alternating_sign(f, labels) for f in added]

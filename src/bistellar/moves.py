@@ -11,18 +11,16 @@ Enumeration order is a contract: moves are listed by ``(len(removed),
 removed, inserted)``, and seeded walks and searches draw from that list by
 position.  On a symmetric complex a pair is listed once, under the move
 whose removed face is smaller than its antipode, if its inserted simplex
-is disjoint from its own antipode; in a free complex the increasing face
-``(a, ..., b)`` is the smaller one exactly when ``a + b < 0``, and a
-symmetric index keeps its bookkeeping for that face only.  Every flip, by
-walks, searches, :func:`replay`, the ``apply`` functions or label
-transport, goes through a :class:`MoveIndex`, which alone decides
-admissibility, keeps the f-vector and updates itself in the star of the
-move.  The ``z2`` functions raise :class:`TypeError` unless given a
-:class:`Z2Complex`, the others if given one.
+is disjoint from its own antipode.  Every flip, by walks, searches,
+:func:`replay`, the ``apply`` functions or label transport, goes through a
+:class:`MoveIndex`, which alone decides admissibility, keeps the f-vector
+and updates itself in the star of the move, on a symmetric complex for one
+face of each antipodal pair.  The ``z2`` functions raise
+:class:`TypeError` unless given a :class:`Z2Complex`, the others if given one.
 """
 
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, count
@@ -36,7 +34,7 @@ from .errors import (
     InterferingAntipodalMove,
     MoveNotAdmissible,
 )
-from .z2 import Z2Complex, _checked_kind, _underlying, antipode
+from .z2 import Z2Complex, _checked_kind, _checked_symmetric, _negated, _underlying
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,7 @@ class BistellarMove:
         return BistellarMove(self.inserted, self.removed)
 
     def antipodal(self):
-        return BistellarMove(antipode(self.removed), antipode(self.inserted))
+        return BistellarMove(_negated(self.removed), _negated(self.inserted))
 
     def facet_delta(self):
         """Change in facet count when applied: |removed| - |inserted|."""
@@ -134,15 +132,20 @@ class MoveIndex:
     None (``fresh`` fills in ``()`` on reading, so new vertices never dirty
     facet moves); ``_owners`` inverts ``_links``, so a face blocked by a
     present simplex is rechecked when it goes; ``_buckets[k]`` sorts the
-    listed ``k``-vertex faces.  A symmetric index keeps all three for the
-    smaller face of each antipodal pair only, the face ``(a, ..., b)`` with
-    ``a + b < 0`` (``(-b, ..., -a)`` is its antipode, and ``a + b == 0``
-    would put ``a`` and ``-a`` in one face), and skips the other unread.
+    listed ``k``-vertex faces.  A symmetric index keeps all but ``_facets``
+    for the smaller face of each antipodal pair only, the face ``(a, ...,
+    b)`` with ``a + b < 0`` (``a + b == 0`` would put ``a`` and ``-a`` in
+    one face), and looks any face up as that one (:meth:`_key`).  It is
+    built only on a pure complex, equivariant and free if symmetric.
     """
 
     def __init__(self, state):
         cx = _underlying(state)
         self.z2 = cx is not state
+        if not cx.is_pure():
+            raise BistellarError("a MoveIndex needs a pure complex")
+        if self.z2:
+            _checked_symmetric(cx.facets)
         self.state, self._dimension = state, cx.dimension
         self.fresh = fresh_vertex(cx)
         self._facets, self._cofacets, self._links = set(), {}, None
@@ -160,7 +163,11 @@ class MoveIndex:
 
     def f_vector(self):
         """The face counts of :attr:`complex`, kept without building it."""
-        return FVector(self._f)
+        return FVector([2 * n for n in self._f] if self.z2 else self._f)
+
+    def _key(self, face):
+        """``face``, or on a symmetric index the smaller face of its pair."""
+        return _negated(face) if self.z2 and face and face[0] + face[-1] > 0 else face
 
     def _listed(self):
         """The buckets, listed on first use: a lone flip needs none."""
@@ -190,24 +197,31 @@ class MoveIndex:
     def apply(self, move):
         """Check ``move`` (and its antipodal image, see :func:`apply_z2_move`)
         and apply it; a rejected move changes nothing.  Returns the lists
-        ``(removed facets, added facets)`` of both halves."""
-        if not self._admits(move):
+        ``(removed facets, added facets)`` of both halves, ``move``'s first."""
+        removed, inserted = move.removed, move.inserted
+        key = self._key(removed)
+        flipped = key != removed  # check the half that removes the kept face
+        link, B = self._link_simplex(key), _negated(inserted) if flipped else inserted
+        if link is None or not (link == B if link else len(B) == 1) \
+                or self._key(B) in self._cofacets:
             raise MoveNotAdmissible(f"{move} is not admissible here")
-        halves = [move, move.antipodal()] if self.z2 else [move]
-        if self.z2 and not (self._admits(halves[1])
-                            and set(move.inserted).isdisjoint(halves[1].inserted)):
+        if self.z2 and not set(B).isdisjoint(map(neg, B)):
             raise InterferingAntipodalMove(
-                f"antipodal half of {move} is not admissible with it")
-        gone = [f for m in halves for f in self._cofacets[m.removed]]
-        added = [tuple(sorted(set(m.removed).difference((v,)).union(m.inserted)))
-                 for m in halves for v in m.removed]
+                f"{move} inserts a simplex that meets its antipode")
+        gone = list(self._cofacets[key])
+        added = [tuple(sorted(set(removed).difference((v,)).union(inserted)))
+                 for v in removed]
+        if self.z2:
+            mirrored = list(map(_negated, gone))
+            gone = mirrored + gone if flipped else gone + mirrored
+            added += map(_negated, reversed(added))
         touched = self._swap(gone, added)
         if self._links is not None:
             self._recheck(touched.union(*(self._owners.get(face, ())
                                           for face in touched)))
         vars(self).pop("state", None)
-        if len(move.removed) == 1:  # ids below fresh were used; this one may be free
-            self.fresh = min(self.fresh, abs(move.removed[0]))
+        if len(removed) == 1:  # ids below fresh were used; this one may be free
+            self.fresh = min(self.fresh, abs(removed[0]))
         while (self.fresh,) in self._cofacets or (-self.fresh,) in self._cofacets:
             self.fresh += 1
         return gone, added
@@ -222,24 +236,19 @@ class MoveIndex:
             return None
         if need == 1:
             return ()
-        if any(len(f) != self._dimension + 1 for f in containing):
-            return None
         apex = set().union(*containing).difference(face)
         return tuple(sorted(apex)) if len(apex) == need else None
 
-    def _admits(self, move):
-        link, B = self._link_simplex(move.removed), move.inserted
-        return link is not None and B not in self._cofacets and (
-            link == B if link else len(B) == 1)
-
     def _swap(self, gone, added):
-        """Replace facets in the facet set and the cofacet map, counting
-        each face as it enters or leaves the map; returns the faces touched."""
-        touched = set()
+        """Replace facets in the facet set and the cofacet map, counting each
+        kept face as it enters or leaves the map; returns the kept faces touched."""
+        touched, z2 = set(), self.z2
         for facet in gone:
             self._facets.remove(facet)
             for k in range(1, len(facet) + 1):
                 for face in combinations(facet, k):
+                    if z2 and face[0] + face[-1] > 0:
+                        continue
                     containing = self._cofacets[face]
                     containing.remove(facet)
                     if not containing:
@@ -251,37 +260,41 @@ class MoveIndex:
             for k in range(1, len(facet) + 1):
                 known = len(self._cofacets)
                 for face in combinations(facet, k):
+                    if z2 and face[0] + face[-1] > 0:
+                        continue
                     self._cofacets.setdefault(face, []).append(facet)
                     touched.add(face)
                 self._f[k - 1] += len(self._cofacets) - known
         return touched
 
     def _recheck(self, faces):
+        links, owners = self._links, self._owners
         for face in faces:
-            if self.z2 and face[0] + face[-1] > 0:  # the larger face of its pair
+            old, link = links.get(face), self._link_simplex(face)
+            if link is None and old is None:
                 continue
+            if link != old:
+                if old:
+                    waiting = owners[self._key(old)]
+                    waiting.remove(face)
+                    if not waiting:
+                        del owners[self._key(old)]
+                if link is None:
+                    del links[face]
+                else:
+                    links[face] = link
+                    if link:
+                        owners.setdefault(self._key(link), []).append(face)
+            # in a free complex a link simplex meets its antipode only as (-v, v)
+            listed = link is not None and (not link or (
+                self._key(link) not in self._cofacets
+                and not (self.z2 and link[0] + link[-1] == 0)))
             bucket = self._buckets[len(face)]
-            link = self._links.pop(face, None)
-            if link is not None:
-                if link:
-                    owners = self._owners[link]
-                    owners.remove(face)
-                    if not owners:
-                        del self._owners[link]
-                i = bisect_left(bucket, face)
-                if i < len(bucket) and bucket[i] == face:
-                    del bucket[i]
-            link = self._link_simplex(face)
-            if link is None:
-                continue
-            self._links[face] = link
-            if link:
-                self._owners.setdefault(link, []).append(face)
-                if link in self._cofacets:
-                    continue
-            if self.z2 and not set(link).isdisjoint(map(neg, link)):
-                continue
-            insort(bucket, face)
+            i = bisect_left(bucket, face)
+            if i < len(bucket) and bucket[i] == face:
+                del bucket[i]
+            if listed:
+                bucket.insert(i, face)
 
 
 def enumerate_moves(complex_):
@@ -309,12 +322,12 @@ def apply_move(complex_, move):
 def apply_z2_move(z2complex, move):
     """Apply a move together with its antipodal image.
 
-    Both halves are checked against the starting complex, and no more is
-    needed: in a free complex the stars of ``removed`` and its antipode
-    share no facet and every new face contains ``inserted``, so the pair
-    applies, equivariant and free, unless ``inserted`` meets its antipode
-    (``{v, -v}``) or the antipodal half is not admissible, which needs a
-    complex that is not symmetric; both raise :class:`InterferingAntipodalMove`."""
+    One half is checked, and no more is needed: in a free complex the
+    stars of ``removed`` and its antipode share no facet and every new face
+    contains ``inserted``, so the pair applies, equivariant and free, unless
+    ``inserted`` meets its antipode (``{v, -v}``), which raises
+    :class:`InterferingAntipodalMove`.  A complex that is not symmetric
+    raises :class:`NotEquivariant` or :class:`ActionNotFree` before that."""
     index = MoveIndex(_checked_kind(z2complex, True))
     index.apply(move)
     return index.state, move.inverse()

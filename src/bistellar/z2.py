@@ -8,7 +8,8 @@ sign checks and makes the file format readable.
 """
 
 from functools import cached_property
-from operator import neg
+from itertools import combinations
+from operator import add, neg
 
 from .complexes import (
     SimplicialComplex,
@@ -25,6 +26,29 @@ def antipode(face):
     (-3, -1, 2)
     """
     return tuple(sorted(-v for v in face))
+
+
+def _negated(face):
+    """The antipode of an increasing face, sized exactly (``tuple(map())`` is not)."""
+    return (*map(neg, reversed(face)),)
+
+
+def _checked_symmetric(facets):
+    """Raise unless the facets are closed under ``v -> -v`` and free: per
+    size, the negated columns in reverse order must be facets and no two
+    columns may sum to zero.  The facet-by-facet loop names a failure."""
+    facet_set, sizes = set(facets), set(map(len, facets))
+    groups = [facets] if len(sizes) == 1 else [[f for f in facets if len(f) == n]
+                                               for n in sizes]
+    if all(facet_set.issuperset(zip(*[map(neg, c) for c in reversed(cs)]))
+           and all(all(map(add, a, b)) for a, b in combinations(cs, 2))
+           for cs in (list(zip(*group)) for group in groups)):
+        return
+    for f in facets:
+        if _negated(f) not in facet_set:
+            raise NotEquivariant(f"facet {f} has no antipodal facet")
+    f, hit = next((f, v) for f in facets for v in f if -v in f)
+    raise ActionNotFree(f"facet {f} contains the antipodal pair ±{abs(hit)}")
 
 
 def _underlying(state):
@@ -54,21 +78,10 @@ class Z2Complex:
 
     @classmethod
     def from_complex(cls, complex_, subdivided=False):
-        """Validate equivariance and freeness and wrap the complex.
-
-        Checks run facet by facet: a facet whose antipodal image is
-        missing raises :class:`NotEquivariant`; a facet containing both
-        ``v`` and ``-v`` raises :class:`ActionNotFree`.
-        """
-        facet_set = set(complex_.facets)
-        for f in complex_.facets:
-            # the antipode of an increasing face, negated in reverse order
-            if tuple(map(neg, reversed(f))) not in facet_set:
-                raise NotEquivariant(f"facet {f} has no antipodal facet")
-        for f in complex_.facets:
-            if len(set(map(abs, f))) < len(f):
-                hit = next(v for v in f if -v in f)
-                raise ActionNotFree(f"facet {f} contains the antipodal pair ±{abs(hit)}")
+        """Validate equivariance and freeness and wrap the complex: a facet
+        whose antipodal image is missing raises :class:`NotEquivariant`, one
+        containing both ``v`` and ``-v`` :class:`ActionNotFree`."""
+        _checked_symmetric(complex_.facets)
         return cls(complex_, subdivided=subdivided)
 
     # -- passthroughs --------------------------------------------------------

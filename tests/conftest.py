@@ -54,6 +54,20 @@ def naive_faces(facets):
     return out
 
 
+def naive_cofacets(facets):
+    """Each nonempty face mapped to the sorted list of facets containing it."""
+    out = {}
+    for facet in facets:
+        for face in naive_faces([facet]):
+            out.setdefault(face, []).append(tuple(sorted(facet)))
+    return {face: sorted(containing) for face, containing in out.items()}
+
+
+def naive_star(facets, vertex):
+    """The facets containing ``vertex``."""
+    return [f for f in facets if vertex in f]
+
+
 def naive_f_vector(facets):
     faces = naive_faces(facets)
     top = max(len(f) for f in faces)
@@ -155,6 +169,21 @@ def naive_flip(facets, move, symmetric=False):
         out = {f for f in out if not gone <= f}
         out |= {(gone - {v}) | frozenset(inserted) for v in gone}
     return tuple(sorted(tuple(sorted(f)) for f in out))
+
+
+def naive_z2_error(facets):
+    """``(exception name, message)`` for the first facet, in order, without
+    its antipode, else for the first with a pair ``{v, -v}``; None if the
+    facets are closed under negation and free."""
+    present = set(facets)
+    for f in facets:
+        if tuple(sorted(-v for v in f)) not in present:
+            return "NotEquivariant", f"facet {f} has no antipodal facet"
+    for f in facets:
+        for v in f:
+            if -v in f:
+                return "ActionNotFree", f"facet {f} contains the antipodal pair ±{abs(v)}"
+    return None
 
 
 def naive_alternating_sign(labels):

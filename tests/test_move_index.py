@@ -7,10 +7,11 @@ The complex it keeps must equal the naive flip of the one before, with
 the right fresh id, its f-vector must equal a naive count, the facets
 ``apply`` reports removed and added must be exactly the difference, and a
 symmetric one must still validate: the index checks moves only against the
-complex it starts from.  The faces it tracks links for must be those whose
-link is a simplex boundary, only the smaller of each antipodal pair if it is
-symmetric.  Rewound through inverse moves, the index must equal one built
-afresh at that earlier state.
+complex it starts from.  It must keep the facets containing every face,
+and a link for every face whose link is a simplex boundary; a symmetric
+index keeps both for the smaller face of each antipodal pair only.
+Rewound through inverse moves, the index must equal one built afresh at
+that earlier state.
 """
 
 import pytest
@@ -30,9 +31,11 @@ from bistellar import (
 )
 from conftest import (
     naive_admissible_moves,
+    naive_cofacets,
     naive_f_vector,
     naive_flip,
     naive_link_simplices,
+    naive_star,
 )
 
 choices = st.lists(st.integers(0, 10**6), min_size=1, max_size=25)
@@ -83,24 +86,23 @@ def check_index(index, before=None, move=None):
     delta, count = index.lowest()
     assert [m.facet_delta() for m in listed[:count + 1]].count(delta) == count
     assert delta == min(m.facet_delta() for m in listed)
-    # the faces tracked, against the definition rather than a rebuilt index:
-    # every face whose link simplex exists, or for a symmetric index the
-    # smaller face of each antipodal pair only
-    links = naive_link_simplices(cx.facets)
-    if index.z2:
-        links = {a: b for a, b in links.items() if a < antipode(a)}
+    # the faces kept, against the definition rather than a rebuilt index:
+    # cofacets for every face and links for every face whose link simplex
+    # exists, on a symmetric index for the smaller face of each antipodal
+    # pair only; owners are filed under that face of the link's pair
+    kept = (lambda a: min(a, antipode(a))) if index.z2 else (lambda a: a)
+    cofacets = {a: b for a, b in naive_cofacets(cx.facets).items() if kept(a) == a}
+    assert {a: sorted(b) for a, b in index._cofacets.items()} == cofacets
+    links = {a: b for a, b in naive_link_simplices(cx.facets).items() if kept(a) == a}
     assert index._links == links
     owners = {}
     for a, b in links.items():
         if b:
-            owners.setdefault(b, []).append(a)
+            owners.setdefault(kept(b), []).append(a)
     assert {k: sorted(v) for k, v in index._owners.items()} \
         == {k: sorted(v) for k, v in owners.items()}
     rebuilt = MoveIndex(index.state)
     assert list(rebuilt) == listed
-    assert rebuilt._cofacets.keys() == index._cofacets.keys()
-    assert all(sorted(rebuilt._cofacets[f]) == sorted(index._cofacets[f])
-               for f in index._cofacets)
     assert rebuilt._links == index._links
     assert {k: sorted(v) for k, v in rebuilt._owners.items()} \
         == {k: sorted(v) for k, v in index._owners.items()}
@@ -161,6 +163,51 @@ def test_blocked_face_is_released_when_its_simplex_goes():
     index.apply(BistellarMove((1, 2), (4, 5)))
     assert BistellarMove((3, 4), (1, 2)) in list(index)
     check_index(index)
+
+
+def test_blocked_face_is_released_when_the_larger_simplex_goes():
+    # The symmetric analogue: splitting a facet of the octahedron (and its
+    # antipode) leaves edge (-4, -1) with link {-2, 3}, and edge (-2, 3) is
+    # present, the larger face of its pair, so the index keeps it as
+    # (-3, 2).  Flipping edge (-3, 2) away flips (-2, 3) away with it and
+    # releases (-4, -1), whose star the pair does not touch.
+    index = MoveIndex(cross_polytope(3))
+    index.apply(BistellarMove((-3, 1, 2), (4,)))
+    star = [f for f in naive_star(index.complex.facets, -4) if -1 in f]
+    assert (-2, 3) in index.complex
+    assert BistellarMove((-4, -1), (-2, 3)) not in list(index)
+    index.apply(BistellarMove((-3, 2), (-1, 4)))
+    assert (-2, 3) not in index.complex
+    assert [f for f in naive_star(index.complex.facets, -4) if -1 in f] == star
+    assert BistellarMove((-4, -1), (-2, 3)) in list(index)
+    check_index(index)
+
+
+@pytest.mark.parametrize("base", [cross_polytope(3), cross_polytope(4)],
+                         ids=["octahedron", "cross-4"])
+@given(picks=choices)
+@settings(max_examples=15, deadline=None)
+def test_either_half_of_a_pair_applies_it(base, picks):
+    # A symmetric index checks and files a pair under the half that removes
+    # the smaller face; given the other half it must do the same.  The
+    # inverse of one of the two halves removes the larger face, as every
+    # rewind of a move with a fresh vertex does.
+    index = MoveIndex(base)
+    for pick in picks:
+        move = index[pick % len(index)]
+        results = []
+        for half in (move, move.antipodal()):
+            fresh = MoveIndex(index.state)
+            if pick % 2:
+                list(fresh)  # so that the flip also rechecks listed faces
+            gone, added = fresh.apply(half)
+            results.append((fresh.complex, fresh.f_vector(), fresh.fresh, list(fresh),
+                            sorted(gone), sorted(added)))
+            fresh.apply(half.inverse())
+            assert fresh.complex == index.complex
+            assert list(fresh) == list(index)
+        assert results[0] == results[1]
+        index.apply(move)
 
 
 def test_reads_past_the_end():

@@ -3,6 +3,8 @@ shows up in a diff of this file."""
 
 from types import ModuleType
 
+import pytest
+
 import bistellar
 
 PUBLIC_NAMES = [
@@ -109,6 +111,26 @@ def test_move_index_apply_returns_the_replaced_facets():
     assert gone == [(1, 2, 3), (-3, -2, -1)]
     assert added == [(2, 3, 4), (1, 3, 4), (1, 2, 4),
                      (-4, -2, -1), (-4, -3, -1), (-4, -3, -2)]
+
+
+def test_move_index_checks_the_complex_when_built():
+    # A symmetric index keeps one face of each antipodal pair, so it checks
+    # once what a raw Z2Complex(cx) does not: purity (of either kind),
+    # closure under negation and freeness.  Each used to pass unchecked.
+    from_facets = bistellar.SimplicialComplex.from_facets
+    dangling = from_facets([[1, 2, 3], [-3, -2, -1], [3, 4], [-4, -3]])
+    cases = [
+        (dangling, bistellar.BistellarError, "needs a pure complex"),
+        (bistellar.Z2Complex.from_complex(dangling), bistellar.BistellarError,
+         "needs a pure complex"),
+        (bistellar.Z2Complex(bistellar.simplex_boundary(3)), bistellar.NotEquivariant,
+         r"facet \(1, 2, 3\) has no antipodal facet"),
+        (bistellar.Z2Complex(from_facets([[-1, 1, 2], [-2, -1, 1]])),
+         bistellar.ActionNotFree, r"facet \(-2, -1, 1\) contains the antipodal pair ±1"),
+    ]
+    for state, error, message in cases:
+        with pytest.raises(error, match=message):
+            bistellar.MoveIndex(state)
 
 
 def test_entry_points_check_the_kind_of_complex():

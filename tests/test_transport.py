@@ -40,7 +40,7 @@ from bistellar import (
 )
 from bistellar import reduction
 from bistellar.fan import _transport
-from conftest import naive_alpha, naive_ranks, rational_relabel
+from conftest import naive_alpha, naive_ranks, naive_star, rational_relabel
 
 SPHERES = {
     "C3": lambda: cross_polytope(3),
@@ -173,7 +173,7 @@ def walk_with_oracle(base, walk_seed, label_seed, steps, bound=1):
         if nudged:
             u = max(ins, key=labels.get)
             around = {f: alternating_sign(f, labels)
-                      for w in (u, -u) for f in index._cofacets[(w,)]}
+                      for w in (u, -u) for f in naive_star(index._facets, w)}
         nudges += nudged
         delta = _transport(labels, move, *index.apply(move))
         if nudged:

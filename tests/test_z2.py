@@ -14,7 +14,7 @@ from bistellar import (
     cross_polytope,
     is_isomorphic,
 )
-from conftest import naive_f_vector
+from conftest import naive_f_vector, naive_z2_error
 
 
 class TestAntipode:
@@ -44,6 +44,23 @@ class TestMakeSigned:
         cx = SimplicialComplex.from_facets([[1, 2]])
         with pytest.raises(NotEquivariant):
             Z2Complex.from_complex(cx)
+
+    @given(faces=st.lists(st.sets(st.integers(-4, 4).filter(bool), min_size=1,
+                                  max_size=4), min_size=1, max_size=8),
+           closed=st.booleans())
+    def test_matches_the_facet_by_facet_check(self, faces, closed):
+        # the column check, on pure and mixed-size facets, accepts what the
+        # facet-by-facet loop accepts and names the same first offender
+        if closed:
+            faces += [{-v for v in f} for f in faces]
+        cx = SimplicialComplex.from_facets([sorted(f) for f in faces])
+        expected = naive_z2_error(cx.facets)
+        try:
+            Z2Complex.from_complex(cx)
+            outcome = None
+        except (NotEquivariant, ActionNotFree) as exc:
+            outcome = (type(exc).__name__, str(exc))
+        assert outcome == expected
 
     def test_every_face_has_antipode(self, octahedron, four_cycle):
         for signed in (octahedron, four_cycle):
