@@ -130,9 +130,11 @@ class MoveIndex:
     removed and added facets and the faces that would insert one of those:
     ``_links`` maps each face to :meth:`_link_simplex` where that is not
     None (``fresh`` fills in ``()`` on reading, so new vertices never dirty
-    facet moves); ``_owners`` inverts ``_links``, so a face blocked by a
-    present simplex is rechecked when it goes; ``_buckets[k]`` sorts the
-    listed ``k``-vertex faces.  A symmetric index keeps all but ``_facets``
+    facet moves); ``_owners`` inverts ``_links`` and is read only for the
+    simplices that enter or leave, so a face waiting on a simplex is
+    rechecked when it comes or goes; ``_buckets[k]`` sorts the listed
+    ``k``-vertex faces, and a bucket is edited only when a face enters or
+    leaves the listing.  A symmetric index keeps all but ``_facets``
     for the smaller face of each antipodal pair only, the face ``(a, ...,
     b)`` with ``a + b < 0`` (``a + b == 0`` would put ``a`` and ``-a`` in
     one face), and looks any face up as that one (:meth:`_key`).  It is
@@ -215,10 +217,10 @@ class MoveIndex:
             mirrored = list(map(_negated, gone))
             gone = mirrored + gone if flipped else gone + mirrored
             added += map(_negated, reversed(added))
-        touched = self._swap(gone, added)
+        touched, toggled = self._swap(gone, added)
         if self._links is not None:
-            self._recheck(touched.union(*(self._owners.get(face, ())
-                                          for face in touched)))
+            owners = self._owners
+            self._recheck(touched.union(*map(owners.get, owners.keys() & toggled)))
         vars(self).pop("state", None)
         if len(removed) == 1:  # ids below fresh were used; this one may be free
             self.fresh = min(self.fresh, abs(removed[0]))
@@ -229,20 +231,26 @@ class MoveIndex:
     def _link_simplex(self, face):
         """The simplex whose boundary is the link of ``face``, ``()`` for a
         top facet (its move inserts a fresh vertex), or None, as for an
-        absent face.  The one admissibility predicate: the move is
+        absent face; a ridge's two apexes are each a cofacet's vertex sum
+        less the ridge's.  The one admissibility predicate: the move is
         admissible iff that simplex is not a face."""
         containing, need = self._cofacets.get(face), self._dimension + 2 - len(face)
         if containing is None or len(containing) != need:
             return None
         if need == 1:
             return ()
+        if need == 2:
+            s = sum(face)
+            a, b = sum(containing[0]) - s, sum(containing[1]) - s
+            return (a, b) if a < b else (b, a)
         apex = set().union(*containing).difference(face)
         return tuple(sorted(apex)) if len(apex) == need else None
 
     def _swap(self, gone, added):
         """Replace facets in the facet set and the cofacet map, counting each
-        kept face as it enters or leaves the map; returns the kept faces touched."""
-        touched, z2 = set(), self.z2
+        kept face as it enters or leaves the map; returns the set of kept
+        faces touched and the set of those that entered or left."""
+        touched, toggled, z2 = set(), set(), self.z2
         for facet in gone:
             self._facets.remove(facet)
             for k in range(1, len(facet) + 1):
@@ -254,18 +262,21 @@ class MoveIndex:
                     if not containing:
                         del self._cofacets[face]
                         self._f[k - 1] -= 1
+                        toggled.add(face)
                     touched.add(face)
         for facet in added:
             self._facets.add(facet)
             for k in range(1, len(facet) + 1):
-                known = len(self._cofacets)
                 for face in combinations(facet, k):
                     if z2 and face[0] + face[-1] > 0:
                         continue
-                    self._cofacets.setdefault(face, []).append(facet)
+                    containing = self._cofacets.setdefault(face, [])
+                    if not containing:
+                        self._f[k - 1] += 1
+                        toggled.add(face)
+                    containing.append(facet)
                     touched.add(face)
-                self._f[k - 1] += len(self._cofacets) - known
-        return touched
+        return touched, toggled
 
     def _recheck(self, faces):
         links, owners = self._links, self._owners
@@ -273,6 +284,7 @@ class MoveIndex:
             old, link = links.get(face), self._link_simplex(face)
             if link is None and old is None:
                 continue
+            key = self._key(link)
             if link != old:
                 if old:
                     waiting = owners[self._key(old)]
@@ -284,16 +296,16 @@ class MoveIndex:
                 else:
                     links[face] = link
                     if link:
-                        owners.setdefault(self._key(link), []).append(face)
+                        owners.setdefault(key, []).append(face)
             # in a free complex a link simplex meets its antipode only as (-v, v)
             listed = link is not None and (not link or (
-                self._key(link) not in self._cofacets
-                and not (self.z2 and link[0] + link[-1] == 0)))
+                key not in self._cofacets and not (self.z2 and link[0] + link[-1] == 0)))
             bucket = self._buckets[len(face)]
             i = bisect_left(bucket, face)
             if i < len(bucket) and bucket[i] == face:
-                del bucket[i]
-            if listed:
+                if not listed:
+                    del bucket[i]
+            elif listed:
                 bucket.insert(i, face)
 
 

@@ -153,15 +153,22 @@ def test_blocked_face_is_released_when_its_simplex_goes():
     # by its link is present.  After a facet split, flipping edge (1, 2)
     # away releases edge (3, 4), whose own star the flip does not touch;
     # only the map from simplices to the faces that would insert them
-    # finds it.
+    # finds it.  The inverse flip creates edge (1, 2) again and must block
+    # edge (3, 4) again, though that star stays the same once more.
     index = MoveIndex(simplex_boundary(3))
     assert all(len(m.removed) == 3 for m in list(index))
     index.apply(BistellarMove((1, 2, 3), (5,)))
     edges = [m for m in list(index) if len(m.removed) == 2]
     assert [(m.removed, m.inserted) for m in edges] == \
         [((1, 2), (4, 5)), ((1, 3), (4, 5)), ((2, 3), (4, 5))]
-    index.apply(BistellarMove((1, 2), (4, 5)))
+    star = [f for f in naive_star(index.complex.facets, 3) if 4 in f]
+    move = BistellarMove((1, 2), (4, 5))
+    index.apply(move)
     assert BistellarMove((3, 4), (1, 2)) in list(index)
+    check_index(index)
+    index.apply(move.inverse())
+    assert [f for f in naive_star(index.complex.facets, 3) if 4 in f] == star
+    assert BistellarMove((3, 4), (1, 2)) not in list(index)
     check_index(index)
 
 
@@ -170,16 +177,23 @@ def test_blocked_face_is_released_when_the_larger_simplex_goes():
     # antipode) leaves edge (-4, -1) with link {-2, 3}, and edge (-2, 3) is
     # present, the larger face of its pair, so the index keeps it as
     # (-3, 2).  Flipping edge (-3, 2) away flips (-2, 3) away with it and
-    # releases (-4, -1), whose star the pair does not touch.
+    # releases (-4, -1), whose star the pair does not touch.  The inverse
+    # pair creates (-2, 3) again and must block (-4, -1) again.
     index = MoveIndex(cross_polytope(3))
     index.apply(BistellarMove((-3, 1, 2), (4,)))
     star = [f for f in naive_star(index.complex.facets, -4) if -1 in f]
     assert (-2, 3) in index.complex
     assert BistellarMove((-4, -1), (-2, 3)) not in list(index)
-    index.apply(BistellarMove((-3, 2), (-1, 4)))
+    move = BistellarMove((-3, 2), (-1, 4))
+    index.apply(move)
     assert (-2, 3) not in index.complex
     assert [f for f in naive_star(index.complex.facets, -4) if -1 in f] == star
     assert BistellarMove((-4, -1), (-2, 3)) in list(index)
+    check_index(index)
+    index.apply(move.inverse())
+    assert (-2, 3) in index.complex
+    assert [f for f in naive_star(index.complex.facets, -4) if -1 in f] == star
+    assert BistellarMove((-4, -1), (-2, 3)) not in list(index)
     check_index(index)
 
 
