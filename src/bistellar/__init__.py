@@ -13,6 +13,7 @@ from .complexes import (
     boundary_of_simplex,
     complex_digest,
     find_isomorphism,
+    is_closed_pseudomanifold,
     is_isomorphic,
 )
 from .errors import (
@@ -67,7 +68,6 @@ from .reduction import (
     FanCertificate,
     ReductionReport,
     fan_certificate,
-    is_closed_pseudomanifold,
     reduce_to_boundary_simplex,
     replay_verify,
     z2_reduce_to_cross_polytope,

@@ -16,7 +16,7 @@ import json
 import sys
 from itertools import chain
 
-from .complexes import SimplicialComplex, complex_digest
+from .complexes import SimplicialComplex, complex_digest, is_closed_pseudomanifold
 from .errors import BistellarError, CertificateUnavailable
 from .fan import FanLabelling, alternating_counts, tucker_witness, validate_fan
 from .generators import cross_polytope, random_fan_labelling, simplex_boundary
@@ -31,7 +31,6 @@ from .moves import (
 )
 from .reduction import (
     fan_certificate,
-    is_closed_pseudomanifold,
     reduce_to_boundary_simplex,
     replay_verify,
     z2_reduce_to_cross_polytope,

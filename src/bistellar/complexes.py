@@ -17,6 +17,7 @@ worker processes.
 
 import hashlib
 import json
+from collections import Counter
 from functools import cached_property
 from itertools import chain, combinations, pairwise, permutations
 from operator import lt
@@ -26,6 +27,7 @@ from .errors import (
     EmptyComplex,
     FaceNotPresent,
     InvalidVertexId,
+    NotClosedPseudomanifold,
     VertexCollision,
 )
 
@@ -367,80 +369,94 @@ def complex_digest(complex_):
     return hashlib.sha256(payload).hexdigest()
 
 
-# -- isomorphism ------------------------------------------------------------
+# -- pseudomanifolds and isomorphism ----------------------------------------
 
-def _vertex_invariant(cx, v):
-    sizes = sorted(len(cx.facets[i]) for i in cx._vertex_to_facets[v])
-    link_f = cx.link((v,)).f_vector().counts
-    return (tuple(sizes), link_f)
+def _closed_ridges(cx):
+    """Each ridge (a facet less one vertex) mapped to the indices of its two
+    facets if ``cx`` is a closed pseudomanifold, else None."""
+    ridges = {}
+    for i, facet in enumerate(cx.facets):
+        for k in range(len(facet)):
+            ridges.setdefault(facet[:k] + facet[k + 1:], []).append(i)
+    if not cx.is_pure() or any(len(hits) != 2 for hits in ridges.values()):
+        return None
+    neighbours = [[] for _ in cx.facets]
+    for a, b in ridges.values():
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    seen, queue = {0}, [0]
+    for i in queue:  # breadth first across ridges
+        fresh = set(neighbours[i]) - seen
+        seen |= fresh
+        queue.extend(fresh)
+    return ridges if len(seen) == len(cx.facets) else None
+
+
+def is_closed_pseudomanifold(complex_):
+    """Pure, every codimension-one face in exactly two facets, and
+    facet-ridge connected."""
+    return _closed_ridges(complex_) is not None
 
 
 def find_isomorphism(left, right, signed=False):
-    """Search for a face-preserving vertex bijection, or return None.
+    """A face-preserving vertex bijection from ``left`` onto ``right``, or None.
 
-    Backtracking over vertex orbits, pruned by per-vertex invariants (facet
-    size profile and link f-vector).  The orbits are ``(v,)``, or with
-    ``signed=True`` ``(v, -v)``: then the bijection commutes with negation
-    (pairs go to pairs, an unpaired vertex to an unpaired one), the notion
-    for centrally symmetric complexes.  Exponential in the worst case.
+    With ``signed=True`` it also commutes with negation: pairs go to pairs,
+    an unpaired vertex to an unpaired one.  Different f-vectors, or one side
+    that is not a closed pseudomanifold, give None; two such sides raise
+    :class:`NotClosedPseudomanifold`, and a :class:`Z2Complex` :class:`TypeError`.
+    On closed pseudomanifolds a map between two facets extends across each
+    ridge in one way only, opposite vertex to opposite vertex.  So the facet
+    of ``left`` whose vertex degrees are rarest in ``right`` is tried on each
+    facet of ``right`` with those degrees, in each order that keeps them,
+    and the map spreads until it clashes or covers ``left``: no backtracking.
+
+    >>> square = SimplicialComplex.from_facets([[1, 2], [2, 3], [3, 4], [1, 4]])
+    >>> find_isomorphism(square, square.stellar_subdivide((1,), 5))
+    {1: 2, 2: 3, 3: 4, 4: 5}
     """
-    if left.f_vector() != right.f_vector():
+    if not (isinstance(left, SimplicialComplex) and isinstance(right, SimplicialComplex)):
+        raise TypeError("expected two SimplicialComplex; see find_z2_isomorphism")
+    ridges = _closed_ridges(left), _closed_ridges(right)
+    if left.f_vector() != right.f_vector() or ridges.count(None) == 1:
         return None
-    lv, rv = left.vertices, right.vertices
+    if None in ridges:
+        raise NotClosedPseudomanifold("isomorphism needs closed pseudomanifolds")
+    degrees = [Counter(chain.from_iterable(cx.facets)) for cx in (left, right)]
+    profiles = [[tuple(sorted(map(deg.get, f))) for f in cx.facets]
+                for cx, deg in zip((left, right), degrees)]
 
-    inv_l = {v: _vertex_invariant(left, v) for v in lv}
-    inv_r = {v: _vertex_invariant(right, v) for v in rv}
-    by_inv = {}
-    for v in rv:
-        by_inv.setdefault(inv_r[v], []).append(v)
-    if sorted(inv_l.values()) != sorted(inv_r[v] for v in rv):
-        return None
+    def propagate(i, j, image):
+        mapping, inverse = {}, {}
 
-    def orbit(v):
-        return (v, -v) if signed else (v,)
+        def assign(u, w):  # u -> w, and -u -> -w if signed; degrees must agree
+            us = (u, -u) if signed and -u in degrees[0] else (u,)
+            ws = (w, -w) if signed and -w in degrees[1] else (w,)
+            return len(us) == len(ws) and all(
+                degrees[0][a] == degrees[1][b] and mapping.setdefault(a, b) == b
+                and inverse.setdefault(b, a) == a for a, b in zip(us, ws))
 
-    right_facets = set(right._facet_sets)
-    # Most-constrained orbits first, ties broken by id for determinism.
-    order, seen = [], set()
-    for v in sorted(lv, key=lambda v: (len(by_inv[inv_l[v]]), max(orbit(v)), v)):
-        if v not in seen:
-            seen.update(orbit(v))
-            order.append(v)
+        if not all(map(assign, left.facets[i], image)):
+            return None
+        placed, queue = {i: j}, [i]
+        for i in queue:  # the other facet at a ridge, and its new vertex, by sums
+            f, g = left.facets[i], right.facets[placed[i]]
+            for k, v in enumerate(f):
+                across = sum(ridges[0][f[:k] + f[k + 1:]]) - i
+                if across not in placed:
+                    m = g.index(mapping[v])
+                    placed[across] = sum(ridges[1][g[:m] + g[m + 1:]]) - placed[i]
+                    queue.append(across)
+                    if not assign(sum(left.facets[across]) - sum(f) + v,
+                                  sum(right.facets[placed[across]]) - sum(g) + g[m]):
+                        return None
+        return mapping
 
-    mapping = {}
-    used = set()
-
-    def facets_ok(v):
-        # Every facet of `left` at v whose vertices are all assigned must
-        # land on a facet of `right`.
-        for i in left._vertex_to_facets.get(v, ()):
-            f = left.facets[i]
-            if all(u in mapping for u in f):
-                if frozenset(mapping[u] for u in f) not in right_facets:
-                    return False
-        return True
-
-    def backtrack(pos):
-        if pos == len(order):
-            return True
-        v = order[pos]
-        for w in by_inv[inv_l[v]]:
-            pairs = list(zip(orbit(v), orbit(w)))
-            if any(b in used or inv_r.get(b) != inv_l.get(a) for a, b in pairs):
-                continue
-            mapping.update(pairs)
-            used.update(b for _, b in pairs)
-            if all(facets_ok(a) for a, _ in pairs) and backtrack(pos + 1):
-                return True
-            for a, b in pairs:
-                del mapping[a]
-                used.discard(b)
-        return False
-
-    # One to one into facets, so onto by f-vectors; drop absent antipodes.
-    if not backtrack(0):
-        return None
-    return {v: mapping[v] for v in mapping if v in inv_l}
+    rarity = Counter(profiles[1])
+    start = min(range(len(left.facets)), key=lambda i: rarity[profiles[0][i]])
+    return next((mapping for j, p in enumerate(profiles[1]) if p == profiles[0][start]
+                 for image in permutations(right.facets[j])
+                 if (mapping := propagate(start, j, image)) is not None), None)
 
 
 def is_isomorphic(left, right):

@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .complexes import complex_digest, find_isomorphism
+from .complexes import complex_digest, find_isomorphism, is_closed_pseudomanifold
 from .errors import (
     BistellarError,
     CertificateUnavailable,
@@ -35,33 +35,6 @@ from .z2 import _checked_kind, _underlying
 _START_TEMPERATURE = 2.0
 _COOLING = 0.995
 _RESTART_BELOW = 0.05
-
-
-def is_closed_pseudomanifold(complex_):
-    """Pure, every codimension-one face in exactly two facets, and
-    facet-ridge connected."""
-    if not complex_.is_pure():
-        return False
-    ridge_at = {}
-    for i, facet in enumerate(complex_.facets):
-        for drop in facet:
-            ridge = tuple(v for v in facet if v != drop)
-            ridge_at.setdefault(ridge, []).append(i)
-    if any(len(hits) != 2 for hits in ridge_at.values()):
-        return False
-    # strong connectivity across ridges
-    adjacency = {i: set() for i in range(len(complex_.facets))}
-    for a, b in ridge_at.values():
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for j in adjacency[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == len(complex_.facets)
 
 
 @dataclass(frozen=True)

@@ -170,5 +170,7 @@ class Z2Complex:
 
 
 def find_z2_isomorphism(left, right):
-    """A face-preserving bijection commuting with negation, or None."""
-    return find_isomorphism(left.complex, right.complex, signed=True)
+    """A face-preserving bijection commuting with negation, or None, as in
+    :func:`find_isomorphism`; anything but a :class:`Z2Complex` raises TypeError."""
+    return find_isomorphism(_checked_kind(left, True).complex,
+                            _checked_kind(right, True).complex, signed=True)

@@ -107,6 +107,8 @@ def naive_isomorphism(left, right, signed):
         return None
     for image in permutations(rv):
         sigma = dict(zip(lv, image))
+        if any(frozenset(sigma[v] for v in f) not in target for f in left):
+            continue  # most permutations fail at once here
         if signed and any((sigma[u] == -sigma[v]) != (u == -v)
                           for u in lv for v in lv):
             continue

@@ -1,5 +1,6 @@
 """Core complex operations against naive recomputation."""
 
+from functools import cache
 from unittest.mock import patch
 
 import pytest
@@ -12,12 +13,16 @@ from bistellar import (
     FVector,
     FaceNotPresent,
     InvalidVertexId,
+    NotClosedPseudomanifold,
     SimplicialComplex,
     VertexCollision,
+    apply_move,
     boundary_of_simplex,
     cross_polytope,
+    enumerate_moves,
     find_isomorphism,
     find_move,
+    find_z2_isomorphism,
     is_isomorphic,
     random_z2_walk,
     simplex_boundary,
@@ -324,6 +329,40 @@ class TestIsomorphism:
         assert stacked.f_vector() == octa.f_vector()
         assert not is_isomorphic(stacked, octa)
 
+    def test_empty_face_alone_maps_by_the_empty_map(self):
+        empty = SimplicialComplex(((),))
+        assert find_isomorphism(empty, empty) == {}
+
+    def test_two_sides_outside_the_domain_raise(self):
+        disk = SimplicialComplex.from_facets([[1, 2, 3], [1, 3, 4]])
+        with pytest.raises(NotClosedPseudomanifold):
+            find_isomorphism(disk, disk)
+
+    def test_one_side_outside_the_domain_is_not_isomorphic(self):
+        # f = (6, 6): a hexagon, and two disjoint triangles, which are
+        # not strongly connected
+        hexagon = SimplicialComplex.from_facets(
+            [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]])
+        two = SimplicialComplex.from_facets(
+            [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]])
+        for signed in (False, True):
+            assert find_isomorphism(hexagon, two, signed) is None
+            assert find_isomorphism(two, hexagon, signed) is None
+
+
+# Each raised AttributeError from inside the search.
+WRONG_KIND = {
+    "find_isomorphism": lambda signed: find_isomorphism(signed, signed.complex),
+    "is_isomorphic": lambda signed: is_isomorphic(signed.complex, signed),
+    "find_z2_isomorphism": lambda signed: find_z2_isomorphism(signed, signed.complex),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_KIND.values(), ids=WRONG_KIND)
+def test_isomorphisms_reject_the_other_kind(octahedron, call):
+    with pytest.raises(TypeError):
+        call(octahedron)
+
 
 def _stacked_sphere():
     """A 2-sphere with the f-vector of the octahedron, but not isomorphic."""
@@ -339,7 +378,15 @@ _ISO_PAIRS = [(cx, cx) for cx in (
     *(cross_polytope(k).complex for k in (2, 3, 4)),
     simplex_boundary(3), simplex_boundary(4),
     *(cx for cx in _SHORT_WALKS if len(cx.vertices) <= 8),
-)] + [(_stacked_sphere(), cross_polytope(3).complex)]
+)] + [(_stacked_sphere(), cross_polytope(3).complex), (
+    # 2-spheres with f = (8, 18, 12) and degrees (3, 3, 4, 4, 5, 5, 6, 6)
+    SimplicialComplex.from_facets(
+        [[1, 2, 5], [1, 2, 6], [1, 3, 4], [1, 3, 7], [1, 4, 6], [1, 5, 7],
+         [2, 3, 4], [2, 3, 5], [2, 4, 8], [2, 6, 8], [3, 5, 7], [4, 6, 8]]),
+    SimplicialComplex.from_facets(
+        [[1, 3, 7], [1, 3, 8], [1, 4, 6], [1, 4, 7], [1, 5, 6], [1, 5, 8],
+         [2, 3, 4], [2, 3, 5], [2, 4, 6], [2, 5, 6], [3, 4, 7], [3, 5, 8]]),
+)]
 
 
 @st.composite
@@ -377,6 +424,51 @@ def test_isomorphism_matches_brute_force(data):
         if signed:
             assert all((found[u] == -found[v]) == (u == -v)
                        for u in found for v in found)
+
+
+@cache
+def _large_spheres():
+    """sd(∂C3), sd(∂C4) and walks of C3 and C4 of up to about 10^3 facets."""
+    return [cross_polytope(3).equivariant_sd()[0].complex,
+            cross_polytope(4).equivariant_sd()[0].complex,
+            *(random_z2_walk(cross_polytope(k), steps, seed=1)[0].complex
+              for k, steps in ((3, 200), (4, 100), (4, 250)))]
+
+
+@given(case=st.integers(0, 4), rng=st.randoms(use_true_random=False))
+@settings(max_examples=20, deadline=500)  # milliseconds
+def test_isomorphism_recovers_a_signed_relabelling(case, rng):
+    cx = _large_spheres()[case]
+    magnitudes = sorted({abs(v) for v in cx.vertices})
+    image = rng.sample(magnitudes, len(magnitudes))
+    table = {m: rng.choice((1, -1)) * w for m, w in zip(magnitudes, image)}
+    table.update({-m: -w for m, w in table.items()})
+    relabelled = SimplicialComplex.from_facets(
+        [[table[v] for v in f] for f in cx.facets])
+    for signed in (False, True):
+        found = find_isomorphism(cx, relabelled, signed=signed)
+        assert found is not None and sorted(found) == list(cx.vertices)
+        assert {tuple(sorted(found[v] for v in f)) for f in cx.facets} \
+            == set(relabelled.facets)
+        if signed:
+            assert all(found[-v] == -found[v] for v in found)
+
+
+def test_flip_graph_finds_the_known_sphere_counts():
+    # combinatorial types of triangulated 2-spheres on 4 to 8 vertices,
+    # each reached from the tetrahedron boundary by plain flips
+    classes, frontier = {4: [simplex_boundary(3)]}, [simplex_boundary(3)]
+    while frontier:
+        cx = frontier.pop()
+        for move in enumerate_moves(cx):
+            grown, _ = apply_move(cx, move)
+            found = classes.setdefault(len(grown.vertices), [])
+            if len(grown.vertices) <= 8 and not any(
+                    is_isomorphic(grown, other) for other in found):
+                found.append(grown)
+                frontier.append(grown)
+    assert {n: len(found) for n, found in classes.items() if n <= 8} \
+        == {4: 1, 5: 1, 6: 2, 7: 5, 8: 14}
 
 
 class TestBoundaryOfSimplex:

@@ -50,6 +50,20 @@ class TestPseudomanifoldCheck:
             [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]])
         assert not is_closed_pseudomanifold(two)
 
+    def test_ridge_in_three_facets_fails(self):
+        # three disks glued along the circle 1-2-3
+        theta = SimplicialComplex.from_facets(
+            [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4],
+             [1, 2, 5], [1, 3, 5], [2, 3, 5]])
+        assert not is_closed_pseudomanifold(theta)
+
+    def test_octahedra_sharing_a_vertex_fail(self, octahedron):
+        # connected through vertex 1, but no ridge joins the two
+        other = {1: 1, -1: 7, 2: 4, -2: -4, 3: 5, -3: -5}
+        both = SimplicialComplex.from_facets(
+            [*octahedron.facets, *([other[v] for v in f] for f in octahedron.facets)])
+        assert not is_closed_pseudomanifold(both)
+
     def test_reduction_rejects_disk(self):
         disk = SimplicialComplex.from_facets([[1, 2, 3]])
         with pytest.raises(NotClosedPseudomanifold):
