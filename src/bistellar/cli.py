@@ -334,21 +334,16 @@ def cmd_subdivide(args):
     if args.stellar is not None:
         face = _parse_face(args.stellar)
         fresh = fresh_vertex(complex_) if args.fresh is None else args.fresh
-        result = complex_.stellar_subdivide(face, fresh)
-        _emit(complex_document(result), args.output)
-        face_map = {fresh: list(face)}
+        result, mapping = complex_.stellar_subdivide(face, fresh), {fresh: face}
     elif signed is not None:
         result, mapping = signed.equivariant_sd()
-        _emit(complex_document(result.complex, z2=True), args.output)
-        face_map = {v: list(f) for v, f in mapping.items()}
     else:
         result, mapping = complex_.barycentric_subdivide()
-        _emit(complex_document(result), args.output)
-        face_map = {v: list(f) for v, f in mapping.items()}
+    z2 = isinstance(result, Z2Complex)
+    _emit(complex_document(result.complex if z2 else result, z2=z2), args.output)
     if args.map:
-        doc = {"format": FORMAT_VERSION, "kind": "face-map",
-               "map": [[v, face] for v, face in sorted(face_map.items())]}
-        _write(args.map, dumps_canonical(doc))
+        _emit({"format": FORMAT_VERSION, "kind": "face-map",
+               "map": [[v, list(f)] for v, f in sorted(mapping.items())]}, args.map)
     return 0
 
 
@@ -442,6 +437,7 @@ def build_parser():
         description="Bistellar flips on centrally symmetric triangulations, "
                     "with Fan labelling parity certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
+    negative = "; negative ids as --%(dest)s=-3,-2,-1 or --%(dest)s '-3 -2 -1'"
 
     def add(name, fn, help_):
         p = sub.add_parser(name, help=help_)
@@ -456,8 +452,8 @@ def build_parser():
                    help="list symmetric move pairs instead of plain moves")
 
     p = add("flip", cmd_flip, "apply one move (the symmetric pair on z2 files)")
-    p.add_argument("--removed", required=True, help="face to remove, e.g. '1,2,3'")
-    p.add_argument("--inserted", required=True, help="simplex to insert, e.g. '7'")
+    p.add_argument("--removed", required=True, help="face to remove, e.g. '1,2,3'" + negative)
+    p.add_argument("--inserted", required=True, help="simplex to insert, e.g. '7'" + negative)
     p.add_argument("-o", "--output", help="write result here instead of stdout")
 
     p = add("walk", cmd_walk, "seeded random walk through symmetric moves")
@@ -471,7 +467,7 @@ def build_parser():
     group.add_argument("--barycentric", action="store_true",
                        help="barycentric subdivision (equivariant on z2 files)")
     group.add_argument("--stellar", metavar="FACE",
-                       help="stellar subdivision at this face, e.g. '1,2'")
+                       help="stellar subdivision at this face, e.g. '1,2'" + negative)
     p.add_argument("--fresh", type=int, help="id for the new vertex (default: auto)")
     p.add_argument("-o", "--output", help="write result here instead of stdout")
     p.add_argument("--map", help="write the new-vertex-to-face map here")
@@ -510,9 +506,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CertificateUnavailable as exc:
-        print(f"inconclusive: {exc}")
-        return 3
     except BistellarError as exc:
         print(f"error: {exc}")
         return 2

@@ -180,12 +180,7 @@ class SimplicialComplex:
         return index
 
     def __contains__(self, face):
-        face = _checked_face(face)
-        if not face:
-            return True
-        fs = frozenset(face)
-        return any(fs <= self._facet_sets[i]
-                   for i in self._vertex_to_facets.get(face[0], ()))
+        return bool(self.facets_containing(face))
 
     def facets_containing(self, face):
         """Indices of facets that contain ``face``."""
@@ -210,14 +205,17 @@ class SimplicialComplex:
 
         The empty face is not reported.
         """
-        sizes = range(1, self.dimension + 2) if dim is None else (dim + 1,)
-        out = set()
+        if dim is not None:
+            return sorted(self._faces((dim + 1,)))
+        return sorted(self._faces(range(1, self.dimension + 2)),
+                      key=lambda t: (len(t), t))
+
+    def _faces(self, sizes):
+        out = set()  # the faces with a size in ``sizes``
         for f in self.facets:
             for k in sizes:
                 out.update(combinations(f, k))
-        if dim is not None:
-            return sorted(out)
-        return sorted(out, key=lambda t: (len(t), t))
+        return out
 
     def is_pure(self):
         return all(len(f) == self.dimension + 1 for f in self.facets)
@@ -229,15 +227,9 @@ class SimplicialComplex:
         >>> simplex.f_vector().counts
         (4, 6, 4, 1)
         """
-        counts = [0] * (self.dimension + 1)
-        seen = set()
-        for f in self.facets:
-            for k in range(1, len(f) + 1):
-                for c in combinations(f, k):
-                    if c not in seen:
-                        seen.add(c)
-                        counts[k - 1] += 1
-        return FVector(counts)
+        sizes = range(1, self.dimension + 2)
+        counts = Counter(map(len, self._faces(sizes)))
+        return FVector(counts[k] for k in sizes)
 
     def euler_characteristic(self):
         return self.f_vector().euler_characteristic
@@ -285,12 +277,6 @@ class SimplicialComplex:
         if new_vertex in self._vertex_to_facets:
             raise VertexCollision(f"vertex {new_vertex} already present")
 
-        if len(face) == 1:
-            old = face[0]
-            renamed = [tuple(sorted(new_vertex if v == old else v for v in f))
-                       for f in self.facets]
-            return SimplicialComplex(_canonical_facets(renamed))
-
         doomed = set(hits)
         out = [f for i, f in enumerate(self.facets) if i not in doomed]
         fs = frozenset(face)
@@ -314,11 +300,9 @@ class SimplicialComplex:
 
         Returns ``(subdivision, face_map)``.
         """
-        if not self.vertices:
-            return self, {}
         if name_faces is None:
             name_faces = {}
-            next_id = max(abs(v) for v in self.vertices) + 1
+            next_id = max(map(abs, self.vertices), default=0) + 1
             for d in range(self.dimension, 0, -1):
                 for f in self.faces(d):
                     name_faces[f] = next_id
@@ -358,8 +342,6 @@ def boundary_of_simplex(face):
     face = _checked_face(face)
     if not face:
         raise EmptyComplex("the empty simplex has no boundary complex")
-    if len(face) == 1:
-        return SimplicialComplex(((),))
     return SimplicialComplex(tuple(sorted(combinations(face, len(face) - 1))))
 
 

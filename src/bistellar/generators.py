@@ -12,10 +12,14 @@ _SAMPLING_ROUNDS = 64
 _REPAIR_ROUNDS = 50
 
 
+def _checked_dimension(k):
+    if type(k) is not int or k < 1:
+        raise InvalidDimension(f"need an int k >= 1, got {k!r}")
+
+
 def simplex_boundary(k):
     """The boundary of the k-simplex on vertices 1..k+1 (a (k-1)-sphere)."""
-    if k < 1:
-        raise InvalidDimension(f"need k >= 1, got {k}")
+    _checked_dimension(k)
     return SimplicialComplex(tuple(combinations(range(1, k + 2), k)))
 
 
@@ -26,8 +30,7 @@ def cross_polytope(k):
     Facets are the 2^k sign patterns; no facet contains an antipodal
     pair, so the negation action is free.
     """
-    if k < 1:
-        raise InvalidDimension(f"need k >= 1, got {k}")
+    _checked_dimension(k)
     facets = [tuple(sorted(s * i for s, i in zip(signs, range(1, k + 1))))
               for signs in product((1, -1), repeat=k)]
     return Z2Complex.from_complex(SimplicialComplex(tuple(sorted(facets))))
@@ -40,8 +43,7 @@ def canonical_cross_labelling(k):
     are the two strictly sign-alternating patterns; exactly one of them
     is positive.
     """
-    if k < 1:
-        raise InvalidDimension(f"need k >= 1, got {k}")
+    _checked_dimension(k)
     labels = {}
     for i in range(1, k + 1):
         labels[i] = i

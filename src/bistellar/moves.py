@@ -384,12 +384,22 @@ def random_z2_walk(z2complex, steps, seed):
 
 @dataclass(frozen=True)
 class FlipSequence:
-    """An ordered, replayable log of moves with source/target digests."""
+    """An ordered, replayable log of moves with source/target digests; a
+    field of the wrong type raises :class:`BistellarError`."""
 
     moves: tuple
     z2: bool
     source_digest: str
     target_digest: str
+
+    def __post_init__(self):
+        if not (isinstance(self.moves, (tuple, list))
+                and all(isinstance(m, BistellarMove) for m in self.moves)):
+            raise BistellarError("moves: not a tuple or list of BistellarMove")
+        object.__setattr__(self, "moves", tuple(self.moves))
+        for name, kind in (("z2", bool), ("source_digest", str), ("target_digest", str)):
+            if type(value := getattr(self, name)) is not kind:
+                raise BistellarError(f"{name}: {value!r} is not a {kind.__name__}")
 
     def __len__(self):
         return len(self.moves)

@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from bistellar import (
     BistellarError,
+    BistellarMove,
+    apply_z2_move,
     canonical_cross_labelling,
     cross_polytope,
     fan_certificate,
+    fresh_vertex,
     random_fan_labelling,
     random_z2_walk,
 )
@@ -181,6 +184,17 @@ class TestCommands:
         cx, z2, _ = parse_complex_document(out.read_text())
         assert cx.f_vector().counts == (8, 18, 12)
 
+    @pytest.mark.parametrize("argv", [
+        ["--removed=-3,-2,-1", "--inserted=4"],
+        ["--removed", "-3 -2 -1", "--inserted", "4"],
+    ], ids=["equals", "spaces"])
+    def test_flip_negative_ids(self, octa_file, tmp_path, argv):
+        out = tmp_path / "flipped.json"
+        assert main(["flip", octa_file, *argv, "-o", str(out)]) == 0
+        expected, _ = apply_z2_move(cross_polytope(3), BistellarMove((-3, -2, -1), (4,)))
+        assert out.read_text() == dumps_canonical(
+            complex_document(expected.complex, z2=True))
+
     def test_flip_inadmissible_exit_2(self, octa_file, capsys):
         assert main(["flip", octa_file, "--removed", "1,2",
                      "--inserted", "3,-3"]) == 2
@@ -211,6 +225,32 @@ class TestCommands:
         cx, _, _ = parse_complex_document(out.read_text())
         assert cx.euler_characteristic() == 2
 
+    @pytest.mark.parametrize("branch", ["stellar", "barycentric", "equivariant"])
+    def test_subdivide_writes_the_library_result_and_map(self, octa_file, tmp_path,
+                                                         branch):
+        octa = cross_polytope(3)
+        plain = tmp_path / "plain.json"
+        plain.write_text(dumps_canonical(complex_document(octa.complex)))
+        if branch == "stellar":  # a z2 file gives a plain result here
+            source, flag = octa_file, "--stellar=-2,1"
+            fresh = fresh_vertex(octa.complex)
+            result, mapping = octa.complex.stellar_subdivide((-2, 1), fresh), {fresh: (-2, 1)}
+        elif branch == "barycentric":
+            source, flag = str(plain), "--barycentric"
+            result, mapping = octa.complex.barycentric_subdivide()
+        else:
+            source, flag = octa_file, "--barycentric"
+            signed, mapping = octa.equivariant_sd()
+            result = signed.complex
+        out, face_map = tmp_path / "out.json", tmp_path / "map.json"
+        assert main(["subdivide", source, flag, "-o", str(out),
+                     "--map", str(face_map)]) == 0
+        assert out.read_text() == dumps_canonical(
+            complex_document(result, z2=branch == "equivariant"))
+        assert face_map.read_text() == dumps_canonical(
+            {"format": 1, "kind": "face-map",
+             "map": [[v, list(f)] for v, f in sorted(mapping.items())]})
+
     def test_quotient(self, octa_file, tmp_path):
         out = tmp_path / "q.json"
         assert main(["quotient", octa_file, "-o", str(out)]) == 0
@@ -236,6 +276,18 @@ class TestCommands:
               "-o", str(walked)])
         assert main(["reduce", str(walked), "--z2", "--seed", "1",
                      "--budget", "2"]) == 3
+
+    def test_certify_inconclusive_exit_3(self, octa_file, tmp_path, capsys):
+        walked = tmp_path / "walked.json"
+        main(["walk", octa_file, "--steps", "8", "--seed", "3",
+              "-o", str(walked)])
+        capsys.readouterr()
+        assert main(["certify", str(walked), "--labels", "random", "--seed", "1",
+                     "--budget", "2"]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("inconclusive: ")
+        assert out[1].startswith("alpha-positive (direct count): ")
+        assert int(out[1].split(": ")[1]) % 2 == 1
 
     def test_certify_canonical(self, octa_file, tmp_path, capsys):
         cert = tmp_path / "cert.json"

@@ -1,6 +1,7 @@
 """Core complex operations against naive recomputation."""
 
 from functools import cache
+from itertools import combinations
 from unittest.mock import patch
 
 import pytest
@@ -246,6 +247,16 @@ class TestStellarSubdivision:
         with pytest.raises(VertexCollision):
             tetra_boundary.stellar_subdivide((1, 2), 4)
 
+    @given(st.lists(st.frozensets(st.integers(1, 8), min_size=1, max_size=4),
+                    min_size=1, max_size=8), st.data())
+    def test_at_vertex_is_renaming(self, sets, data):
+        # pure and non-pure complexes alike: the star of a vertex is coned
+        # from the new vertex, which is the vertex renamed
+        cx = SimplicialComplex.from_facets(sets)
+        v = data.draw(st.sampled_from(cx.vertices))
+        renamed = [[9 if x == v else x for x in f] for f in cx.facets]
+        assert cx.stellar_subdivide((v,), 9) == SimplicialComplex.from_facets(renamed)
+
     def test_preserves_euler(self, octahedron):
         cx = octahedron.complex
         for face in cx.faces():
@@ -288,6 +299,10 @@ class TestBarycentricSubdivision:
         for cx in (triangle_boundary, tetra_boundary, octahedron.complex):
             sd, _ = cx.barycentric_subdivide()
             assert naive_euler(sd.facets) == naive_euler(cx.facets)
+
+    def test_empty_face_alone(self):
+        only_empty = SimplicialComplex(((),))
+        assert only_empty.barycentric_subdivide() == (only_empty, {})
 
 
 class TestIsomorphism:
@@ -480,6 +495,12 @@ class TestBoundaryOfSimplex:
 
     def test_triangle(self):
         assert boundary_of_simplex((1, 2, 3)).f_vector().counts == (3, 3)
+
+    @given(st.lists(st.integers(-9, 9).filter(bool), min_size=1, max_size=5,
+                    unique=True))
+    def test_facets_are_the_ridges(self, face):
+        expected = tuple(sorted(combinations(sorted(face), len(face) - 1)))
+        assert boundary_of_simplex(face).facets == expected
 
 
 @given(st.sets(st.integers(-9, 9).filter(bool), min_size=1, max_size=5))

@@ -69,6 +69,15 @@ class TestCrossPolytope:
             cross_polytope(0)
 
 
+@pytest.mark.parametrize("make", [simplex_boundary, cross_polytope,
+                                  canonical_cross_labelling])
+@pytest.mark.parametrize("k", [True, False, 2.0, "3", None, 0, -1], ids=repr)
+def test_bad_dimensions_rejected(make, k):
+    # True used to give the k = 1 object, and 2.0 a bare TypeError
+    with pytest.raises(InvalidDimension, match="need an int k >= 1"):
+        make(k)
+
+
 class TestCanonicalLabelling:
     @pytest.mark.parametrize("k", range(2, 7))
     def test_single_positive_alternating_facet(self, k):

@@ -307,6 +307,24 @@ class TestReplay:
             replay(octahedron, broken)
         assert info.value.step == 0
 
+    @pytest.mark.parametrize("field, value", [
+        ("moves", [1, 2]), ("moves", 3), ("moves", "ab"), ("moves", None),
+        ("z2", "yes"), ("z2", 1), ("source_digest", 3), ("target_digest", None),
+        ("target_digest", b"x"),
+    ], ids=repr)
+    def test_fields_are_checked(self, field, value):
+        # moves=[1, 2] used to fail later in replay with AttributeError, and
+        # z2="yes" with "expected a Z2Complex, got Z2Complex"
+        fields = {"moves": (), "z2": True, "source_digest": "", "target_digest": ""}
+        with pytest.raises(BistellarError, match=f"^{field}: "):
+            FlipSequence(**{**fields, field: value})
+
+    def test_moves_stored_as_a_tuple(self):
+        move = BistellarMove((1, 2, 3), (4,))
+        sequence = FlipSequence([move], False, "a", "b")
+        assert sequence.moves == (move,)
+        assert sequence == FlipSequence((move,), False, "a", "b")
+
     @pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "z2"])
     def test_source_of_the_other_kind_rejected(self, octahedron, symmetric):
         # a plain sequence used to replay as symmetric pairs on a Z2Complex,
