@@ -35,7 +35,7 @@ from .reduction import (
     replay_verify,
     z2_reduce_to_cross_polytope,
 )
-from .z2 import Z2Complex
+from .z2 import Z2Complex, _checked_symmetric
 
 FORMAT_VERSION = 1
 
@@ -111,10 +111,19 @@ def _integer_rows(rows, what, build, width=None):
                 raise BistellarError(f"{what}: {json.dumps(v)} is not an integer")
 
 
+def _object(pairs):
+    """A JSON object as a dict; a key that occurs twice raises, naming it."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise BistellarError(f"key {json.dumps(key)} occurs more than once")
+    return obj
+
+
 def _document(text, valid, what):
-    """The JSON object in ``text``, if ``valid`` holds for it and its
-    "format" is 1 or absent (older documents have none)."""
-    doc = json.loads(text)
+    """The JSON object in ``text``, if ``valid`` holds for it, no object in it
+    repeats a key and its "format" is 1 or absent (older documents have none)."""
+    doc = json.loads(text, object_pairs_hook=_object)
     if not isinstance(doc, dict) or not valid(doc):
         raise BistellarError(f"document must be an object {what}")
     version = doc.get("format", FORMAT_VERSION)
@@ -144,14 +153,16 @@ def parse_complex_document(text):
     z2 = doc.get("z2", False)
     if type(z2) is not bool:
         raise BistellarError(f"z2: {json.dumps(z2)} is not true or false")
-    signed = Z2Complex.from_complex(complex_) if z2 else None
+    if z2:
+        _checked_symmetric(complex_.facets)
     labelling = None
     if "labels" in doc:
         labelling = _integer_rows(doc["labels"], "labels", _labelling, 2)
         stray = set(labelling.labels).difference(complex_.vertices)
         if stray:
             raise BistellarError(f"labels: vertex {min(stray)} is not in the complex")
-    return complex_, signed, labelling
+    # wrapped last, so that it shares the vertices the label check cached
+    return complex_, Z2Complex(complex_) if z2 else None, labelling
 
 
 def _move_record(move, z2):
@@ -245,9 +256,10 @@ def _load(path, pure=False):
     try:
         loaded = parse_complex_document(_read(path))
     except json.JSONDecodeError as exc:
-        raise BistellarError(
-            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}") from exc
+        raise BistellarError(f"{path}: parse error at line {exc.lineno}, "
+                             f"column {exc.colno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # too deep, or too long an int
+        raise BistellarError(f"{path}: unreadable JSON: {exc}") from exc
     if pure and not loaded[0].is_pure():
         raise BistellarError(f"{path}: moves need a pure complex")
     return loaded
@@ -323,7 +335,7 @@ def cmd_walk(args):
     _, signed, _ = _load(args.file, pure=True)
     signed = _need_z2(signed, args.file)
     final, sequence = random_z2_walk(signed, args.steps, args.seed)
-    _emit(complex_document(final.complex, z2=True), args.output)
+    _emit(complex_document(final, z2=True), args.output)
     if args.log:
         _write(args.log, dumps_canonical(sequence_document(sequence)))
     return 0
@@ -334,13 +346,13 @@ def cmd_subdivide(args):
     if args.stellar is not None:
         face = _parse_face(args.stellar)
         fresh = fresh_vertex(complex_) if args.fresh is None else args.fresh
-        result, mapping = complex_.stellar_subdivide(face, fresh), {fresh: face}
+        result = complex_.stellar_subdivide(face, fresh)
+        mapping = {fresh: tuple(sorted(set(face)))}  # the face it subdivided
     elif signed is not None:
         result, mapping = signed.equivariant_sd()
     else:
         result, mapping = complex_.barycentric_subdivide()
-    z2 = isinstance(result, Z2Complex)
-    _emit(complex_document(result.complex if z2 else result, z2=z2), args.output)
+    _emit(complex_document(result, z2=isinstance(result, Z2Complex)), args.output)
     if args.map:
         _emit({"format": FORMAT_VERSION, "kind": "face-map",
                "map": [[v, list(f)] for v, f in sorted(mapping.items())]}, args.map)

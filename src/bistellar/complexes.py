@@ -397,8 +397,10 @@ def find_isomorphism(left, right, signed=False):
     >>> find_isomorphism(square, square.stellar_subdivide((1,), 5))
     {1: 2, 2: 3, 3: 4, 4: 5}
     """
-    if not (isinstance(left, SimplicialComplex) and isinstance(right, SimplicialComplex)):
-        raise TypeError("expected two SimplicialComplex; see find_z2_isomorphism")
+    from .z2 import Z2Complex  # z2 builds on this module
+    if not all(isinstance(cx, SimplicialComplex) and not isinstance(cx, Z2Complex)
+               for cx in (left, right)):
+        raise TypeError("expected two plain complexes; see find_z2_isomorphism")
     ridges = _closed_ridges(left), _closed_ridges(right)
     if left.f_vector() != right.f_vector() or ridges.count(None) == 1:
         return None

@@ -31,18 +31,17 @@ from .errors import (
     NoWitness,
 )
 from .moves import MoveIndex
-from .z2 import _checked_kind, _negated, _underlying
+from .z2 import _checked_kind, _negated
 
 
-def _complete(state, labelling):
-    """The plain complex of ``state`` and the dict behind ``labelling`` (or
-    ``labelling``, a dict); an unlabelled vertex raises at the first one."""
-    cx = _underlying(state)
+def _complete(cx, labelling):
+    """The dict behind ``labelling`` (or ``labelling``, a dict) if it labels
+    every vertex of ``cx``; an unlabelled vertex raises at the first one."""
     labels = labelling._labels if isinstance(labelling, FanLabelling) else labelling
     if not all(map(labels.__contains__, cx.vertices)):
         missing = next(v for v in cx.vertices if v not in labels)
         raise IncompleteLabelling(f"vertex {missing} is unlabelled")
-    return cx, labels
+    return labels
 
 
 def _complementary_edges(cx, labels):
@@ -141,12 +140,12 @@ def validate_fan(complex_or_z2, labelling):
     :class:`IncompleteLabelling` instead, since nothing can be checked
     without it.
     """
-    cx, labels = _complete(complex_or_z2, labelling)
-    present = set(cx.vertices)
-    violations = [("antipodality", v) for v in cx.vertices
+    labels = _complete(complex_or_z2, labelling)
+    present = set(complex_or_z2.vertices)
+    violations = [("antipodality", v) for v in complex_or_z2.vertices
                   if v > 0 and -v in present and labels[v] != -labels[-v]]
     violations.extend(("complementary-edge", edge)
-                      for edge in _complementary_edges(cx, labels))
+                      for edge in _complementary_edges(complex_or_z2, labels))
     return violations
 
 
@@ -170,8 +169,8 @@ def alternating_sign(face, labelling):
 
 def alternating_counts(complex_or_z2, labelling):
     """Count positive and negative alternating facets."""
-    cx, labels = _complete(complex_or_z2, labelling)
-    signs = [alternating_sign(f, labels) for f in cx.facets]
+    labels = _complete(complex_or_z2, labelling)
+    signs = [alternating_sign(f, labels) for f in complex_or_z2.facets]
     return AlternatingCounts(signs.count(1), signs.count(-1))
 
 
@@ -184,8 +183,7 @@ def tucker_witness(z2complex, labelling):
     qualifies the input was invalid or is a counterexample, and
     :class:`NoWitness` says so loudly.
     """
-    cx, labels = _complete(z2complex, labelling)
-    edges = _complementary_edges(cx, labels)
+    edges = _complementary_edges(z2complex, _complete(z2complex, labelling))
     if edges:
         return edges[0]
     raise NoWitness(

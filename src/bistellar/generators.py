@@ -69,9 +69,8 @@ def random_fan_labelling(z2complex, bound, seed):
         raise GenerationFailed(f"label bound must be at least 1, got {bound!r}{kind}")
     rng = random.Random(seed)
     values = [s * a for a in range(1, bound + 1) for s in (1, -1)]
-    cx = _checked_kind(z2complex, True).complex
-    edges = cx.faces(1)
-    neighbours = {v: set() for v in cx.vertices}
+    edges = _checked_kind(z2complex, True).faces(1)
+    neighbours = {v: set() for v in z2complex.vertices}
     for u, v in edges:
         neighbours[u].add(v)
         neighbours[v].add(u)

@@ -142,17 +142,16 @@ class MoveIndex:
     """
 
     def __init__(self, state):
-        cx = _underlying(state)
-        self.z2 = cx is not state
-        if not cx.is_pure():
+        self.z2 = isinstance(state, Z2Complex)
+        if not state.is_pure():
             raise BistellarError("a MoveIndex needs a pure complex")
         if self.z2:
-            _checked_symmetric(cx.facets)
-        self.state, self._dimension = state, cx.dimension
-        self.fresh = fresh_vertex(cx)
+            _checked_symmetric(state.facets)
+        self.state, self._dimension = state, state.dimension
+        self.fresh = fresh_vertex(state)
         self._facets, self._cofacets, self._links = set(), {}, None
-        self._f = [0] * (cx.dimension + 1)
-        self._swap((), cx.facets)
+        self._f = [0] * (state.dimension + 1)
+        self._swap((), state.facets)
 
     @cached_property
     def state(self):
@@ -373,7 +372,7 @@ def random_z2_walk(z2complex, steps, seed):
     sequence = FlipSequence(
         moves=tuple(log),
         z2=True,
-        source_digest=complex_digest(z2complex.complex),
+        source_digest=complex_digest(z2complex),
         target_digest=complex_digest(index.complex),
     )
     return index.state, sequence

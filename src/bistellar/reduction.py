@@ -64,7 +64,7 @@ def _search(start, budget, seed):
     """The reduction loop: symmetric pairs towards the cross polytope on a
     :class:`Z2Complex`, plain moves towards the simplex boundary otherwise."""
     budget = _checked_count(budget, "budget")
-    if not is_closed_pseudomanifold(_underlying(start)):
+    if not is_closed_pseudomanifold(start):
         raise NotClosedPseudomanifold(
             "reduction needs a pure, closed, strongly connected complex")
     rng = random.Random(seed)
@@ -144,8 +144,7 @@ def replay_verify(source, sequence, target):
     :class:`CorruptSequence` when a move fails to apply, and
     :class:`TypeError` unless ``source`` is of the sequence's kind.
     """
-    if complex_digest(_underlying(_checked_kind(source, sequence.z2))) \
-            != sequence.source_digest:
+    if complex_digest(_checked_kind(source, sequence.z2)) != sequence.source_digest:
         return False
     final = _underlying(replay(source, sequence))
     return complex_digest(final) == sequence.target_digest and find_isomorphism(

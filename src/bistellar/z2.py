@@ -11,11 +11,7 @@ from functools import cached_property
 from itertools import combinations
 from operator import add, neg
 
-from .complexes import (
-    SimplicialComplex,
-    _canonical_facets,
-    find_isomorphism,
-)
+from .complexes import SimplicialComplex, _canonical_facets, find_isomorphism
 from .errors import ActionNotFree, NotEquivariant, QuotientRequiresSubdivision
 
 
@@ -64,8 +60,9 @@ def _checked_kind(state, z2):
     return state
 
 
-class Z2Complex:
-    """A simplicial complex with the free involution ``v -> -v``.
+class Z2Complex(SimplicialComplex):
+    """A :class:`SimplicialComplex` with the free involution ``v -> -v``;
+    ``complex`` is the plain complex on the same facets, without it.
 
     ``subdivided`` records whether the instance came out of
     :meth:`equivariant_sd`; quotients are only legal on such complexes,
@@ -73,6 +70,8 @@ class Z2Complex:
     """
 
     def __init__(self, complex_, subdivided=False):
+        super().__init__(complex_.facets)
+        vars(self).update(vars(complex_))  # and what it has cached so far
         self.complex = complex_
         self.subdivided = subdivided
 
@@ -84,34 +83,19 @@ class Z2Complex:
         _checked_symmetric(complex_.facets)
         return cls(complex_, subdivided=subdivided)
 
-    # -- passthroughs --------------------------------------------------------
-
-    @property
-    def facets(self):
-        return self.complex.facets
-
-    @property
-    def vertices(self):
-        return self.complex.vertices
-
-    @property
-    def dimension(self):
-        return self.complex.dimension
-
-    def f_vector(self):
-        return self.complex.f_vector()
-
-    def __contains__(self, face):
-        return face in self.complex
+    @classmethod
+    def from_facets(cls, facet_list):
+        """:meth:`SimplicialComplex.from_facets`, then :meth:`from_complex`."""
+        return cls.from_complex(SimplicialComplex.from_facets(facet_list))
 
     def __eq__(self, other):
-        return isinstance(other, Z2Complex) and self.complex == other.complex
+        return isinstance(other, Z2Complex) and self.facets == other.facets
 
     def __hash__(self):
-        return hash(self.complex)
+        return hash(self.facets)
 
     def __repr__(self):
-        fv = self.complex.f_vector().counts
+        fv = self.f_vector().counts
         return f"Z2Complex(dim={self.dimension}, f={fv}, subdivided={self.subdivided})"
 
     @cached_property
@@ -133,17 +117,16 @@ class Z2Complex:
         Returns ``(subdivided Z2Complex, face_map)`` where the face map
         sends each vertex of the subdivision to the face it subdivides.
         """
-        cx = self.complex
         name_faces = {}
-        next_id = max(abs(v) for v in cx.vertices) + 1
-        for d in range(cx.dimension, 0, -1):
-            for f in cx.faces(d):
+        next_id = max(abs(v) for v in self.vertices) + 1
+        for d in range(self.dimension, 0, -1):
+            for f in self.faces(d):
                 if f in name_faces:
                     continue
                 name_faces[f] = next_id
                 name_faces[antipode(f)] = -next_id
                 next_id += 1
-        sd, face_map = cx.barycentric_subdivide(name_faces=name_faces)
+        sd, face_map = self.barycentric_subdivide(name_faces=name_faces)
         return Z2Complex.from_complex(sd, subdivided=True), face_map
 
     def quotient(self):
@@ -164,9 +147,6 @@ class Z2Complex:
         if 2 * len(quotient.facets) != len(self.facets):
             raise ActionNotFree("facet orbits collapsed; the action was not free")
         return quotient, projection
-
-    def link(self, face):
-        return self.complex.link(face)
 
 
 def find_z2_isomorphism(left, right):

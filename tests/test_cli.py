@@ -225,6 +225,15 @@ class TestCommands:
         cx, _, _ = parse_complex_document(out.read_text())
         assert cx.euler_characteristic() == 2
 
+    def test_subdivide_map_records_the_canonical_face(self, octa_file, tmp_path):
+        # the face used to be recorded as typed: [4, [2, 1, 1]]
+        out, face_map = tmp_path / "out.json", tmp_path / "map.json"
+        assert main(["subdivide", octa_file, "--stellar", "2,1,1", "-o", str(out),
+                     "--map", str(face_map)]) == 0
+        assert json.loads(face_map.read_text())["map"] == [[4, [1, 2]]]
+        plain = cross_polytope(3).complex.stellar_subdivide((1, 2), 4)
+        assert out.read_text() == dumps_canonical(complex_document(plain))
+
     @pytest.mark.parametrize("branch", ["stellar", "barycentric", "equivariant"])
     def test_subdivide_writes_the_library_result_and_map(self, octa_file, tmp_path,
                                                          branch):
@@ -350,6 +359,35 @@ class TestMalformedInput:
         out = capsys.readouterr().out
         assert out.startswith("error: facets")
         assert needle in out
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"facets": [[1, %s]]}' % ("9" * 5000),
+    ], ids=["nested-100000-deep", "integer-of-5000-digits"])
+    def test_unparseable_json_exits_2(self, tmp_path, capsys, text):
+        # a RecursionError and CPython's int-string limit used to escape
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert main(["info", str(path)]) == 2
+        assert capsys.readouterr().out.startswith(f"error: {path}: unreadable JSON: ")
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"facets": [[1, 2]], "facets": [[1, 2, 3]]}', "facets"),
+        ('{"facets": [[1, 2]], "z2": false, "z2": true}', "z2"),
+        ('{"facets": [[1, 2]], "labels": [], "format": 1, "labels": []}', "labels"),
+    ])
+    def test_repeated_key_rejected(self, tmp_path, capsys, text, key):
+        # the last value used to win
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert main(["info", str(path)]) == 2
+        assert capsys.readouterr().out == f'error: key "{key}" occurs more than once\n'
+
+    def test_repeated_key_in_a_sequence_record_rejected(self):
+        text = ('{"kind": "flip-sequence", "z2": false, "source": "", "target": "",'
+                ' "moves": [{"removed": [1], "inserted": [2], "removed": [3]}]}')
+        with pytest.raises(BistellarError, match='key "removed" occurs more than once'):
+            parse_sequence_document(text)
 
     @pytest.mark.parametrize("entry", [[2, 0.5], [1, 1.7], [1], [1, "3"]])
     def test_non_integer_labels_rejected(self, tmp_path, capsys, entry):

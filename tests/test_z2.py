@@ -6,13 +6,20 @@ from hypothesis import strategies as st
 
 from bistellar import (
     ActionNotFree,
+    BistellarMove,
     NotEquivariant,
     QuotientRequiresSubdivision,
     SimplicialComplex,
     Z2Complex,
     antipode,
+    apply_move,
     cross_polytope,
+    enumerate_moves,
+    find_isomorphism,
+    find_move,
     is_isomorphic,
+    random_z2_walk,
+    reduce_to_boundary_simplex,
 )
 from conftest import naive_f_vector, naive_z2_error
 
@@ -146,3 +153,62 @@ class TestQuotient:
                 continue
             assert is_isomorphic(quotient.link((projection[v],)),
                                  sd.complex.link((v,)))
+
+
+class TestIsASimplicialComplex:
+    """A Z2Complex is a SimplicialComplex carrying the involution: it answers
+    every inherited query as its ``.complex`` does, yet never equals it, and
+    the plain entry points still refuse it."""
+
+    @pytest.fixture(params=["four_cycle", "octahedron", "walked", "subdivided"])
+    def signed(self, request, octahedron):
+        if request.param == "walked":
+            return random_z2_walk(octahedron, 12, seed=5)[0]
+        if request.param == "subdivided":
+            return octahedron.equivariant_sd()[0]
+        return request.getfixturevalue(request.param)
+
+    def test_subclass(self):
+        assert issubclass(Z2Complex, SimplicialComplex)
+
+    def test_inherited_queries_match_the_plain_complex(self, signed):
+        plain = signed.complex
+        assert signed.vertices == plain.vertices
+        assert signed.faces() == plain.faces()
+        assert signed.f_vector() == plain.f_vector()
+        assert signed.is_pure() == plain.is_pure()
+        for v in plain.vertices:
+            assert signed.link((v,)) == plain.link((v,))
+
+    def test_never_equal_to_its_plain_complex(self):
+        signed = cross_polytope(3)
+        assert signed != signed.complex
+        assert signed.complex != signed
+        assert signed == cross_polytope(3)
+
+    @pytest.mark.parametrize("call", [
+        lambda cx: find_isomorphism(cx, cx.complex),
+        lambda cx: find_isomorphism(cx.complex, cx),
+        lambda cx: reduce_to_boundary_simplex(cx, budget=1),
+        lambda cx: enumerate_moves(cx),
+        lambda cx: apply_move(cx, BistellarMove((1, 2, 3), (4,))),
+        lambda cx: find_move(cx, (1, 2, 3)),
+    ], ids=["find_isomorphism", "find_isomorphism-right", "reduce_to_boundary_simplex",
+            "enumerate_moves", "apply_move", "find_move"])
+    def test_plain_entry_points_refuse_it(self, octahedron, call):
+        with pytest.raises(TypeError):
+            call(octahedron)
+
+    def test_other_subclasses_count_as_plain(self, octahedron):
+        class Tagged(SimplicialComplex):
+            pass
+
+        tagged = Tagged(octahedron.facets)
+        assert find_isomorphism(tagged, octahedron.complex) == {
+            v: v for v in octahedron.vertices}
+
+    def test_from_facets_validates_the_involution(self):
+        rows = [list(f) for f in cross_polytope(3).facets]
+        assert Z2Complex.from_facets(reversed(rows)) == cross_polytope(3)
+        with pytest.raises(NotEquivariant):
+            Z2Complex.from_facets(rows[1:])
