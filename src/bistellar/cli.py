@@ -120,10 +120,21 @@ def _object(pairs):
     return obj
 
 
+class _UnreadableJSON(BistellarError):
+    """The text is not JSON, or is JSON too deep or with too long an int to read."""
+
+
 def _document(text, valid, what):
     """The JSON object in ``text``, if ``valid`` holds for it, no object in it
-    repeats a key and its "format" is 1 or absent (older documents have none)."""
-    doc = json.loads(text, object_pairs_hook=_object)
+    repeats a key and its "format" is 1 or absent (older documents have none).
+    Text that is not JSON, or that Python cannot read, raises _UnreadableJSON."""
+    try:
+        doc = json.loads(text, object_pairs_hook=_object)
+    except json.JSONDecodeError as exc:
+        raise _UnreadableJSON(f"parse error at line {exc.lineno}, "
+                              f"column {exc.colno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # too deep, or too long an int
+        raise _UnreadableJSON(f"unreadable JSON: {exc}") from exc
     if not isinstance(doc, dict) or not valid(doc):
         raise BistellarError(f"document must be an object {what}")
     version = doc.get("format", FORMAT_VERSION)
@@ -228,15 +239,11 @@ def certificate_document(certificate):
 
 # -- helpers -------------------------------------------------------------------
 
-def _read(path):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise BistellarError(f"{path}: {exc}") from exc
-
-
-def _write(path, text):
+def _emit(doc, path=None):
+    text = dumps_canonical(doc)
+    if not path:
+        sys.stdout.write(text)
+        return
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -244,22 +251,12 @@ def _write(path, text):
         raise BistellarError(f"{path}: {exc}") from exc
 
 
-def _emit(doc, path=None):
-    text = dumps_canonical(doc)
-    if path:
-        _write(path, text)
-    else:
-        sys.stdout.write(text)
-
-
 def _load(path, pure=False):
     try:
-        loaded = parse_complex_document(_read(path))
-    except json.JSONDecodeError as exc:
-        raise BistellarError(f"{path}: parse error at line {exc.lineno}, "
-                             f"column {exc.colno}: {exc.msg}") from exc
-    except (RecursionError, ValueError) as exc:  # too deep, or too long an int
-        raise BistellarError(f"{path}: unreadable JSON: {exc}") from exc
+        with open(path, "r", encoding="utf-8") as handle:
+            loaded = parse_complex_document(handle.read())
+    except (OSError, UnicodeDecodeError, _UnreadableJSON) as exc:
+        raise BistellarError(f"{path}: {exc}") from exc
     if pure and not loaded[0].is_pure():
         raise BistellarError(f"{path}: moves need a pure complex")
     return loaded
@@ -327,7 +324,7 @@ def cmd_flip(args):
     complex_, signed, _ = _load(args.file, pure=True)
     index = MoveIndex(complex_ if signed is None else signed)
     index.apply(BistellarMove(_parse_face(args.removed), _parse_face(args.inserted)))
-    _emit(complex_document(index.complex, z2=index.z2), args.output)
+    _emit(complex_document(index.state, z2=index.z2), args.output)
     return 0
 
 
@@ -337,7 +334,7 @@ def cmd_walk(args):
     final, sequence = random_z2_walk(signed, args.steps, args.seed)
     _emit(complex_document(final, z2=True), args.output)
     if args.log:
-        _write(args.log, dumps_canonical(sequence_document(sequence)))
+        _emit(sequence_document(sequence), args.log)
     return 0
 
 
@@ -402,7 +399,7 @@ def cmd_reduce(args):
     print(f"best f-vector: {report.best_f_vector}")
     print(f"sequence length: {len(report.sequence)}")
     if args.log:
-        _write(args.log, dumps_canonical(sequence_document(report.sequence)))
+        _emit(sequence_document(report.sequence), args.log)
     if report.reduced:
         target = (cross_polytope if args.z2 else simplex_boundary)(
             complex_.dimension + 1)
@@ -437,7 +434,7 @@ def cmd_certify(args):
     print(f"sequence length: {len(certificate.sequence)}")
     print(f"verified: alpha-positive is odd: {plus % 2 == 1}")
     if args.out:
-        _write(args.out, dumps_canonical(certificate_document(certificate)))
+        _emit(certificate_document(certificate), args.out)
     return 0
 
 

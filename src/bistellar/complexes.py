@@ -380,13 +380,14 @@ def is_closed_pseudomanifold(complex_):
     return _closed_ridges(complex_) is not None
 
 
-def find_isomorphism(left, right, signed=False):
+def find_isomorphism(left, right):
     """A face-preserving vertex bijection from ``left`` onto ``right``, or None.
 
-    With ``signed=True`` it also commutes with negation: pairs go to pairs,
-    an unpaired vertex to an unpaired one.  Different f-vectors, or one side
-    that is not a closed pseudomanifold, give None; two such sides raise
-    :class:`NotClosedPseudomanifold`, and a :class:`Z2Complex` :class:`TypeError`.
+    On two :class:`Z2Complex` sides it also commutes with negation, the
+    involution both carry; a mixed pair, or anything that is not a
+    :class:`SimplicialComplex`, raises :class:`TypeError`.  Different
+    f-vectors, or one side that is not a closed pseudomanifold, give None;
+    two such sides raise :class:`NotClosedPseudomanifold`.
     On closed pseudomanifolds a map between two facets extends across each
     ridge in one way only, opposite vertex to opposite vertex.  So the facet
     of ``left`` whose vertex degrees are rarest in ``right`` is tried on each
@@ -398,9 +399,10 @@ def find_isomorphism(left, right, signed=False):
     {1: 2, 2: 3, 3: 4, 4: 5}
     """
     from .z2 import Z2Complex  # z2 builds on this module
-    if not all(isinstance(cx, SimplicialComplex) and not isinstance(cx, Z2Complex)
-               for cx in (left, right)):
-        raise TypeError("expected two plain complexes; see find_z2_isomorphism")
+    signed = isinstance(left, Z2Complex)
+    if not (isinstance(left, SimplicialComplex) and isinstance(right, SimplicialComplex)
+            and isinstance(right, Z2Complex) == signed):
+        raise TypeError("expected two complexes, both Z2Complex or neither")
     ridges = _closed_ridges(left), _closed_ridges(right)
     if left.f_vector() != right.f_vector() or ridges.count(None) == 1:
         return None
@@ -414,9 +416,8 @@ def find_isomorphism(left, right, signed=False):
         mapping, inverse = {}, {}
 
         def assign(u, w):  # u -> w, and -u -> -w if signed; degrees must agree
-            us = (u, -u) if signed and -u in degrees[0] else (u,)
-            ws = (w, -w) if signed and -w in degrees[1] else (w,)
-            return len(us) == len(ws) and all(
+            us, ws = ((u, -u), (w, -w)) if signed else ((u,), (w,))
+            return all(
                 degrees[0][a] == degrees[1][b] and mapping.setdefault(a, b) == b
                 and inverse.setdefault(b, a) == a for a, b in zip(us, ws))
 

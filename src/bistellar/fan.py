@@ -149,6 +149,15 @@ def validate_fan(complex_or_z2, labelling):
     return violations
 
 
+def _fan_labels(z2complex, labelling):
+    """The labels of the vertices of ``z2complex`` as a dict, if ``labelling``
+    is a Fan labelling of it; raises :class:`InvalidLabelling` if not."""
+    bad = validate_fan(z2complex, labelling)
+    if bad:
+        raise InvalidLabelling(f"not a Fan labelling: {bad[:3]}")
+    return {v: labelling[v] for v in z2complex.vertices}
+
+
 def alternating_sign(face, labelling):
     """+1, -1 or 0: the alternation class of one simplex.
 
@@ -219,10 +228,7 @@ def relabel_move(z2complex, labelling, move):
     """
     index = MoveIndex(_checked_kind(z2complex, True))
     flipped = index.apply(move)
-    bad = validate_fan(z2complex, labelling)
-    if bad:
-        raise InvalidLabelling(f"not a Fan labelling: {bad[:3]}")
-    labels = {v: labelling[v] for v in z2complex.vertices}
+    labels = _fan_labels(z2complex, labelling)
     _transport(labels, move, *flipped)
     return FanLabelling(labels)
 

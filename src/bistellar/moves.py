@@ -34,7 +34,7 @@ from .errors import (
     InterferingAntipodalMove,
     MoveNotAdmissible,
 )
-from .z2 import Z2Complex, _checked_kind, _checked_symmetric, _negated, _underlying
+from .z2 import Z2Complex, _checked_kind, _checked_symmetric, _negated
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,9 @@ class BistellarMove:
 
         >>> from bistellar import cross_polytope
         >>> index = MoveIndex(cross_polytope(3))
-        >>> before, move = (index.complex, index.fresh, list(index)), index[0]
+        >>> before, move = (index.state, index.fresh, list(index)), index[0]
         >>> _ = index.apply(move), index.apply(move.inverse())
-        >>> move, (index.complex, index.fresh, list(index)) == before
+        >>> move, (index.state, index.fresh, list(index)) == before
         (BistellarMove([-3, -2, -1] -> [4]), True)
         """
         return BistellarMove(self.inserted, self.removed)
@@ -158,12 +158,8 @@ class MoveIndex:
         cx = SimplicialComplex(tuple(sorted(self._facets)))
         return Z2Complex(cx) if self.z2 else cx
 
-    @property
-    def complex(self):
-        return _underlying(self.state)
-
     def f_vector(self):
-        """The face counts of :attr:`complex`, kept without building it."""
+        """The face counts of :attr:`state`, kept without building it."""
         return FVector([2 * n for n in self._f] if self.z2 else self._f)
 
     def _key(self, face):
@@ -324,7 +320,7 @@ def apply_move(complex_, move):
     if the move does not apply."""
     index = MoveIndex(_checked_kind(complex_, False))
     index.apply(move)
-    return index.complex, move.inverse()
+    return index.state, move.inverse()
 
 
 # -- symmetric pairs -----------------------------------------------------------
@@ -373,7 +369,7 @@ def random_z2_walk(z2complex, steps, seed):
         moves=tuple(log),
         z2=True,
         source_digest=complex_digest(z2complex),
-        target_digest=complex_digest(index.complex),
+        target_digest=complex_digest(index.state),
     )
     return index.state, sequence
 

@@ -21,16 +21,11 @@ import random
 from dataclasses import dataclass
 
 from .complexes import complex_digest, find_isomorphism, is_closed_pseudomanifold
-from .errors import (
-    BistellarError,
-    CertificateUnavailable,
-    InvalidLabelling,
-    NotClosedPseudomanifold,
-)
-from .fan import FanLabelling, _transport, alternating_counts, validate_fan
+from .errors import BistellarError, CertificateUnavailable, NotClosedPseudomanifold
+from .fan import FanLabelling, _fan_labels, _transport, alternating_counts, validate_fan
 from .generators import cross_polytope, simplex_boundary
 from .moves import FlipSequence, MoveIndex, _checked_count, replay
-from .z2 import _checked_kind, _underlying
+from .z2 import _checked_kind
 
 _START_TEMPERATURE = 2.0
 _COOLING = 0.995
@@ -70,16 +65,14 @@ def _search(start, budget, seed):
     rng = random.Random(seed)
     index = MoveIndex(start)
     multiplier = 2 if index.z2 else 1
-    k = index.complex.dimension + 1
-    target = cross_polytope(k).complex if index.z2 else simplex_boundary(k)
+    target = (cross_polytope if index.z2 else simplex_boundary)(start.dimension + 1)
     target_f = target.f_vector()
-    source_digest = complex_digest(index.complex)
 
     log, flips, applied, restarts = [], 0, 0, 0
     best = (index.f_vector().counts[::-1], 0)  # (energy, len(log))
     temperature = _START_TEMPERATURE
-    while not (reduced := index.f_vector() == target_f and find_isomorphism(
-            index.complex, target, signed=index.z2) is not None):
+    while not (reduced := index.f_vector() == target_f
+               and find_isomorphism(index.state, target) is not None):
         if temperature < _RESTART_BELOW or flips == budget:
             # Rewind to the best state; removed vertices come back under their ids.
             while len(log) > best[1]:
@@ -109,7 +102,8 @@ def _search(start, budget, seed):
         temperature *= _COOLING
     return ReductionReport(
         "reduced" if reduced else "inconclusive",
-        FlipSequence(tuple(log), index.z2, source_digest, complex_digest(index.complex)),
+        FlipSequence(tuple(log), index.z2, complex_digest(start),
+                     complex_digest(index.state)),
         flips, applied, restarts, best[0][::-1], budget, seed)
 
 
@@ -142,13 +136,14 @@ def replay_verify(source, sequence, target):
     recorded one, and the final complex is isomorphic to ``target``
     (signed isomorphism for symmetric sequences).  Raises
     :class:`CorruptSequence` when a move fails to apply, and
-    :class:`TypeError` unless ``source`` is of the sequence's kind.
+    :class:`TypeError` unless ``source`` and ``target`` are of the sequence's kind.
     """
+    _checked_kind(target, sequence.z2)
     if complex_digest(_checked_kind(source, sequence.z2)) != sequence.source_digest:
         return False
-    final = _underlying(replay(source, sequence))
+    final = replay(source, sequence)
     return complex_digest(final) == sequence.target_digest and find_isomorphism(
-        final, _underlying(target), signed=sequence.z2) is not None
+        final, target) is not None
 
 
 @dataclass(frozen=True)
@@ -197,9 +192,7 @@ def fan_certificate(z2complex, labelling, budget=100_000, seed=0):
     >>> certificate.initial_counts, certificate.parity_trace
     ((1, 1), (1,))
     """
-    bad = validate_fan(_checked_kind(z2complex, True), labelling)
-    if bad:
-        raise InvalidLabelling(f"not a Fan labelling: {bad[:3]}")
+    labels = _fan_labels(_checked_kind(z2complex, True), labelling)
     start_counts = alternating_counts(z2complex, labelling)
     report = z2_reduce_to_cross_polytope(z2complex, budget=budget, seed=seed)
     if not report.reduced:
@@ -211,7 +204,6 @@ def fan_certificate(z2complex, labelling, budget=100_000, seed=0):
     parity = start_counts.positive % 2
     trace = [parity]
     index = MoveIndex(z2complex)
-    labels = {v: labelling[v] for v in z2complex.vertices}
     positive, negative = start_counts.as_tuple()
     for step, move in enumerate(report.sequence.moves):
         dp, dn = _transport(labels, move, *index.apply(move))

@@ -47,11 +47,6 @@ def _checked_symmetric(facets):
     raise ActionNotFree(f"facet {f} contains the antipodal pair ±{abs(hit)}")
 
 
-def _underlying(state):
-    """The plain complex of a :class:`Z2Complex`, or ``state`` itself."""
-    return state.complex if isinstance(state, Z2Complex) else state
-
-
 def _checked_kind(state, z2):
     """``state`` if it is a :class:`Z2Complex` exactly when ``z2``."""
     if isinstance(state, Z2Complex) != z2:
@@ -152,5 +147,4 @@ class Z2Complex(SimplicialComplex):
 def find_z2_isomorphism(left, right):
     """A face-preserving bijection commuting with negation, or None, as in
     :func:`find_isomorphism`; anything but a :class:`Z2Complex` raises TypeError."""
-    return find_isomorphism(_checked_kind(left, True).complex,
-                            _checked_kind(right, True).complex, signed=True)
+    return find_isomorphism(_checked_kind(left, True), _checked_kind(right, True))

@@ -292,15 +292,14 @@ def rebuild_search(start, budget, seed):
     rng = random.Random(seed)
     index = MoveIndex(start)
     multiplier = 2 if index.z2 else 1
-    k = index.complex.dimension + 1
-    target = cross_polytope(k).complex if index.z2 else simplex_boundary(k)
+    k = start.dimension + 1
+    target = (cross_polytope if index.z2 else simplex_boundary)(k)
     target_f = list(target.f_vector().counts)
-    counts = list(index.complex.f_vector().counts)
-    source_digest = complex_digest(index.complex)
+    counts = list(start.f_vector().counts)
+    source_digest = complex_digest(start)
 
     def matched():
-        return counts == target_f and find_isomorphism(
-            index.complex, target, signed=index.z2) is not None
+        return counts == target_f and find_isomorphism(index.state, target) is not None
 
     def report(outcome, final, log, best_f):
         sequence = FlipSequence(
@@ -311,10 +310,10 @@ def rebuild_search(start, budget, seed):
 
     log = []
     best_energy = tuple(reversed(counts))
-    best = (index.state, index.complex, [], list(counts))
+    best = (index.state, [], list(counts))
     flips = applied = restarts = 0
     if matched():
-        return report("reduced", index.complex, log, counts)
+        return report("reduced", index.state, log, counts)
     temperature = reduction._START_TEMPERATURE
     while flips < budget:
         flips += 1
@@ -336,16 +335,16 @@ def rebuild_search(start, budget, seed):
             energy = tuple(reversed(counts))
             if energy < best_energy:
                 best_energy = energy
-                best = (index.state, index.complex, list(log), list(counts))
+                best = (index.state, list(log), list(counts))
             if matched():
-                return report("reduced", index.complex, log, best[3])
+                return report("reduced", index.state, log, best[2])
         temperature *= reduction._COOLING
         if temperature < reduction._RESTART_BELOW:
             temperature = reduction._START_TEMPERATURE
             restarts += 1
             index = MoveIndex(best[0])
-            log, counts = list(best[2]), list(best[3])
-    return report("inconclusive", best[1], best[2], best[3])
+            log, counts = list(best[1]), list(best[2])
+    return report("inconclusive", *best)
 
 
 # -- fixtures -------------------------------------------------------------------

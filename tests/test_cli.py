@@ -360,6 +360,19 @@ class TestMalformedInput:
         assert out.startswith("error: facets")
         assert needle in out
 
+    @pytest.mark.parametrize("parse", [parse_complex_document, parse_sequence_document],
+                             ids=["complex", "sequence"])
+    @pytest.mark.parametrize("text, needle", [
+        ("[" * 100_000 + "]" * 100_000, "unreadable JSON: "),
+        ('{"facets": [[1, %s]]}' % ("9" * 5000), "unreadable JSON: "),
+        ("{not json", "parse error at line 1, column 2: "),
+    ], ids=["nested-100000-deep", "integer-of-5000-digits", "not-json"])
+    def test_parsers_raise_only_bistellar_errors(self, parse, text, needle):
+        # a RecursionError, a ValueError and a JSONDecodeError used to escape
+        # both public parsers; only the CLI converted them
+        with pytest.raises(BistellarError, match=f"^{needle}"):
+            parse(text)
+
     @pytest.mark.parametrize("text", [
         "[" * 100_000 + "]" * 100_000,
         '{"facets": [[1, %s]]}' % ("9" * 5000),

@@ -9,16 +9,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bistellar import (
+    ActionNotFree,
     BistellarError,
     EmptyComplex,
     FVector,
     FaceNotPresent,
+    FlipSequence,
     InvalidVertexId,
     NotClosedPseudomanifold,
+    NotEquivariant,
     SimplicialComplex,
     VertexCollision,
+    Z2Complex,
     apply_move,
     boundary_of_simplex,
+    complex_digest,
     cross_polytope,
     enumerate_moves,
     find_isomorphism,
@@ -26,6 +31,7 @@ from bistellar import (
     find_z2_isomorphism,
     is_isomorphic,
     random_z2_walk,
+    replay_verify,
     simplex_boundary,
 )
 from bistellar import complexes
@@ -355,21 +361,81 @@ class TestIsomorphism:
 
     def test_one_side_outside_the_domain_is_not_isomorphic(self):
         # f = (6, 6): a hexagon, and two disjoint triangles, which are
-        # not strongly connected
-        hexagon = SimplicialComplex.from_facets(
-            [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]])
-        two = SimplicialComplex.from_facets(
-            [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]])
-        for signed in (False, True):
-            assert find_isomorphism(hexagon, two, signed) is None
-            assert find_isomorphism(two, hexagon, signed) is None
+        # not strongly connected; both are closed under v -> -v
+        hexagon = [[1, 2], [2, 3], [-1, 3], [-2, -1], [-3, -2], [-3, 1]]
+        two = [[1, 2], [2, 3], [1, 3], [-2, -1], [-3, -2], [-3, -1]]
+        for kind in (SimplicialComplex, Z2Complex):
+            left, right = kind.from_facets(hexagon), kind.from_facets(two)
+            assert find_isomorphism(left, right) is None
+            assert find_isomorphism(right, left) is None
+
+    def test_z2_pair_is_matched_by_a_map_commuting_with_negation(self, octahedron):
+        walked = random_z2_walk(octahedron, 12, seed=5)[0]
+        positives = walked.positive_vertices
+        table = {m: (-1) ** m * w for m, w in zip(positives, reversed(positives))}
+        table.update({-m: -w for m, w in table.items()})
+        right = Z2Complex.from_facets([[table[v] for v in f] for f in walked.facets])
+        found = find_isomorphism(walked, right)
+        assert found is not None and all(found[-v] == -found[v] for v in found)
+        assert {tuple(sorted(found[v] for v in f)) for f in walked.facets} \
+            == set(right.facets)
+        assert find_z2_isomorphism(walked, right) == found
+
+    def test_z2_pair_with_unlike_involutions_is_not_isomorphic(self):
+        # one 6 x 4 triangulated torus, negation the half shift around its
+        # first or its second circle: equal as plain complexes, but no map
+        # carries one shift to the other (on the small symmetric spheres
+        # searched, every automorphism commutes with negation, so this needs
+        # another manifold)
+        def torus(name):
+            corners = ((0, 0), (1, 0), (1, 1), (0, 1))
+            rows = []
+            for i in range(6):
+                for j in range(4):
+                    a, b, c, d = (name((i + di) % 6, (j + dj) % 4) for di, dj in corners)
+                    rows += [[a, b, c], [a, d, c]]
+            return Z2Complex.from_facets(rows)
+
+        first = torus(lambda i, j: (1 + i % 3 + 3 * j) * (-1 if i >= 3 else 1))
+        second = torus(lambda i, j: (1 + i + 6 * (j % 2)) * (-1 if j >= 2 else 1))
+        assert find_isomorphism(first.complex, second.complex) is not None
+        assert find_isomorphism(first, second) is None
+        assert find_z2_isomorphism(first, second) is None
+        found = find_isomorphism(first, first)
+        assert found is not None and all(found[-v] == -found[v] for v in found)
+
+    def test_plain_pair_with_signed_ids_is_matched_unsigned(self, octahedron):
+        # the octahedron's antipodal pairs, its non-edges, go to {1, 2},
+        # {-1, 3} and {-2, -3}: the image has no map commuting with negation
+        table = {1: 1, -1: 2, 2: -1, -2: 3, 3: -2, -3: -3}
+        right = SimplicialComplex.from_facets(
+            [[table[v] for v in f] for f in octahedron.facets])
+        found = find_isomorphism(octahedron.complex, right)
+        assert found is not None
+        assert {tuple(sorted(found[v] for v in f)) for f in octahedron.facets} \
+            == set(right.facets)
+        assert any(found[-v] != -found[v] for v in found)
 
 
-# Each raised AttributeError from inside the search.
+def _plain_sequence(cx):
+    digest = complex_digest(cx)
+    return FlipSequence((), False, digest, digest)
+
+
+# Each raised AttributeError from inside the search.  A mixed pair has no
+# isomorphism kind: a map between Z2Complexes commutes with negation, a map
+# between plain complexes need not.
 WRONG_KIND = {
     "find_isomorphism": lambda signed: find_isomorphism(signed, signed.complex),
     "is_isomorphic": lambda signed: is_isomorphic(signed.complex, signed),
     "find_z2_isomorphism": lambda signed: find_z2_isomorphism(signed, signed.complex),
+    "replay_verify-plain-target": lambda signed: replay_verify(
+        signed, random_z2_walk(signed, 0, 1)[1], signed.complex),
+    "replay_verify-z2-target": lambda signed: replay_verify(
+        signed.complex, _plain_sequence(signed), signed),
+    "replay_verify-before-digests": lambda signed: replay_verify(
+        signed.complex, _plain_sequence(simplex_boundary(3)), signed),
+    "not-a-complex": lambda signed: find_isomorphism(signed.facets, signed.facets),
 }
 
 
@@ -422,13 +488,27 @@ def _relabelled(draw, cx):
     return SimplicialComplex.from_facets([[table[v] for v in f] for f in cx.facets])
 
 
+def _symmetric(cx):
+    """``cx`` as a :class:`Z2Complex`, or None if negation does not act
+    freely on it."""
+    try:
+        return Z2Complex.from_complex(cx)
+    except (NotEquivariant, ActionNotFree):
+        return None
+
+
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_isomorphism_matches_brute_force(data):
+    # the signed case on the pairs that are both symmetric, as Z2Complexes
     left, right = data.draw(st.sampled_from(_ISO_PAIRS))
     right = data.draw(_relabelled(right))
-    for signed in (False, True):
-        found = find_isomorphism(left, right, signed=signed)
+    pairs = [(left, right)]
+    if None not in (symmetric := (_symmetric(left), _symmetric(right))):
+        pairs.append(symmetric)
+    for left, right in pairs:
+        signed = isinstance(left, Z2Complex)
+        found = find_isomorphism(left, right)
         expected = naive_isomorphism(left.facets, right.facets, signed)
         assert (found is None) == (expected is None)
         if found is None:
@@ -460,13 +540,15 @@ def test_isomorphism_recovers_a_signed_relabelling(case, rng):
     table.update({-m: -w for m, w in table.items()})
     relabelled = SimplicialComplex.from_facets(
         [[table[v] for v in f] for f in cx.facets])
-    for signed in (False, True):
-        found = find_isomorphism(cx, relabelled, signed=signed)
+    for left, right in ((cx, relabelled), (Z2Complex.from_complex(cx),
+                                           Z2Complex.from_complex(relabelled))):
+        found = find_isomorphism(left, right)
         assert found is not None and sorted(found) == list(cx.vertices)
         assert {tuple(sorted(found[v] for v in f)) for f in cx.facets} \
             == set(relabelled.facets)
-        if signed:
+        if isinstance(left, Z2Complex):
             assert all(found[-v] == -found[v] for v in found)
+            assert find_z2_isomorphism(left, right) == found
 
 
 def test_flip_graph_finds_the_known_sphere_counts():

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from bistellar import (
     BistellarMove,
     MoveIndex,
+    SimplicialComplex,
     Z2Complex,
     antipode,
     cross_polytope,
@@ -63,7 +64,7 @@ def check_index(index, before=None, move=None):
     """Check ``index`` against its definitions; with the facets ``before``
     and the ``move`` just applied, also against the naive flip."""
     listed = list(index)
-    cx = index.complex
+    cx = SimplicialComplex(index.state.facets)  # the facets, without the involution
     assert index._facets == set(cx.facets)
     assert index.f_vector() == naive_f_vector(cx.facets)
     assert index.fresh == fresh_vertex(cx)
@@ -111,17 +112,17 @@ def check_index(index, before=None, move=None):
 def walk_and_check(start, picks):
     index = MoveIndex(start)
     check_index(index)
-    log, facets = [], [index.complex.facets]
+    log, facets = [], [index.state.facets]
     for pick in picks:
         move = index[pick % len(index)]
-        before = index.complex.facets
+        before = index.state.facets
         gone, added = index.apply(move)
         check_index(index, before, move)
-        after = set(index.complex.facets)
+        after = set(index.state.facets)
         assert sorted(gone) == sorted(set(before) - after)
         assert sorted(added) == sorted(after - set(before))
         log.append(move)
-        facets.append(index.complex.facets)
+        facets.append(index.state.facets)
         if pick % 5 == 0:
             # rewind through inverse moves to an earlier length, as a
             # search does on a restart
@@ -129,7 +130,7 @@ def walk_and_check(start, picks):
             while len(log) >= len(facets):
                 index.apply(log.pop().inverse())
             check_index(index)
-            assert index.complex.facets == facets[-1]
+            assert index.state.facets == facets[-1]
 
 
 @pytest.mark.parametrize("base", [simplex_boundary(3), simplex_boundary(4)],
@@ -161,13 +162,13 @@ def test_blocked_face_is_released_when_its_simplex_goes():
     edges = [m for m in list(index) if len(m.removed) == 2]
     assert [(m.removed, m.inserted) for m in edges] == \
         [((1, 2), (4, 5)), ((1, 3), (4, 5)), ((2, 3), (4, 5))]
-    star = [f for f in naive_star(index.complex.facets, 3) if 4 in f]
+    star = [f for f in naive_star(index.state.facets, 3) if 4 in f]
     move = BistellarMove((1, 2), (4, 5))
     index.apply(move)
     assert BistellarMove((3, 4), (1, 2)) in list(index)
     check_index(index)
     index.apply(move.inverse())
-    assert [f for f in naive_star(index.complex.facets, 3) if 4 in f] == star
+    assert [f for f in naive_star(index.state.facets, 3) if 4 in f] == star
     assert BistellarMove((3, 4), (1, 2)) not in list(index)
     check_index(index)
 
@@ -181,18 +182,18 @@ def test_blocked_face_is_released_when_the_larger_simplex_goes():
     # pair creates (-2, 3) again and must block (-4, -1) again.
     index = MoveIndex(cross_polytope(3))
     index.apply(BistellarMove((-3, 1, 2), (4,)))
-    star = [f for f in naive_star(index.complex.facets, -4) if -1 in f]
-    assert (-2, 3) in index.complex
+    star = [f for f in naive_star(index.state.facets, -4) if -1 in f]
+    assert (-2, 3) in index.state
     assert BistellarMove((-4, -1), (-2, 3)) not in list(index)
     move = BistellarMove((-3, 2), (-1, 4))
     index.apply(move)
-    assert (-2, 3) not in index.complex
-    assert [f for f in naive_star(index.complex.facets, -4) if -1 in f] == star
+    assert (-2, 3) not in index.state
+    assert [f for f in naive_star(index.state.facets, -4) if -1 in f] == star
     assert BistellarMove((-4, -1), (-2, 3)) in list(index)
     check_index(index)
     index.apply(move.inverse())
-    assert (-2, 3) in index.complex
-    assert [f for f in naive_star(index.complex.facets, -4) if -1 in f] == star
+    assert (-2, 3) in index.state
+    assert [f for f in naive_star(index.state.facets, -4) if -1 in f] == star
     assert BistellarMove((-4, -1), (-2, 3)) not in list(index)
     check_index(index)
 
@@ -215,10 +216,10 @@ def test_either_half_of_a_pair_applies_it(base, picks):
             if pick % 2:
                 list(fresh)  # so that the flip also rechecks listed faces
             gone, added = fresh.apply(half)
-            results.append((fresh.complex, fresh.f_vector(), fresh.fresh, list(fresh),
+            results.append((fresh.state, fresh.f_vector(), fresh.fresh, list(fresh),
                             sorted(gone), sorted(added)))
             fresh.apply(half.inverse())
-            assert fresh.complex == index.complex
+            assert fresh.state == index.state
             assert list(fresh) == list(index)
         assert results[0] == results[1]
         index.apply(move)

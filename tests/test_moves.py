@@ -176,7 +176,7 @@ def rejects(state, removed, inserted, error):
     listed = list(index)
     with pytest.raises(error):
         index.apply(BistellarMove(removed, inserted))
-    assert list(index) == listed and index.complex == state.complex
+    assert list(index) == listed and index.state == state
     check_index(index)
 
 

@@ -1,6 +1,7 @@
 """The public names of the package, pinned so that any change to them
 shows up in a diff of this file."""
 
+from inspect import signature
 from types import ModuleType
 
 import pytest
@@ -160,3 +161,11 @@ def test_entry_points_check_the_kind_of_complex():
                        "fan_certificate": "plain",
                        "relabel_move": "plain",
                        "reduce_to_boundary_simplex": "z2"}
+
+
+def test_isomorphism_kind_comes_from_the_inputs():
+    # whether a map commutes with negation follows from the type of the
+    # complexes, so no flag says it, and an index has one view of its complex
+    assert list(signature(bistellar.find_isomorphism).parameters) == ["left", "right"]
+    assert not hasattr(bistellar.MoveIndex, "complex")
+    assert not hasattr(bistellar.MoveIndex(bistellar.cross_polytope(3)), "complex")
