@@ -56,7 +56,9 @@ def random_fan_labelling(z2complex, bound, seed):
 
     Vertices are drawn independently and antipodal partners mirrored;
     edges whose labels sum to zero are then repaired by resampling one
-    endpoint pair from the values its neighbourhood still allows.  If
+    endpoint pair from the values its neighbourhood still allows.  A repair
+    leaves no edge at the relabelled pair complementary, so each round
+    rechecks only the edges that the last one left broken.  If
     repeated rounds of sampling and repair fail, :class:`GenerationFailed`
     is raised rather than looping forever.  Bounds of at least
     dimension + 2 sample comfortably; on a sphere any bound at or below
@@ -82,8 +84,8 @@ def random_fan_labelling(z2complex, bound, seed):
             x = rng.choice(values)
             labels[v] = x
             labels[-v] = -x
+        broken = [e for e in edges if labels[e[0]] + labels[e[1]] == 0]
         for _ in range(_REPAIR_ROUNDS):
-            broken = [e for e in edges if labels[e[0]] + labels[e[1]] == 0]
             if not broken:
                 return FanLabelling(labels)
             for u, v in broken:
@@ -95,7 +97,8 @@ def random_fan_labelling(z2complex, bound, seed):
                 if not allowed:
                     continue
                 x = rng.choice(allowed)
-                labels[abs(w)] = x if w > 0 else -x
-                labels[-abs(w)] = -labels[abs(w)]
+                labels[w], labels[-w] = x, -x
+            # No repair breaks an edge: the neighbours of -w are those of w negated.
+            broken = [e for e in broken if labels[e[0]] + labels[e[1]] == 0]
     raise GenerationFailed(
         f"no Fan labelling with bound {bound} found after {_SAMPLING_ROUNDS} attempts")

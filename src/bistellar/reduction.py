@@ -57,7 +57,8 @@ class ReductionReport:
 
 def _search(start, budget, seed):
     """The reduction loop: symmetric pairs towards the cross polytope on a
-    :class:`Z2Complex`, plain moves towards the simplex boundary otherwise."""
+    :class:`Z2Complex`, plain moves towards the simplex boundary otherwise;
+    returns the report, each kept move's ``(gone, added)`` and the final complex."""
     budget = _checked_count(budget, "budget")
     if not is_closed_pseudomanifold(start):
         raise NotClosedPseudomanifold(
@@ -68,7 +69,7 @@ def _search(start, budget, seed):
     target = (cross_polytope if index.z2 else simplex_boundary)(start.dimension + 1)
     target_f = target.f_vector()
 
-    log, flips, applied, restarts = [], 0, 0, 0
+    log, flipped, flips, applied, restarts = [], [], 0, 0, 0
     best = (index.f_vector().counts[::-1], 0)  # (energy, len(log))
     temperature = _START_TEMPERATURE
     while not (reduced := index.f_vector() == target_f
@@ -77,6 +78,7 @@ def _search(start, budget, seed):
             # Rewind to the best state; removed vertices come back under their ids.
             while len(log) > best[1]:
                 index.apply(log.pop().inverse())
+                flipped.pop()
             if temperature < _RESTART_BELOW:
                 temperature, restarts = _START_TEMPERATURE, restarts + 1
             if flips == budget:
@@ -93,7 +95,7 @@ def _search(start, budget, seed):
             accepted = delta <= 0 or rng.random() < math.exp(
                 -delta * multiplier / temperature)
         if accepted:
-            index.apply(move)
+            flipped.append(index.apply(move))
             log.append(move)
             applied += 1
             energy = index.f_vector().counts[::-1]
@@ -104,7 +106,7 @@ def _search(start, budget, seed):
         "reduced" if reduced else "inconclusive",
         FlipSequence(tuple(log), index.z2, complex_digest(start),
                      complex_digest(index.state)),
-        flips, applied, restarts, best[0][::-1], budget, seed)
+        flips, applied, restarts, best[0][::-1], budget, seed), flipped, index.state
 
 
 def reduce_to_boundary_simplex(complex_, budget=100_000, seed=0):
@@ -117,7 +119,7 @@ def reduce_to_boundary_simplex(complex_, budget=100_000, seed=0):
     :class:`NotClosedPseudomanifold`, and a :class:`Z2Complex` raises
     :class:`TypeError` (reduce its ``.complex``).
     """
-    return _search(_checked_kind(complex_, False), budget, seed)
+    return _search(_checked_kind(complex_, False), budget, seed)[0]
 
 
 def z2_reduce_to_cross_polytope(z2complex, budget=100_000, seed=0):
@@ -125,7 +127,7 @@ def z2_reduce_to_cross_polytope(z2complex, budget=100_000, seed=0):
     pairs only, aiming at the cross polytope boundary of the same
     dimension; success is checked by signed isomorphism.  Raises
     :class:`TypeError` unless ``z2complex`` is a :class:`Z2Complex`."""
-    return _search(_checked_kind(z2complex, True), budget, seed)
+    return _search(_checked_kind(z2complex, True), budget, seed)[0]
 
 
 def replay_verify(source, sequence, target):
@@ -173,10 +175,11 @@ def fan_certificate(z2complex, labelling, budget=100_000, seed=0):
     recording the positive alternating facet count mod 2 at every step.
 
     The labels are validated and counted in full on the input and on the
-    final complex.  In between, each step checks the move, its new edges
-    and any removed vertex pair, and updates running counts from the star
-    of the move only (see :mod:`bistellar.fan`); the final recount must
-    equal them.
+    final complex.  In between, each move is checked once, by the search's
+    own :class:`MoveIndex`, and the labels are carried along the facets
+    that it replaced: each step checks its new edges and any removed
+    vertex pair, and updates running counts from the star of the move
+    only (see :mod:`bistellar.fan`); the final recount must equal them.
 
     Raises :class:`TypeError` unless ``z2complex`` is a :class:`Z2Complex`,
     :class:`InvalidLabelling` if the input labelling breaks a Fan
@@ -194,27 +197,33 @@ def fan_certificate(z2complex, labelling, budget=100_000, seed=0):
     """
     labels = _fan_labels(_checked_kind(z2complex, True), labelling)
     start_counts = alternating_counts(z2complex, labelling)
-    report = z2_reduce_to_cross_polytope(z2complex, budget=budget, seed=seed)
+    report, flipped, final = _search(z2complex, budget, seed)
     if not report.reduced:
         raise CertificateUnavailable(
             f"reduction inconclusive within budget {budget}; "
             f"directly counted positives: {start_counts.positive}",
             counts=start_counts, report=report)
+    return _certify(report.sequence, flipped, labels, start_counts, final)
 
+
+def _certify(sequence, flipped, labels, start_counts, final):
+    """Carry ``labels`` (vertex -> label, changed in place) along the moves
+    of ``sequence``, which replaced the facets ``(gone, added)`` of ``flipped``
+    on the way to ``final``; check the parity trace, and validate and recount
+    the labels on ``final`` against the running counts."""
     parity = start_counts.positive % 2
     trace = [parity]
-    index = MoveIndex(z2complex)
     positive, negative = start_counts.as_tuple()
-    for step, move in enumerate(report.sequence.moves):
-        dp, dn = _transport(labels, move, *index.apply(move))
+    for step, (move, (gone, added)) in enumerate(zip(sequence.moves, flipped)):
+        dp, dn = _transport(labels, move, gone, added)
         positive, negative = positive + dp, negative + dn
         trace.append(positive % 2)
         if trace[-1] != parity:
             raise BistellarError(f"parity trace broke at step {step}")
-    last = len(report.sequence) - 1
-    if validate_fan(index.state, labels):
+    last = len(sequence) - 1
+    if validate_fan(final, labels):
         raise BistellarError(f"transported labelling invalid after step {last}")
-    counts = alternating_counts(index.state, labels)
+    counts = alternating_counts(final, labels)
     if counts.as_tuple() != (positive, negative):
         raise BistellarError(
             f"running counts {(positive, negative)} drifted from the recount "
@@ -224,8 +233,8 @@ def fan_certificate(z2complex, labelling, budget=100_000, seed=0):
             "trace does not end at 1 on the cross polytope; "
             "this falsifies the parity argument")
     return FanCertificate(
-        source_digest=report.sequence.source_digest,
-        sequence=report.sequence,
+        source_digest=sequence.source_digest,
+        sequence=sequence,
         initial_counts=start_counts.as_tuple(),
         parity_trace=tuple(trace),
         final_labelling=FanLabelling(labels).integerize(),

@@ -15,16 +15,25 @@ from itertools import combinations, permutations
 import pytest
 
 from bistellar import (
+    BistellarError,
+    CertificateUnavailable,
+    FanCertificate,
+    FanLabelling,
     FlipSequence,
+    GenerationFailed,
     MoveIndex,
     ReductionReport,
     SimplicialComplex,
+    alternating_counts,
     complex_digest,
     cross_polytope,
     find_isomorphism,
     simplex_boundary,
+    validate_fan,
+    z2_reduce_to_cross_polytope,
 )
-from bistellar import reduction
+from bistellar import generators, reduction
+from bistellar.fan import _fan_labels, _transport
 
 
 # -- naive oracles over raw facet tuples ---------------------------------------
@@ -345,6 +354,90 @@ def rebuild_search(start, budget, seed):
             index = MoveIndex(best[0])
             log, counts = list(best[1]), list(best[2])
     return report("inconclusive", *best)
+
+
+def replay_certificate(z2complex, labelling, budget=100_000, seed=0):
+    """The certificate as it was built before the labels rode on the
+    search's own flips: reduce, then replay the whole sequence on a second
+    :class:`MoveIndex` built from the source, transport the labels across
+    each replayed flip, and run the same end checks.  Must equal
+    :func:`fan_certificate`."""
+    labels = _fan_labels(z2complex, labelling)
+    start_counts = alternating_counts(z2complex, labelling)
+    report = z2_reduce_to_cross_polytope(z2complex, budget=budget, seed=seed)
+    if not report.reduced:
+        raise CertificateUnavailable(
+            f"reduction inconclusive within budget {budget}; "
+            f"directly counted positives: {start_counts.positive}",
+            counts=start_counts, report=report)
+    parity = start_counts.positive % 2
+    trace = [parity]
+    index = MoveIndex(z2complex)
+    positive, negative = start_counts.as_tuple()
+    for step, move in enumerate(report.sequence.moves):
+        dp, dn = _transport(labels, move, *index.apply(move))
+        positive, negative = positive + dp, negative + dn
+        trace.append(positive % 2)
+        if trace[-1] != parity:
+            raise BistellarError(f"parity trace broke at step {step}")
+    last = len(report.sequence) - 1
+    if validate_fan(index.state, labels):
+        raise BistellarError(f"transported labelling invalid after step {last}")
+    counts = alternating_counts(index.state, labels)
+    if counts.as_tuple() != (positive, negative):
+        raise BistellarError(
+            f"running counts {(positive, negative)} drifted from the recount "
+            f"{counts.as_tuple()} by step {last}")
+    if trace[-1] != 1:
+        raise BistellarError(
+            "trace does not end at 1 on the cross polytope; "
+            "this falsifies the parity argument")
+    return FanCertificate(
+        source_digest=report.sequence.source_digest,
+        sequence=report.sequence,
+        initial_counts=start_counts.as_tuple(),
+        parity_trace=tuple(trace),
+        final_labelling=FanLabelling(labels).integerize(),
+        final_counts=counts.as_tuple(),
+    )
+
+
+def rescan_fan_labelling(z2complex, bound, seed):
+    """:func:`random_fan_labelling` as it was before its repairs became
+    local: every repair round rescans all edges for complementary ones.
+    Same rng calls, so it must give the same labelling, or raise
+    :class:`GenerationFailed` alike."""
+    rng = random.Random(seed)
+    values = [s * a for a in range(1, bound + 1) for s in (1, -1)]
+    edges = z2complex.faces(1)
+    neighbours = {v: set() for v in z2complex.vertices}
+    for u, v in edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    reps = z2complex.positive_vertices
+
+    for _ in range(generators._SAMPLING_ROUNDS):
+        labels = {}
+        for v in reps:
+            x = rng.choice(values)
+            labels[v] = x
+            labels[-v] = -x
+        for _ in range(generators._REPAIR_ROUNDS):
+            broken = [e for e in edges if labels[e[0]] + labels[e[1]] == 0]
+            if not broken:
+                return FanLabelling(labels)
+            for u, v in broken:
+                if labels[u] + labels[v] != 0:
+                    continue
+                w = u if abs(u) >= abs(v) else v
+                banned = {-labels[y] for y in neighbours[w]}
+                allowed = [x for x in values if x not in banned]
+                if not allowed:
+                    continue
+                x = rng.choice(allowed)
+                labels[abs(w)] = x if w > 0 else -x
+                labels[-abs(w)] = -labels[abs(w)]
+    raise GenerationFailed(f"no Fan labelling with bound {bound}")
 
 
 # -- fixtures -------------------------------------------------------------------

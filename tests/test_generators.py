@@ -13,9 +13,18 @@ from bistellar import (
     cross_polytope,
     is_closed_pseudomanifold,
     random_fan_labelling,
+    random_z2_walk,
     simplex_boundary,
     validate_fan,
 )
+from conftest import rescan_fan_labelling
+
+
+def labelling_or_failure(generate, *args):
+    try:
+        return generate(*args)
+    except GenerationFailed:
+        return GenerationFailed
 
 
 class TestSimplexBoundary:
@@ -127,8 +136,25 @@ class TestRandomFanLabelling:
         assert all(1 <= abs(x) <= 3 for _, x in labelling.items())
 
     def test_works_on_walked_spheres(self, octahedron):
-        from bistellar import random_z2_walk
         for seed in range(3):
             walked, _ = random_z2_walk(octahedron, 15, seed=seed)
             labelling = random_fan_labelling(walked, 4, seed=seed)
             assert validate_fan(walked, labelling) == []
+
+    @pytest.mark.parametrize("k, steps", [(3, 120), (4, 80)])  # 244 and 272 facets
+    def test_local_repair_matches_the_rescan(self, k, steps):
+        # The repair keeps the complementary edges between rounds and walks
+        # them in edge order, so it makes the rescan's rng draws exactly.
+        walked, _ = random_z2_walk(cross_polytope(k), steps, seed=1)
+        for bound in (walked.dimension + 2, walked.dimension + 3):
+            for seed in range(20):
+                expected = labelling_or_failure(rescan_fan_labelling, walked, bound, seed)
+                assert labelling_or_failure(random_fan_labelling, walked, bound, seed) \
+                    == expected, (bound, seed)
+
+    @pytest.mark.parametrize("steps", [0, 10])
+    def test_bound_of_the_dimension_fails_like_the_rescan(self, octahedron, steps):
+        walked, _ = random_z2_walk(octahedron, steps, seed=1)
+        for generate in (random_fan_labelling, rescan_fan_labelling):
+            with pytest.raises(GenerationFailed):
+                generate(walked, walked.dimension, 0)

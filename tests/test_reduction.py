@@ -10,6 +10,7 @@ from bistellar import (
     CertificateUnavailable,
     CorruptSequence,
     FlipSequence,
+    MoveIndex,
     NotClosedPseudomanifold,
     SimplicialComplex,
     alternating_counts,
@@ -29,7 +30,7 @@ from bistellar import (
 )
 from bistellar import reduction
 from bistellar.fan import _transport
-from conftest import rebuild_search
+from conftest import rebuild_search, replay_certificate
 
 
 class TestPseudomanifoldCheck:
@@ -170,7 +171,8 @@ def test_rewinding_search_matches_rebuilding_one(name, budget, seed):
     # The search rewinds its one index through inverse moves where the
     # reference loop snapshots every best state and rebuilds from it.
     start = search_input(name)
-    assert reduction._search(start, budget, seed) == rebuild_search(start, budget, seed)
+    report, _, _ = reduction._search(start, budget, seed)
+    assert report == rebuild_search(start, budget, seed)
 
 
 @pytest.mark.parametrize("name, seed", [("sd-c4", 1), ("sd-simplex4", 2)])
@@ -180,7 +182,7 @@ def test_hot_restarts_rewind_from_above_the_best(monkeypatch, name, seed):
     # rewound counts matter as much as the rewound complex.
     monkeypatch.setattr(reduction, "_RESTART_BELOW", 1.0)
     start = search_input(name)
-    report = reduction._search(start, 400, seed)
+    report, _, _ = reduction._search(start, 400, seed)
     assert report.restarts == 2
     assert report == rebuild_search(start, 400, seed)
 
@@ -305,6 +307,39 @@ class TestFanCertificate:
         direct = alternating_counts(walked, labelling)
         assert info.value.counts == direct
         assert info.value.report.outcome == "inconclusive"
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])  # 4, 2, 4 and 2 restarts
+    def test_rewinding_search_matches_the_replay(self, monkeypatch, seed):
+        # The labels ride on the flips that the search kept after its
+        # rewinds; the reference replays the sequence on a second index.
+        sd = search_input("sd-c4")
+        labelling = random_fan_labelling(sd, 5, seed)
+        search, searches = reduction._search, []
+
+        def recording(*args):
+            searches.append(search(*args))
+            return searches[-1]
+
+        monkeypatch.setattr(reduction, "_search", recording)
+        certificate = fan_certificate(sd, labelling, seed=seed)
+        assert certificate == replay_certificate(sd, labelling, seed=seed)
+        (report, flipped, _), (replayed, _, _) = searches
+        assert report == replayed and report.restarts >= 2
+        assert len(flipped) == len(report.sequence)
+
+    def test_one_move_index_per_certificate(self, octahedron, monkeypatch):
+        walked, _ = random_z2_walk(octahedron, 20, seed=7)
+        labelling = random_fan_labelling(walked, 4, seed=3)
+        build, builds = MoveIndex.__init__, []
+
+        def counting(self, *args):
+            builds.append(args)
+            build(self, *args)
+
+        monkeypatch.setattr(MoveIndex, "__init__", counting)
+        certificate = fan_certificate(walked, labelling, seed=1)
+        assert len(certificate.sequence) > 1
+        assert len(builds) == 1
 
 
 class TestMovedLinksStaySpherical:
