@@ -68,8 +68,10 @@ def _render(value, depth):
             return json.dumps(value)
         if (set(map(type, value)) == {list}
                 and set(map(type, chain.from_iterable(value))) <= {int}):
-            # rows of plain ints (facets, labels): str() of each is its JSON
-            return f"[\n{inner}" + f",\n{inner}".join(map(str, value)) + f"\n{pad}]"
+            # rows of plain ints (facets, labels): one "%d" format per row length
+            row = {n: "[" + ", ".join(["%d"] * n) + "]" for n in set(map(len, value))}
+            rows = f",\n{inner}".join([row[len(r)] for r in value])
+            return f"[\n{inner}{rows % tuple(chain.from_iterable(value))}\n{pad}]"
         lines = [f"{inner}{_render(x, depth + 1)}" for x in value]
         return "[\n" + ",\n".join(lines) + f"\n{pad}]"
     return json.dumps(value)

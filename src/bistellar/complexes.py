@@ -158,10 +158,7 @@ class SimplicialComplex:
 
     @cached_property
     def vertices(self):
-        seen = set()
-        for f in self.facets:
-            seen.update(f)
-        return tuple(sorted(seen))
+        return tuple(sorted(set(chain.from_iterable(self.facets))))
 
     @cached_property
     def dimension(self):

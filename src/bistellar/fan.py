@@ -6,7 +6,9 @@ vertices get opposite labels and no edge sums to zero.  A facet is
 alternating when its labels have pairwise distinct absolute values and
 strictly alternating signs once sorted by absolute value; it counts as
 positive or negative according to the sign of its smallest-magnitude
-label.
+label.  Counts are made in bulk and per facet size, since a mask forgets
+repeats: a label of magnitude rank ``r`` is bit ``2r`` if positive, ``2r + 1``
+if negative, and each distinct OR of a facet's bits is classified once.
 
 Labels are integers.  Only their signs and the order of their absolute
 values matter, so a move that inserts a complementary diagonal doubles
@@ -18,9 +20,10 @@ vertex pair, and recounts only the replaced facets, since no other facet
 changes class.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, compress
-from operator import add, not_
+from operator import add, not_, or_
 from types import MappingProxyType
 
 from .errors import (
@@ -176,11 +179,33 @@ def alternating_sign(face, labelling):
     return 1 if values[0] > 0 else -1
 
 
+def _mask_class(mask, k):
+    """+1, -1 or 0: the class of ``k`` labels whose bits OR to ``mask``."""
+    low = bit = (mask & -mask).bit_length() - 1
+    for _ in range(k - 1):  # each next bit must flip the sign and raise the rank
+        mask &= mask - 1
+        bit, below = (mask & -mask).bit_length() - 1, bit
+        if not (bit ^ below) & 1 or bit >> 1 <= below >> 1:
+            return 0
+    return -1 if low & 1 else 1
+
+
 def alternating_counts(complex_or_z2, labelling):
-    """Count positive and negative alternating facets."""
+    """Count positive and negative alternating facets by size: OR each facet's
+    label bits (``2r`` or ``2r + 1`` for rank ``r``) and classify each mask once."""
     labels = _complete(complex_or_z2, labelling)
-    signs = [alternating_sign(f, labels) for f in complex_or_z2.facets]
-    return AlternatingCounts(signs.count(1), signs.count(-1))
+    rank = {m: 2 * r for r, m in enumerate(sorted(set(map(abs, labels.values()))))}
+    bits = {v: 1 << (rank[abs(x)] + (x < 0)) for v, x in labels.items()}
+    facets, counts = complex_or_z2.facets, Counter()
+    for k in (sizes := set(map(len, facets))):
+        group = facets if len(sizes) == 1 else [f for f in facets if len(f) == k]
+        flat = list(map(bits.__getitem__, chain.from_iterable(group)))
+        masks = flat[::k]
+        for i in range(1, k):
+            masks = map(or_, masks, flat[i::k])
+        for mask, n in Counter(masks).items():
+            counts[_mask_class(mask, k)] += n
+    return AlternatingCounts(counts[1], counts[-1])
 
 
 def tucker_witness(z2complex, labelling):

@@ -24,7 +24,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, count
-from math import comb
 from operator import neg
 
 from .complexes import FVector, SimplicialComplex, _checked_face, complex_digest
@@ -73,21 +72,6 @@ class BistellarMove:
     def facet_delta(self):
         """Change in facet count when applied: |removed| - |inserted|."""
         return len(self.removed) - len(self.inserted)
-
-    def f_delta(self, dimension):
-        """Change of the whole f-vector on a pure complex of the given dimension.
-
-        Added faces are exactly those containing ``inserted``; removed
-        faces exactly those containing ``removed``; both counts are
-        binomial.
-        """
-        a, b = len(self.removed), len(self.inserted)
-        delta = []
-        for k in range(dimension + 1):
-            added = comb(a, k + 1 - b) if 0 <= k + 1 - b < a else 0
-            gone = comb(b, k + 1 - a) if 0 <= k + 1 - a < b else 0
-            delta.append(added - gone)
-        return tuple(delta)
 
     def __repr__(self):
         return f"BistellarMove({list(self.removed)} -> {list(self.inserted)})"

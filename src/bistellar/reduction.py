@@ -55,10 +55,10 @@ class ReductionReport:
         return self.outcome == "reduced"
 
 
-def _search(start, budget, seed):
-    """The reduction loop: symmetric pairs towards the cross polytope on a
-    :class:`Z2Complex`, plain moves towards the simplex boundary otherwise;
-    returns the report, each kept move's ``(gone, added)`` and the final complex."""
+def _search(start, budget, seed, keep_flipped=False):
+    """The reduction loop, symmetric on a :class:`Z2Complex` (towards the cross
+    polytope) and plain otherwise (towards the simplex boundary); returns the report,
+    each kept move's ``(gone, added)`` if ``keep_flipped``, and the final complex."""
     budget = _checked_count(budget, "budget")
     if not is_closed_pseudomanifold(start):
         raise NotClosedPseudomanifold(
@@ -78,7 +78,7 @@ def _search(start, budget, seed):
             # Rewind to the best state; removed vertices come back under their ids.
             while len(log) > best[1]:
                 index.apply(log.pop().inverse())
-                flipped.pop()
+            del flipped[best[1]:]
             if temperature < _RESTART_BELOW:
                 temperature, restarts = _START_TEMPERATURE, restarts + 1
             if flips == budget:
@@ -95,7 +95,9 @@ def _search(start, budget, seed):
             accepted = delta <= 0 or rng.random() < math.exp(
                 -delta * multiplier / temperature)
         if accepted:
-            flipped.append(index.apply(move))
+            change = index.apply(move)
+            if keep_flipped:
+                flipped.append(change)
             log.append(move)
             applied += 1
             energy = index.f_vector().counts[::-1]
@@ -197,7 +199,7 @@ def fan_certificate(z2complex, labelling, budget=100_000, seed=0):
     """
     labels = _fan_labels(_checked_kind(z2complex, True), labelling)
     start_counts = alternating_counts(z2complex, labelling)
-    report, flipped, final = _search(z2complex, budget, seed)
+    report, flipped, final = _search(z2complex, budget, seed, True)
     if not report.reduced:
         raise CertificateUnavailable(
             f"reduction inconclusive within budget {budget}; "

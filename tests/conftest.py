@@ -206,6 +206,20 @@ def naive_alternating_sign(labels):
     return 1 if values[0] > 0 else -1
 
 
+def naive_f_delta(move, dimension):
+    """Change of the whole f-vector when ``move`` flips a pure complex of the
+    given dimension: the added faces are exactly those containing
+    ``inserted``, the removed ones those containing ``removed``, and both
+    counts are binomial."""
+    a, b = len(move.removed), len(move.inserted)
+    delta = []
+    for k in range(dimension + 1):
+        added = math.comb(a, k + 1 - b) if 0 <= k + 1 - b < a else 0
+        gone = math.comb(b, k + 1 - a) if 0 <= k + 1 - a < b else 0
+        delta.append(added - gone)
+    return tuple(delta)
+
+
 def naive_alpha(facets, labelling):
     plus = minus = 0
     for f in facets:
@@ -338,7 +352,7 @@ def rebuild_search(start, budget, seed):
         if accepted:
             index.apply(move)
             counts = [c + multiplier * d
-                      for c, d in zip(counts, move.f_delta(k - 1))]
+                      for c, d in zip(counts, naive_f_delta(move, k - 1))]
             log.append(move)
             applied += 1
             energy = tuple(reversed(counts))

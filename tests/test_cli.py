@@ -153,8 +153,21 @@ def _written_documents():
 @example(doc=[[1, True], [2, 3]])
 @example(doc={"rows": [[], [1], [-2, 3]], "flags": [[True], [False, 0]], "empty": {}})
 @example(doc=[[[1, 2]], [[3]]])
+@example(doc={"facets": [[1, 2, 3], [], [-4, 5], [6, -7, 8], [-9], []]})
+@example(doc=[[-1, -2], [-3, -10 ** 30], [0, 2 ** 70]])
+@example(doc=[[1, 2], [3, False]])
 def test_renderer_matches_one_row_at_a_time(doc):
     assert dumps_canonical(doc) == naive_dumps_canonical(doc)
+
+
+@pytest.mark.parametrize("doc", [{"labels": [[1, 10 ** 4300]]}, [[-10 ** 4300, 1]]])
+def test_int_past_the_digit_limit_raises_as_in_the_naive_renderer(doc):
+    # CPython refuses to write an int of more than 4300 digits as text
+    with pytest.raises(ValueError) as naive:
+        naive_dumps_canonical(doc)
+    with pytest.raises(ValueError) as rendered:
+        dumps_canonical(doc)
+    assert str(rendered.value) == str(naive.value)
 
 
 class TestCommands:

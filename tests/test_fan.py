@@ -127,6 +127,35 @@ class TestAlternatingCounts:
             assert counts.positive == counts.negative
 
 
+_MAGNITUDES = st.integers(1, 60) | st.integers(2 ** 200, 2 ** 210)
+
+
+@st.composite
+def _labelled_complexes(draw):
+    """Facets of mixed sizes on vertices 1..60, and labels, not antipodal in
+    general, from up to 50 magnitudes: repeats and ±x within a facet occur."""
+    facets = draw(st.lists(st.lists(st.integers(1, 60), min_size=1, max_size=6,
+                                    unique=True), min_size=1, max_size=40))
+    magnitudes = draw(st.lists(_MAGNITUDES, min_size=1, max_size=50, unique=True))
+    label = st.sampled_from(magnitudes).flatmap(lambda m: st.sampled_from([m, -m]))
+    vertices = sorted({v for f in facets for v in f})
+    return facets, dict(zip(vertices, draw(st.lists(
+        label, min_size=len(vertices), max_size=len(vertices)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_labelled_complexes())
+@example(case=([[1, 2], [3, 4, 5]], {1: 1, 2: -2, 3: 1, 4: 1, 5: -2}))
+def test_counts_match_naive_alpha_on_any_labelled_complex(case):
+    # One OR of label bits stands for every facet of one size with those
+    # labels: the edge labelled 1, -2 alternates, the triangle 1, 1, -2 not.
+    facets, labels = case
+    cx = SimplicialComplex.from_facets(facets)
+    expected = naive_alpha(cx.facets, labels)
+    assert alternating_counts(cx, labels).as_tuple() == expected
+    assert alternating_counts(cx, FanLabelling(labels)).as_tuple() == expected
+
+
 class TestSimplexBoundaryCounts:
     """Counts over the boundary of a fully labelled simplex stay in
     {(0,0), (1,1), (2,0), (0,2)} when no two labels sum to zero."""

@@ -26,7 +26,7 @@ from bistellar import (
     replay,
     simplex_boundary,
 )
-from conftest import naive_admissible_moves, naive_f_vector
+from conftest import naive_admissible_moves, naive_f_delta, naive_f_vector
 from test_move_index import check_index
 
 
@@ -153,7 +153,7 @@ class TestApplyMove:
                 after_state, inverse = apply_move(state, move)
                 after = after_state.f_vector().counts
                 assert after[-1] - before[-1] == 2 * r - n
-                predicted = tuple(b + d for b, d in zip(before, move.f_delta(n)))
+                predicted = tuple(b + d for b, d in zip(before, naive_f_delta(move, n)))
                 assert after == predicted
                 index = MoveIndex(state)
                 index.apply(move)

@@ -187,6 +187,23 @@ def test_hot_restarts_rewind_from_above_the_best(monkeypatch, name, seed):
     assert report == rebuild_search(start, 400, seed)
 
 
+def test_public_reductions_keep_no_flipped_facets(monkeypatch):
+    # Only fan_certificate reads the facets that each kept move replaced.
+    search, searches = reduction._search, []
+
+    def recording(*args):
+        searches.append(search(*args))
+        return searches[-1]
+
+    monkeypatch.setattr(reduction, "_search", recording)
+    plain = reduce_to_boundary_simplex(search_input("sd-simplex4"), seed=1)
+    symmetric = z2_reduce_to_cross_polytope(search_input("sd-c4"), seed=1)
+    assert [len(flipped) for _, flipped, _ in searches] == [0, 0]
+    kept, flipped, _ = search(search_input("sd-c4"), 100_000, 1, True)
+    assert kept == symmetric and len(flipped) == len(symmetric.sequence) > 0
+    assert plain.reduced and len(plain.sequence) > 0
+
+
 class TestReplayVerify:
     def test_empty_sequence_identity(self, octahedron):
         _, sequence = random_z2_walk(octahedron, 0, seed=0)
