@@ -24,8 +24,6 @@ from .moves import (
     BistellarMove,
     FlipSequence,
     MoveIndex,
-    enumerate_moves,
-    enumerate_z2_moves,
     fresh_vertex,
     random_z2_walk,
 )
@@ -312,10 +310,7 @@ def cmd_info(args):
 
 def cmd_moves(args):
     complex_, signed, _ = _load(args.file, pure=True)
-    if args.z2:
-        found = enumerate_z2_moves(_need_z2(signed, args.file))
-    else:
-        found = enumerate_moves(complex_)
+    found = list(MoveIndex(_need_z2(signed, args.file) if args.z2 else complex_))
     for move in found:
         print(f"removed={list(move.removed)} inserted={list(move.inserted)}")
     print(f"total: {len(found)}")

@@ -63,7 +63,7 @@ class InvalidLabelling(BistellarError):
 
 
 class NoWitness(BistellarError):
-    """No complementary edge was found; the input is invalid or a counterexample."""
+    """No complementary edge found: bad labels, or the complex is not a sphere."""
 
 
 # -- reduction and certificates ---------------------------------------------

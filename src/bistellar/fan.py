@@ -33,7 +33,7 @@ from .errors import (
     InvalidVertexId,
     NoWitness,
 )
-from .moves import MoveIndex
+from .moves import MoveIndex, _replaced
 from .z2 import _checked_kind, _negated
 
 
@@ -214,15 +214,15 @@ def tucker_witness(z2complex, labelling):
     On a centrally symmetric sphere labelled antipodally into
     ``±1..±n`` such an edge must exist; scanning is exhaustive in
     canonical edge order, so the answer is deterministic.  If no edge
-    qualifies the input was invalid or is a counterexample, and
-    :class:`NoWitness` says so loudly.
+    qualifies, the labels are not antipodal into ``±1..±dimension`` or the
+    complex is not a sphere, and :class:`NoWitness` names both causes.
     """
     edges = _complementary_edges(z2complex, _complete(z2complex, labelling))
     if edges:
         return edges[0]
     raise NoWitness(
-        "no complementary edge found; either the labelling does not satisfy "
-        "the hypotheses or this complex is a counterexample worth reporting")
+        "no complementary edge found; either the labelling is not antipodal "
+        "into ±1..±dimension or the complex is not a sphere")
 
 
 def relabel_move(z2complex, labelling, move):
@@ -251,22 +251,22 @@ def relabel_move(z2complex, labelling, move):
     :class:`InvalidLabelling` or :class:`IncompleteLabelling` if
     ``labelling`` is not a Fan labelling of ``z2complex``.
     """
-    index = MoveIndex(_checked_kind(z2complex, True))
-    flipped = index.apply(move)
+    MoveIndex(_checked_kind(z2complex, True)).apply(move)
     labels = _fan_labels(z2complex, labelling)
-    _transport(labels, move, *flipped)
+    _transport(labels, move)
     return FanLabelling(labels)
 
 
-def _transport(labels, move, gone, added):
-    """Carry ``labels`` (vertex -> label) in place across ``move``, which
-    has just replaced the facets ``gone`` by ``added``, and return the
-    change of the (positive, negative) counts: only those facets change
-    class.  Breaking the tie of ``±u`` after a doubling changes no kept
-    facet: one with ``u`` and a ``z`` of equal magnitude did not alternate
-    and still does not, as ``z`` has the sign of ``u`` (else ``uz`` would
-    be complementary) and stays next to it in magnitude."""
+def _transport(labels, move):
+    """Carry ``labels`` (vertex -> label) in place across the symmetric
+    ``move``, already checked to apply, and return the change of the
+    (positive, negative) counts: only the facets that ``_replaced`` names
+    change class.  Breaking the tie of ``±u`` after a doubling changes no
+    kept facet: one with ``u`` and a ``z`` of equal magnitude did not
+    alternate and still does not, as ``z`` has the sign of ``u`` (else
+    ``uz`` would be complementary) and stays next to it in magnitude."""
     removed, inserted = move.removed, move.inserted
+    gone, added = _replaced(move, True)
     before = [alternating_sign(f, labels) for f in gone]
 
     if len(inserted) == 1:

@@ -177,8 +177,8 @@ class MoveIndex:
 
     def apply(self, move):
         """Check ``move`` (and its antipodal image, see :func:`apply_z2_move`)
-        and apply it; a rejected move changes nothing.  Returns the lists
-        ``(removed facets, added facets)`` of both halves, ``move``'s first."""
+        and swap the facets that :func:`_replaced` names; a rejected move changes
+        nothing."""
         removed, inserted = move.removed, move.inserted
         key = self._key(removed)
         flipped = key != removed  # check the half that removes the kept face
@@ -189,14 +189,7 @@ class MoveIndex:
         if self.z2 and not set(B).isdisjoint(map(neg, B)):
             raise InterferingAntipodalMove(
                 f"{move} inserts a simplex that meets its antipode")
-        gone = list(self._cofacets[key])
-        added = [tuple(sorted(set(removed).difference((v,)).union(inserted)))
-                 for v in removed]
-        if self.z2:
-            mirrored = list(map(_negated, gone))
-            gone = mirrored + gone if flipped else gone + mirrored
-            added += map(_negated, reversed(added))
-        touched, toggled = self._swap(gone, added)
+        touched, toggled = self._swap(*_replaced(move, self.z2))
         if self._links is not None:
             owners = self._owners
             self._recheck(touched.union(*map(owners.get, owners.keys() & toggled)))
@@ -205,7 +198,6 @@ class MoveIndex:
             self.fresh = min(self.fresh, abs(removed[0]))
         while (self.fresh,) in self._cofacets or (-self.fresh,) in self._cofacets:
             self.fresh += 1
-        return gone, added
 
     def _link_simplex(self, face):
         """The simplex whose boundary is the link of ``face``, ``()`` for a
@@ -286,6 +278,20 @@ class MoveIndex:
                     del bucket[i]
             elif listed:
                 bucket.insert(i, face)
+
+
+def _replaced(move, z2):
+    """``(gone, added)``: the facets of ``removed * boundary(inserted)``, which
+    go, and of ``boundary(removed) * inserted``, which come; each is the union
+    of the two faces less one vertex of ``inserted`` or of ``removed``.  If
+    ``z2``, the same for the antipodal move follows, in the same order."""
+    inserted = move.inserted
+    both = tuple(sorted(move.removed + inserted))  # disjoint if the move applies
+    gone, added = [], []
+    for face, sign in ((both, 1), (_negated(both), -1)) if z2 else ((both, 1),):
+        for i, v in enumerate(face):
+            (gone if sign * v in inserted else added).append(face[:i] + face[i + 1:])
+    return gone, added
 
 
 def enumerate_moves(complex_):

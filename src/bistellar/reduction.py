@@ -6,9 +6,9 @@ temperature.  The schedule is fixed, after Björner and Lutz (BISTELLAR,
 Exp. Math. 9, 2000): the temperature starts at 2.0, cools by 0.995 per
 tried flip, and once below 0.05 is reset to 2.0 while the search restarts:
 inverse moves rewind its one :class:`MoveIndex`, which also keeps the
-f-vector, to the best state seen.  Success means the final complex is
-isomorphic to the declared canonical target and is certified by replaying
-the recorded sequence; failure is reported as inconclusive and never claims
+f-vector, to the best state seen.  Success means the index's final state is
+isomorphic to the declared canonical target (:func:`replay_verify` replays a
+recorded sequence); failure is reported as inconclusive and never claims
 inequivalence, since recognizing spheres is undecidable in high dimension.
 
 A search run is a pure function of (input, budget, seed); parallel
@@ -55,10 +55,10 @@ class ReductionReport:
         return self.outcome == "reduced"
 
 
-def _search(start, budget, seed, keep_flipped=False):
+def _search(start, budget, seed):
     """The reduction loop, symmetric on a :class:`Z2Complex` (towards the cross
-    polytope) and plain otherwise (towards the simplex boundary); returns the report,
-    each kept move's ``(gone, added)`` if ``keep_flipped``, and the final complex."""
+    polytope) and plain otherwise (towards the simplex boundary); returns the
+    report and the final complex."""
     budget = _checked_count(budget, "budget")
     if not is_closed_pseudomanifold(start):
         raise NotClosedPseudomanifold(
@@ -69,7 +69,7 @@ def _search(start, budget, seed, keep_flipped=False):
     target = (cross_polytope if index.z2 else simplex_boundary)(start.dimension + 1)
     target_f = target.f_vector()
 
-    log, flipped, flips, applied, restarts = [], [], 0, 0, 0
+    log, flips, applied, restarts = [], 0, 0, 0
     best = (index.f_vector().counts[::-1], 0)  # (energy, len(log))
     temperature = _START_TEMPERATURE
     while not (reduced := index.f_vector() == target_f
@@ -78,7 +78,6 @@ def _search(start, budget, seed, keep_flipped=False):
             # Rewind to the best state; removed vertices come back under their ids.
             while len(log) > best[1]:
                 index.apply(log.pop().inverse())
-            del flipped[best[1]:]
             if temperature < _RESTART_BELOW:
                 temperature, restarts = _START_TEMPERATURE, restarts + 1
             if flips == budget:
@@ -95,9 +94,7 @@ def _search(start, budget, seed, keep_flipped=False):
             accepted = delta <= 0 or rng.random() < math.exp(
                 -delta * multiplier / temperature)
         if accepted:
-            change = index.apply(move)
-            if keep_flipped:
-                flipped.append(change)
+            index.apply(move)
             log.append(move)
             applied += 1
             energy = index.f_vector().counts[::-1]
@@ -108,7 +105,7 @@ def _search(start, budget, seed, keep_flipped=False):
         "reduced" if reduced else "inconclusive",
         FlipSequence(tuple(log), index.z2, complex_digest(start),
                      complex_digest(index.state)),
-        flips, applied, restarts, best[0][::-1], budget, seed), flipped, index.state
+        flips, applied, restarts, best[0][::-1], budget, seed), index.state
 
 
 def reduce_to_boundary_simplex(complex_, budget=100_000, seed=0):
@@ -177,10 +174,10 @@ def fan_certificate(z2complex, labelling, budget=100_000, seed=0):
     recording the positive alternating facet count mod 2 at every step.
 
     The labels are validated and counted in full on the input and on the
-    final complex.  In between, each move is checked once, by the search's
-    own :class:`MoveIndex`, and the labels are carried along the facets
-    that it replaced: each step checks its new edges and any removed
-    vertex pair, and updates running counts from the star of the move
+    final complex.  In between, the search's own :class:`MoveIndex` checks
+    each move once, and the labels ride on the moves of the sequence, each of
+    which names the facets it replaced: a step checks its new edges and any
+    removed vertex pair, and updates running counts from the star of the move
     only (see :mod:`bistellar.fan`); the final recount must equal them.
 
     Raises :class:`TypeError` unless ``z2complex`` is a :class:`Z2Complex`,
@@ -199,25 +196,24 @@ def fan_certificate(z2complex, labelling, budget=100_000, seed=0):
     """
     labels = _fan_labels(_checked_kind(z2complex, True), labelling)
     start_counts = alternating_counts(z2complex, labelling)
-    report, flipped, final = _search(z2complex, budget, seed, True)
+    report, final = _search(z2complex, budget, seed)
     if not report.reduced:
         raise CertificateUnavailable(
             f"reduction inconclusive within budget {budget}; "
             f"directly counted positives: {start_counts.positive}",
             counts=start_counts, report=report)
-    return _certify(report.sequence, flipped, labels, start_counts, final)
+    return _certify(report.sequence, labels, start_counts, final)
 
 
-def _certify(sequence, flipped, labels, start_counts, final):
+def _certify(sequence, labels, start_counts, final):
     """Carry ``labels`` (vertex -> label, changed in place) along the moves
-    of ``sequence``, which replaced the facets ``(gone, added)`` of ``flipped``
-    on the way to ``final``; check the parity trace, and validate and recount
-    the labels on ``final`` against the running counts."""
+    of ``sequence``, which lead to ``final``; check the parity trace, and
+    validate and recount the labels on ``final`` against the running counts."""
     parity = start_counts.positive % 2
     trace = [parity]
     positive, negative = start_counts.as_tuple()
-    for step, (move, (gone, added)) in enumerate(zip(sequence.moves, flipped)):
-        dp, dn = _transport(labels, move, gone, added)
+    for step, move in enumerate(sequence.moves):
+        dp, dn = _transport(labels, move)
         positive, negative = positive + dp, negative + dn
         trace.append(positive % 2)
         if trace[-1] != parity:

@@ -10,7 +10,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -24,6 +24,7 @@ from bistellar import (
     MoveIndex,
     ReductionReport,
     SimplicialComplex,
+    Z2Complex,
     alternating_counts,
     complex_digest,
     cross_polytope,
@@ -389,7 +390,8 @@ def replay_certificate(z2complex, labelling, budget=100_000, seed=0):
     index = MoveIndex(z2complex)
     positive, negative = start_counts.as_tuple()
     for step, move in enumerate(report.sequence.moves):
-        dp, dn = _transport(labels, move, *index.apply(move))
+        index.apply(move)
+        dp, dn = _transport(labels, move)
         positive, negative = positive + dp, negative + dn
         trace.append(positive % 2)
         if trace[-1] != parity:
@@ -452,6 +454,33 @@ def rescan_fan_labelling(z2complex, bound, seed):
                 labels[abs(w)] = x if w > 0 else -x
                 labels[-abs(w)] = -labels[abs(w)]
     raise GenerationFailed(f"no Fan labelling with bound {bound}")
+
+
+# -- complexes that are not spheres ------------------------------------------
+
+
+def kuhn_torus(dimension=2):
+    """The Kuhn triangulation of the ``dimension``-torus on a 6-grid
+    (``dimension! * 6**dimension`` facets), symmetric under the shift by 3
+    in every coordinate: a free symmetric closed pseudomanifold that is not
+    a sphere.  Each unit cube is cut along its monotone lattice paths; grid
+    point ``x`` with ``x[0] < 3`` is id ``1 +`` its base-6 number, and its
+    shift is the negated id."""
+
+    def vertex(x):
+        sign = 1 if x[0] % 6 < 3 else -1
+        x = [(c if sign > 0 else c - 3) % 6 for c in x]
+        return sign * (1 + sum(c * 6 ** k for k, c in enumerate(reversed(x))))
+
+    facets = []
+    for corner in product(range(6), repeat=dimension):
+        for order in permutations(range(dimension)):
+            x, path = list(corner), [vertex(corner)]
+            for axis in order:
+                x[axis] += 1
+                path.append(vertex(x))
+            facets.append(path)
+    return Z2Complex.from_facets(facets)
 
 
 # -- fixtures -------------------------------------------------------------------

@@ -26,7 +26,7 @@ from bistellar.cli import (
     parse_sequence_document,
     sequence_document,
 )
-from conftest import naive_dumps_canonical
+from conftest import kuhn_torus, naive_dumps_canonical
 
 
 @pytest.fixture
@@ -282,6 +282,16 @@ class TestCommands:
     def test_tucker_on_fan_labelling_exit_2(self, octa_file, capsys):
         # canonical labelling has no complementary edge: loud failure
         assert main(["tucker", octa_file]) == 2
+
+    def test_tucker_on_a_labelled_torus_exit_2(self, tmp_path, capsys):
+        torus = kuhn_torus()
+        path = tmp_path / "torus.json"
+        path.write_text(dumps_canonical(complex_document(
+            torus.complex, z2=True, labelling=random_fan_labelling(torus, 2, 0))))
+        assert main(["tucker", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: no complementary edge found")
+        assert "the complex is not a sphere" in out and "counterexample" not in out
 
     def test_reduce(self, octa_file, tmp_path, capsys):
         walked = tmp_path / "walked.json"

@@ -30,6 +30,7 @@ from bistellar import (
     validate_fan,
 )
 from conftest import (
+    kuhn_torus,
     naive_alpha,
     naive_alternating_sign,
     naive_fan_check,
@@ -201,6 +202,16 @@ class TestTuckerWitness:
     def test_no_witness_is_loud(self, octahedron):
         with pytest.raises(NoWitness):
             tucker_witness(octahedron, canonical_cross_labelling(3))
+
+    def test_no_witness_on_a_torus_names_no_counterexample(self):
+        # antipodal labels into ±1..±2 on a symmetric 2-torus: Tucker's
+        # hypotheses fail only in that the complex is not a sphere
+        torus = kuhn_torus()
+        assert len(torus.facets) == 72
+        labelling = random_fan_labelling(torus, 2, 0)
+        with pytest.raises(NoWitness, match="or the complex is not a sphere$") as info:
+            tucker_witness(torus, labelling)
+        assert "counterexample" not in str(info.value)
 
 
 @st.composite

@@ -5,9 +5,9 @@ move list must equal a fresh enumeration, the naive oracle and, for
 symmetric complexes, the antipodal-pair filter that the index replaced.
 The complex it keeps must equal the naive flip of the one before, with
 the right fresh id, its f-vector must equal a naive count, the facets
-``apply`` reports removed and added must be exactly the difference, and a
-symmetric one must still validate: the index checks moves only against the
-complex it starts from.  It must keep the facets containing every face,
+that ``_replaced`` derives from the move alone must be exactly the
+difference, forward and rewinding, and a symmetric one must still
+validate: the index checks moves only against the complex it starts from.  It must keep the facets containing every face,
 and a link for every face whose link is a simplex boundary; a symmetric
 index keeps both for the smaller face of each antipodal pair only.
 Rewound through inverse moves, the index must equal one built afresh at
@@ -30,6 +30,7 @@ from bistellar import (
     fresh_vertex,
     simplex_boundary,
 )
+from bistellar.moves import _replaced
 from conftest import (
     naive_admissible_moves,
     naive_cofacets,
@@ -109,6 +110,17 @@ def check_index(index, before=None, move=None):
         == {k: sorted(v) for k, v in index._owners.items()}
 
 
+def apply_replacing(index, move):
+    """Apply ``move``, which returns None, and check that ``_replaced``
+    names exactly the facets that left and entered the state."""
+    gone, added = _replaced(move, index.z2)
+    before = set(index.state.facets)
+    assert index.apply(move) is None
+    after = set(index.state.facets)
+    assert sorted(gone) == sorted(before - after)
+    assert sorted(added) == sorted(after - before)
+
+
 def walk_and_check(start, picks):
     index = MoveIndex(start)
     check_index(index)
@@ -116,11 +128,8 @@ def walk_and_check(start, picks):
     for pick in picks:
         move = index[pick % len(index)]
         before = index.state.facets
-        gone, added = index.apply(move)
+        apply_replacing(index, move)
         check_index(index, before, move)
-        after = set(index.state.facets)
-        assert sorted(gone) == sorted(set(before) - after)
-        assert sorted(added) == sorted(after - set(before))
         log.append(move)
         facets.append(index.state.facets)
         if pick % 5 == 0:
@@ -128,7 +137,7 @@ def walk_and_check(start, picks):
             # search does on a restart
             del facets[(pick // 5) % len(facets) + 1:]
             while len(log) >= len(facets):
-                index.apply(log.pop().inverse())
+                apply_replacing(index, log.pop().inverse())
             check_index(index)
             assert index.state.facets == facets[-1]
 
@@ -215,9 +224,9 @@ def test_either_half_of_a_pair_applies_it(base, picks):
             fresh = MoveIndex(index.state)
             if pick % 2:
                 list(fresh)  # so that the flip also rechecks listed faces
-            gone, added = fresh.apply(half)
+            fresh.apply(half)
             results.append((fresh.state, fresh.f_vector(), fresh.fresh, list(fresh),
-                            sorted(gone), sorted(added)))
+                            *map(sorted, _replaced(half, True))))
             fresh.apply(half.inverse())
             assert fresh.state == index.state
             assert list(fresh) == list(index)

@@ -7,6 +7,7 @@ from types import ModuleType
 import pytest
 
 import bistellar
+from bistellar.moves import _replaced
 
 PUBLIC_NAMES = [
     "ActionNotFree",
@@ -106,12 +107,14 @@ def test_exception_hierarchy():
     assert bases == EXCEPTION_BASES
 
 
-def test_move_index_apply_returns_the_replaced_facets():
-    index = bistellar.MoveIndex(bistellar.cross_polytope(3))
-    gone, added = index.apply(bistellar.BistellarMove((1, 2, 3), (4,)))
+def test_move_index_apply_returns_none_and_the_move_names_its_facets():
+    # a move alone names the facets it replaces, its given half first
+    move = bistellar.BistellarMove((1, 2, 3), (4,))
+    gone, added = _replaced(move, True)
     assert gone == [(1, 2, 3), (-3, -2, -1)]
     assert added == [(2, 3, 4), (1, 3, 4), (1, 2, 4),
                      (-4, -2, -1), (-4, -3, -1), (-4, -3, -2)]
+    assert bistellar.MoveIndex(bistellar.cross_polytope(3)).apply(move) is None
 
 
 def test_move_index_checks_the_complex_when_built():

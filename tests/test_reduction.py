@@ -171,7 +171,7 @@ def test_rewinding_search_matches_rebuilding_one(name, budget, seed):
     # The search rewinds its one index through inverse moves where the
     # reference loop snapshots every best state and rebuilds from it.
     start = search_input(name)
-    report, _, _ = reduction._search(start, budget, seed)
+    report, _ = reduction._search(start, budget, seed)
     assert report == rebuild_search(start, budget, seed)
 
 
@@ -182,26 +182,9 @@ def test_hot_restarts_rewind_from_above_the_best(monkeypatch, name, seed):
     # rewound counts matter as much as the rewound complex.
     monkeypatch.setattr(reduction, "_RESTART_BELOW", 1.0)
     start = search_input(name)
-    report, _, _ = reduction._search(start, 400, seed)
+    report, _ = reduction._search(start, 400, seed)
     assert report.restarts == 2
     assert report == rebuild_search(start, 400, seed)
-
-
-def test_public_reductions_keep_no_flipped_facets(monkeypatch):
-    # Only fan_certificate reads the facets that each kept move replaced.
-    search, searches = reduction._search, []
-
-    def recording(*args):
-        searches.append(search(*args))
-        return searches[-1]
-
-    monkeypatch.setattr(reduction, "_search", recording)
-    plain = reduce_to_boundary_simplex(search_input("sd-simplex4"), seed=1)
-    symmetric = z2_reduce_to_cross_polytope(search_input("sd-c4"), seed=1)
-    assert [len(flipped) for _, flipped, _ in searches] == [0, 0]
-    kept, flipped, _ = search(search_input("sd-c4"), 100_000, 1, True)
-    assert kept == symmetric and len(flipped) == len(symmetric.sequence) > 0
-    assert plain.reduced and len(plain.sequence) > 0
 
 
 class TestReplayVerify:
@@ -289,8 +272,8 @@ class TestFanCertificate:
         assert steps > 1
         calls = []
 
-        def corrupting(labels, move, gone, added):
-            delta = _transport(labels, move, gone, added)
+        def corrupting(labels, move):
+            delta = _transport(labels, move)
             calls.append(move)
             if len(calls) != (steps if case == "last" else 1):
                 return delta
@@ -327,7 +310,7 @@ class TestFanCertificate:
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])  # 4, 2, 4 and 2 restarts
     def test_rewinding_search_matches_the_replay(self, monkeypatch, seed):
-        # The labels ride on the flips that the search kept after its
+        # The labels ride on the moves that the search kept after its
         # rewinds; the reference replays the sequence on a second index.
         sd = search_input("sd-c4")
         labelling = random_fan_labelling(sd, 5, seed)
@@ -340,9 +323,8 @@ class TestFanCertificate:
         monkeypatch.setattr(reduction, "_search", recording)
         certificate = fan_certificate(sd, labelling, seed=seed)
         assert certificate == replay_certificate(sd, labelling, seed=seed)
-        (report, flipped, _), (replayed, _, _) = searches
+        (report, _), (replayed, _) = searches
         assert report == replayed and report.restarts >= 2
-        assert len(flipped) == len(report.sequence)
 
     def test_one_move_index_per_certificate(self, octahedron, monkeypatch):
         walked, _ = random_z2_walk(octahedron, 20, seed=7)
