@@ -8,7 +8,7 @@ object twice gives byte-identical files, which keeps certificates and
 golden outputs diffable.
 
 Exit codes: 0 success / verified, 2 validation, input or file failure
-(the violations are listed on stdout), 3 inconclusive reduction.
+(violations are listed on stdout, errors on stderr), 3 inconclusive reduction.
 """
 
 import argparse
@@ -513,7 +513,7 @@ def main(argv=None):
     try:
         return args.fn(args)
     except BistellarError as exc:
-        print(f"error: {exc}")
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -39,7 +39,8 @@ class ActionNotFree(BistellarError):
 
 
 class QuotientRequiresSubdivision(BistellarError):
-    """Quotients are only taken after an equivariant barycentric subdivision."""
+    """The antipodal quotient is not simplicial: some vertex is adjacent to
+    both ``w`` and ``-w`` (an equivariant barycentric subdivision mends it)."""
 
 
 # -- moves -----------------------------------------------------------------

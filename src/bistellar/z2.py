@@ -59,24 +59,22 @@ class Z2Complex(SimplicialComplex):
     """A :class:`SimplicialComplex` with the free involution ``v -> -v``;
     ``complex`` is the plain complex on the same facets, without it.
 
-    ``subdivided`` records whether the instance came out of
-    :meth:`equivariant_sd`; quotients are only legal on such complexes,
-    where the result is guaranteed to be simplicial.
+    The constructor trusts its input and :meth:`from_complex` validates it;
+    :meth:`quotient` checks its edges before it identifies antipodes.
     """
 
-    def __init__(self, complex_, subdivided=False):
+    def __init__(self, complex_):
         super().__init__(complex_.facets)
         vars(self).update(vars(complex_))  # and what it has cached so far
         self.complex = complex_
-        self.subdivided = subdivided
 
     @classmethod
-    def from_complex(cls, complex_, subdivided=False):
+    def from_complex(cls, complex_):
         """Validate equivariance and freeness and wrap the complex: a facet
         whose antipodal image is missing raises :class:`NotEquivariant`, one
         containing both ``v`` and ``-v`` :class:`ActionNotFree`."""
         _checked_symmetric(complex_.facets)
-        return cls(complex_, subdivided=subdivided)
+        return cls(complex_)
 
     @classmethod
     def from_facets(cls, facet_list):
@@ -91,7 +89,7 @@ class Z2Complex(SimplicialComplex):
 
     def __repr__(self):
         fv = self.f_vector().counts
-        return f"Z2Complex(dim={self.dimension}, f={fv}, subdivided={self.subdivided})"
+        return f"Z2Complex(dim={self.dimension}, f={fv})"
 
     @cached_property
     def positive_vertices(self):
@@ -122,26 +120,27 @@ class Z2Complex(SimplicialComplex):
                 name_faces[antipode(f)] = -next_id
                 next_id += 1
         sd, face_map = self.barycentric_subdivide(name_faces=name_faces)
-        return Z2Complex.from_complex(sd, subdivided=True), face_map
+        return Z2Complex.from_complex(sd), face_map
 
     def quotient(self):
-        """Identify antipodal vertex pairs; defined only after equivariant_sd.
-
-        Each vertex maps to the positive representative of its pair.
-        Returns ``(quotient complex, projection)`` with the projection
-        given as a vertex map; the image of a face is its elementwise
-        projection.
-        """
-        if not self.subdivided:
-            raise QuotientRequiresSubdivision(
-                "quotient is only simplicial after an equivariant barycentric "
-                "subdivision; call equivariant_sd first")
+        """Identify each antipodal vertex pair with its positive id; returns
+        ``(quotient complex, projection)``, the projection a vertex map.  The
+        facets are checked as by :meth:`from_complex`, and a vertex adjacent to
+        both ``w`` and ``-w`` raises :class:`QuotientRequiresSubdivision`
+        (:meth:`equivariant_sd` leaves none)."""
+        _checked_symmetric(self.facets)
+        edges = self.faces(1)
+        present = set(edges)
+        for a, b in edges:
+            # Faces with one image but not antipodal hold edges {u, w} and {u, -w};
+            # by symmetry, seeking (a, -b) beside each edge (a, b) finds them.
+            if tuple(sorted((a, -b))) in present:
+                raise QuotientRequiresSubdivision(
+                    f"vertex {a} is adjacent to both ±{abs(b)}; "
+                    "call equivariant_sd first")
         projection = {v: abs(v) for v in self.vertices}
         image = {tuple(sorted(projection[v] for v in f)) for f in self.facets}
-        quotient = SimplicialComplex(_canonical_facets(image))
-        if 2 * len(quotient.facets) != len(self.facets):
-            raise ActionNotFree("facet orbits collapsed; the action was not free")
-        return quotient, projection
+        return SimplicialComplex(_canonical_facets(image)), projection
 
 
 def find_z2_isomorphism(left, right):

@@ -198,6 +198,14 @@ def naive_z2_error(facets):
     return None
 
 
+def naive_quotient_is_simplicial(facets):
+    """Whether identifying ``v`` with ``-v`` keeps every face of a free
+    symmetric complex apart from all but its antipode: the images of the
+    faces under ``abs`` number half the faces."""
+    faces = naive_faces(facets)
+    return 2 * len({tuple(sorted(map(abs, f))) for f in faces}) == len(faces)
+
+
 def naive_alternating_sign(labels):
     """+1/-1/0 for a tuple of labels, by sorting and scanning."""
     values = sorted(labels, key=abs)

@@ -211,7 +211,7 @@ class TestCommands:
     def test_flip_inadmissible_exit_2(self, octa_file, capsys):
         assert main(["flip", octa_file, "--removed", "1,2",
                      "--inserted", "3,-3"]) == 2
-        assert "error" in capsys.readouterr().out
+        assert "error" in capsys.readouterr().err
 
     def test_walk_byte_identical(self, octa_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -289,9 +289,9 @@ class TestCommands:
         path.write_text(dumps_canonical(complex_document(
             torus.complex, z2=True, labelling=random_fan_labelling(torus, 2, 0))))
         assert main(["tucker", str(path)]) == 2
-        out = capsys.readouterr().out
-        assert out.startswith("error: no complementary edge found")
-        assert "the complex is not a sphere" in out and "counterexample" not in out
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: no complementary edge found")
+        assert "the complex is not a sphere" in err and "counterexample" not in err
 
     def test_reduce(self, octa_file, tmp_path, capsys):
         walked = tmp_path / "walked.json"
@@ -343,7 +343,7 @@ class TestCommands:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["info", str(path)]) == 2
-        assert "parse error" in capsys.readouterr().out
+        assert "parse error" in capsys.readouterr().err
 
     def test_missing_z2_flag_rejected(self, tmp_path, capsys):
         doc = complex_document(cross_polytope(3).complex)  # no z2 marker
@@ -368,7 +368,7 @@ class TestMalformedInput:
         path = self._write(tmp_path, {"facets": [[1, 2, 3], [-3, -2, -1],
                                                  [3, 4], [-4, -3]], "z2": True})
         assert main([argv[0], path] + argv[1:]) == 2
-        assert "moves need a pure complex" in capsys.readouterr().out
+        assert "moves need a pure complex" in capsys.readouterr().err
 
     @pytest.mark.parametrize("facets, needle", [
         ("abc", '"abc" is not a list of integers'),
@@ -379,7 +379,7 @@ class TestMalformedInput:
     def test_malformed_facets_rejected(self, tmp_path, capsys, facets, needle):
         path = self._write(tmp_path, {"facets": facets})
         assert main(["info", path]) == 2
-        out = capsys.readouterr().out
+        out = capsys.readouterr().err
         assert out.startswith("error: facets")
         assert needle in out
 
@@ -405,7 +405,7 @@ class TestMalformedInput:
         path = tmp_path / "doc.json"
         path.write_text(text)
         assert main(["info", str(path)]) == 2
-        assert capsys.readouterr().out.startswith(f"error: {path}: unreadable JSON: ")
+        assert capsys.readouterr().err.startswith(f"error: {path}: unreadable JSON: ")
 
     @pytest.mark.parametrize("text, key", [
         ('{"facets": [[1, 2]], "facets": [[1, 2, 3]]}', "facets"),
@@ -417,7 +417,7 @@ class TestMalformedInput:
         path = tmp_path / "doc.json"
         path.write_text(text)
         assert main(["info", str(path)]) == 2
-        assert capsys.readouterr().out == f'error: key "{key}" occurs more than once\n'
+        assert capsys.readouterr().err == f'error: key "{key}" occurs more than once\n'
 
     def test_repeated_key_in_a_sequence_record_rejected(self):
         text = ('{"kind": "flip-sequence", "z2": false, "source": "", "target": "",'
@@ -434,14 +434,14 @@ class TestMalformedInput:
                          for v, x in doc["labels"]]
         path = self._write(tmp_path, doc)
         assert main(["fan-check", path]) == 2
-        out = capsys.readouterr().out
+        out = capsys.readouterr().err
         assert out.startswith("error: labels")
         assert "zero" not in out
 
     def test_non_integer_face_argument_rejected(self, octa_file, capsys):
         assert main(["flip", octa_file, "--removed", "1,2.5",
                      "--inserted", "7"]) == 2
-        assert "not a list of integers" in capsys.readouterr().out
+        assert "not a list of integers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["info"],
@@ -460,7 +460,7 @@ class TestMalformedInput:
         # ended in tracebacks
         path = self._write(tmp_path, {"facets": [[]], "z2": True, "labels": []})
         assert main([argv[0], path] + argv[1:]) == 2
-        assert capsys.readouterr().out.startswith(
+        assert capsys.readouterr().err.startswith(
             "error: cannot build a complex without vertices")
 
     @pytest.mark.parametrize("z2", [1, 0, "false", "true", None, [True]],
@@ -471,7 +471,7 @@ class TestMalformedInput:
         doc["z2"] = z2
         path = self._write(tmp_path, doc)
         assert main(["info", path]) == 2
-        assert capsys.readouterr().out.startswith("error: z2:")
+        assert capsys.readouterr().err.startswith("error: z2:")
 
     @pytest.mark.parametrize("argv, needle", [
         (["walk", "--steps", "-2", "--seed", "1"], "steps must be an integer >= 0"),
@@ -492,7 +492,7 @@ class TestMalformedInput:
         # of 0 fell back to dimension + 2, and an empty stellar face wrote
         # {"facets": []} or ran the barycentric subdivision
         assert main([argv[0], octa_file] + argv[1:]) == 2
-        out = capsys.readouterr().out
+        out = capsys.readouterr().err
         assert out.startswith("error: ") and needle in out
 
     @pytest.mark.parametrize("version", [7, 0, 1.0, "1", True, None],
@@ -504,7 +504,7 @@ class TestMalformedInput:
                                labelling=canonical_cross_labelling(3))
         doc["format"] = version
         assert main([command, self._write(tmp_path, doc)]) == 2
-        assert capsys.readouterr().out == \
+        assert capsys.readouterr().err == \
             f"error: format: {json.dumps(version)} is not 1\n"
 
     def test_missing_format_accepted(self, tmp_path, capsys):
@@ -521,7 +521,7 @@ class TestMalformedInput:
         doc = {"facets": [[1, 2], [2, -1], [-1, -2], [-2, 1]], "z2": True,
                "labels": [[1, 1], [-1, -1], [2, 2], [-2, -2], extra]}
         assert main([command, self._write(tmp_path, doc)]) == 2
-        assert capsys.readouterr().out == \
+        assert capsys.readouterr().err == \
             f"error: labels: vertex {extra[0]} is not in the complex\n"
 
     def test_labels_outside_the_complex_name_the_smallest(self):
@@ -537,7 +537,7 @@ class TestMalformedInput:
         doc["labels"].append([1, 5])
         path = self._write(tmp_path, doc)
         assert main(["fan-check", path]) == 2
-        out = capsys.readouterr().out
+        out = capsys.readouterr().err
         assert out == "error: labels: vertex 1 is labelled twice\n"
 
 
@@ -554,7 +554,7 @@ class TestFileErrors:
         path = tmp_path / "in.json"
         make(path)
         assert main(["info", str(path)]) == 2
-        assert capsys.readouterr().out.startswith(f"error: {path}: ")
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     @pytest.mark.parametrize("argv", [
         ["flip", "--removed", "1,2,3", "--inserted", "7", "-o"],
@@ -565,7 +565,7 @@ class TestFileErrors:
     def test_unwritable_output_exits_2(self, octa_file, tmp_path, capsys, argv):
         out = tmp_path / "no-such-dir" / "out.json"
         assert main([argv[0], octa_file, *argv[1:], str(out)]) == 2
-        assert f"error: {out}: " in capsys.readouterr().out
+        assert f"error: {out}: " in capsys.readouterr().err
         assert not out.parent.exists()
 
 

@@ -13,16 +13,19 @@ from bistellar import (
     MoveIndex,
     NotClosedPseudomanifold,
     SimplicialComplex,
+    Z2Complex,
     alternating_counts,
     apply_z2_move,
     canonical_cross_labelling,
     cross_polytope,
     enumerate_z2_moves,
     fan_certificate,
+    find_isomorphism,
     is_closed_pseudomanifold,
     random_fan_labelling,
     random_z2_walk,
     reduce_to_boundary_simplex,
+    replay,
     replay_verify,
     simplex_boundary,
     validate_fan,
@@ -31,6 +34,22 @@ from bistellar import (
 from bistellar import reduction
 from bistellar.fan import _transport
 from conftest import rebuild_search, replay_certificate
+
+
+def target_of(start):
+    """The cross polytope or simplex boundary of ``start``'s kind and dimension."""
+    k = start.dimension + 1
+    return cross_polytope(k) if isinstance(start, Z2Complex) else simplex_boundary(k)
+
+
+def on_target(final, start):
+    """The search's exit rule by its definition: where the search counts
+    vertices, ``final`` must be isomorphic to the target built here."""
+    return find_isomorphism(final, target_of(start)) is not None
+
+
+def reaches_target(start, sequence):
+    return on_target(replay(start, sequence), start)
 
 
 class TestPseudomanifoldCheck:
@@ -75,18 +94,19 @@ class TestPlainReduction:
     def test_identity_on_target(self, tetra_boundary):
         report = reduce_to_boundary_simplex(tetra_boundary, seed=1)
         assert report.reduced and len(report.sequence) == 0
+        assert reaches_target(tetra_boundary, report.sequence)
 
     def test_subdivided_tetra_boundary(self, tetra_boundary):
         sd, _ = tetra_boundary.barycentric_subdivide()
         report = reduce_to_boundary_simplex(sd, budget=10_000, seed=1)
-        assert report.reduced
+        assert report.reduced and reaches_target(sd, report.sequence)
         assert report.best_f_vector == (4, 6, 4)
         assert replay_verify(sd, report.sequence, simplex_boundary(3))
 
     def test_octahedron_reduces_breaking_symmetry(self, octahedron):
         report = reduce_to_boundary_simplex(octahedron.complex,
                                             budget=10_000, seed=1)
-        assert report.reduced
+        assert report.reduced and reaches_target(octahedron.complex, report.sequence)
         assert replay_verify(octahedron.complex, report.sequence,
                              simplex_boundary(3))
 
@@ -95,6 +115,7 @@ class TestPlainReduction:
         first = reduce_to_boundary_simplex(sd, budget=10_000, seed=3)
         second = reduce_to_boundary_simplex(sd, budget=10_000, seed=3)
         assert first == second
+        assert first.reduced and reaches_target(sd, first.sequence)
 
     def test_inconclusive_on_tiny_budget(self, tetra_boundary):
         sd, _ = tetra_boundary.barycentric_subdivide()
@@ -120,24 +141,25 @@ class TestSymmetricReduction:
     def test_identity_on_cross_polytope(self, octahedron):
         report = z2_reduce_to_cross_polytope(octahedron, seed=1)
         assert report.reduced and len(report.sequence) == 0
+        assert reaches_target(octahedron, report.sequence)
 
     def test_walked_octahedron_comes_back(self, octahedron):
         walked, _ = random_z2_walk(octahedron, 10, seed=1)
         report = z2_reduce_to_cross_polytope(walked, budget=100_000, seed=1)
-        assert report.reduced
+        assert report.reduced and reaches_target(walked, report.sequence)
         assert report.best_f_vector == (6, 12, 8)
         assert replay_verify(walked, report.sequence, octahedron)
 
     def test_subdivided_octahedron(self, octahedron):
         sd, _ = octahedron.equivariant_sd()
         report = z2_reduce_to_cross_polytope(sd, budget=100_000, seed=1)
-        assert report.reduced
+        assert report.reduced and reaches_target(sd, report.sequence)
         assert replay_verify(sd, report.sequence, octahedron)
 
     def test_dimension_three(self):
         walked, _ = random_z2_walk(cross_polytope(4), 8, seed=2)
         report = z2_reduce_to_cross_polytope(walked, budget=100_000, seed=2)
-        assert report.reduced
+        assert report.reduced and reaches_target(walked, report.sequence)
         assert replay_verify(walked, report.sequence, cross_polytope(4))
 
     def test_restarts_rewind_to_best(self):
@@ -147,7 +169,7 @@ class TestSymmetricReduction:
         sd, _ = cross_polytope(4).equivariant_sd()
         report = z2_reduce_to_cross_polytope(sd, seed=2)
         assert report.restarts > 0
-        assert report.reduced
+        assert report.reduced and reaches_target(sd, report.sequence)
         assert report.best_f_vector == (8, 24, 32, 16)
         assert report == z2_reduce_to_cross_polytope(sd, seed=2)
 
@@ -171,8 +193,10 @@ def test_rewinding_search_matches_rebuilding_one(name, budget, seed):
     # The search rewinds its one index through inverse moves where the
     # reference loop snapshots every best state and rebuilds from it.
     start = search_input(name)
-    report, _ = reduction._search(start, budget, seed)
+    report, final = reduction._search(start, budget, seed)
     assert report == rebuild_search(start, budget, seed)
+    assert report.reduced == (budget == 100_000)
+    assert not report.reduced or on_target(final, start)
 
 
 @pytest.mark.parametrize("name, seed", [("sd-c4", 1), ("sd-simplex4", 2)])
@@ -182,8 +206,9 @@ def test_hot_restarts_rewind_from_above_the_best(monkeypatch, name, seed):
     # rewound counts matter as much as the rewound complex.
     monkeypatch.setattr(reduction, "_RESTART_BELOW", 1.0)
     start = search_input(name)
-    report, _ = reduction._search(start, 400, seed)
+    report, final = reduction._search(start, 400, seed)
     assert report.restarts == 2
+    assert not report.reduced or on_target(final, start)
     assert report == rebuild_search(start, 400, seed)
 
 
@@ -245,11 +270,13 @@ class TestFanCertificate:
                                       seed=1)
         assert certificate.initial_counts == (1, 1)
         assert certificate.parity_trace == (1,)
+        assert reaches_target(octahedron, certificate.sequence)
 
     def test_walked_sphere_random_labelling(self, octahedron):
         walked, _ = random_z2_walk(octahedron, 20, seed=7)
         labelling = random_fan_labelling(walked, 4, seed=3)
         certificate = fan_certificate(walked, labelling, seed=1)
+        assert reaches_target(walked, certificate.sequence)
         counts = alternating_counts(walked, labelling)
         assert certificate.initial_counts == counts.as_tuple()
         assert counts.positive % 2 == 1
@@ -263,6 +290,7 @@ class TestFanCertificate:
         certificate = fan_certificate(signed, canonical_cross_labelling(4),
                                       seed=1)
         assert certificate.initial_counts == (1, 1)
+        assert reaches_target(signed, certificate.sequence)
 
     @pytest.mark.parametrize("case", ["first", "last", "drift"])
     def test_corrupted_transport_raises(self, octahedron, monkeypatch, case):
@@ -323,8 +351,9 @@ class TestFanCertificate:
         monkeypatch.setattr(reduction, "_search", recording)
         certificate = fan_certificate(sd, labelling, seed=seed)
         assert certificate == replay_certificate(sd, labelling, seed=seed)
-        (report, _), (replayed, _) = searches
+        (report, final), (replayed, _) = searches
         assert report == replayed and report.restarts >= 2
+        assert report.reduced and on_target(final, sd)
 
     def test_one_move_index_per_certificate(self, octahedron, monkeypatch):
         walked, _ = random_z2_walk(octahedron, 20, seed=7)
@@ -355,4 +384,4 @@ class TestMovedLinksStaySpherical:
                     continue
                 link = state.complex.link((v,))
                 report = reduce_to_boundary_simplex(link, budget=5_000, seed=1)
-                assert report.reduced
+                assert report.reduced and reaches_target(link, report.sequence)

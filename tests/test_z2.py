@@ -1,7 +1,9 @@
 """Centrally symmetric structure: validation, subdivision, quotients."""
 
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bistellar import (
@@ -20,8 +22,15 @@ from bistellar import (
     is_isomorphic,
     random_z2_walk,
     reduce_to_boundary_simplex,
+    simplex_boundary,
 )
-from conftest import naive_f_vector, naive_z2_error
+from bistellar.cli import complex_document, dumps_canonical, parse_complex_document
+from conftest import (
+    kuhn_torus,
+    naive_f_vector,
+    naive_quotient_is_simplicial,
+    naive_z2_error,
+)
 
 
 class TestAntipode:
@@ -107,15 +116,73 @@ class TestEquivariantSubdivision:
         signed, _ = octahedron.equivariant_sd()
         assert is_isomorphic(plain, signed.complex)
 
-    def test_marks_subdivided(self, octahedron):
-        sd, _ = octahedron.equivariant_sd()
-        assert sd.subdivided and not octahedron.subdivided
-
 
 class TestQuotient:
     def test_requires_subdivision(self, octahedron):
-        with pytest.raises(QuotientRequiresSubdivision):
+        with pytest.raises(QuotientRequiresSubdivision,
+                           match=r"^vertex -3 is adjacent to both ±2; "):
             octahedron.quotient()
+
+    def test_read_back_subdivision_quotients(self, octahedron):
+        # a file keeps the structure but not where it came from, so a
+        # provenance flag would refuse this complex
+        sd, _ = octahedron.equivariant_sd()
+        text = dumps_canonical(complex_document(sd.complex, z2=True))
+        _, signed, _ = parse_complex_document(text)
+        assert signed == sd
+        quotient, _ = signed.quotient()
+        assert quotient.f_vector().counts == (13, 36, 24)
+
+    @pytest.mark.parametrize("dimension, halved", [
+        (2, (18, 54, 36)), (3, (108, 756, 1296, 648))])
+    def test_kuhn_tori_quotient_to_tori(self, dimension, halved):
+        # the shift by 3 moves every vertex 3 grid steps away, so no vertex
+        # is adjacent to both ±w and the tori quotient without subdivision
+        torus = kuhn_torus(dimension)
+        quotient, _ = torus.quotient()
+        assert quotient.f_vector().counts == halved
+        assert halved == tuple(c // 2 for c in torus.f_vector().counts)
+        assert quotient.euler_characteristic() == 0
+
+    @pytest.mark.parametrize("state, error, message", [
+        (Z2Complex(simplex_boundary(3)), NotEquivariant,
+         r"facet \(1, 2, 3\) has no antipodal facet"),
+        (Z2Complex(SimplicialComplex.from_facets([[-1, 1, 2], [-2, -1, 1]])),
+         ActionNotFree, r"facet \(-2, -1, 1\) contains the antipodal pair ±1"),
+    ], ids=["not-equivariant", "not-free"])
+    def test_checks_a_raw_complex(self, state, error, message):
+        # a raw Z2Complex(cx) is not validated when built
+        with pytest.raises(error, match=message):
+            state.quotient()
+
+    def test_a_walk_of_the_subdivision_is_refused(self, octahedron):
+        sd, _ = octahedron.equivariant_sd()
+        walked, _ = random_z2_walk(sd, 40, seed=1)
+        with pytest.raises(QuotientRequiresSubdivision, match=r"^vertex -?\d+ is adj"):
+            walked.quotient()
+
+    @settings(max_examples=60, deadline=None)
+    @given(source=st.sampled_from(["C3", "C4", "sd-C3"]), steps=st.integers(0, 30),
+           seed=st.integers(0, 99))
+    def test_matches_the_image_count(self, source, steps, seed):
+        # the edge check accepts exactly the complexes whose faces, antipodal
+        # pairs aside, keep apart in the quotient; a refusal names a vertex
+        # with both ±w among its neighbours
+        start = cross_polytope(4) if source == "C4" else cross_polytope(3)
+        if source == "sd-C3":
+            start, _ = start.equivariant_sd()
+        walked, _ = random_z2_walk(start, steps, seed)
+        try:
+            quotient, _ = walked.quotient()
+        except QuotientRequiresSubdivision as exc:
+            assert not naive_quotient_is_simplicial(walked.facets)
+            u, w = map(int, re.match(r"vertex (-?\d+) is adjacent to both ±(\d+)",
+                                     str(exc)).groups())
+            assert {tuple(sorted((u, w))), tuple(sorted((u, -w)))} <= set(walked.faces(1))
+        else:
+            assert naive_quotient_is_simplicial(walked.facets)
+            halved = tuple(c // 2 for c in walked.f_vector().counts)
+            assert naive_f_vector(quotient.facets) == halved
 
     def test_octahedron_gives_projective_plane(self, octahedron):
         sd, _ = octahedron.equivariant_sd()
