@@ -33,7 +33,7 @@ from .reduction import (
     replay_verify,
     z2_reduce_to_cross_polytope,
 )
-from .z2 import Z2Complex, _checked_symmetric
+from .z2 import Z2Complex
 
 FORMAT_VERSION = 1
 
@@ -164,16 +164,14 @@ def parse_complex_document(text):
     z2 = doc.get("z2", False)
     if type(z2) is not bool:
         raise BistellarError(f"z2: {json.dumps(z2)} is not true or false")
-    if z2:
-        _checked_symmetric(complex_.facets)
+    signed = Z2Complex(complex_) if z2 else None  # checked before the labels
     labelling = None
     if "labels" in doc:
         labelling = _integer_rows(doc["labels"], "labels", _labelling, 2)
-        stray = set(labelling.labels).difference(complex_.vertices)
+        stray = set(labelling.labels).difference((signed or complex_).vertices)
         if stray:
             raise BistellarError(f"labels: vertex {min(stray)} is not in the complex")
-    # wrapped last, so that it shares the vertices the label check cached
-    return complex_, Z2Complex(complex_) if z2 else None, labelling
+    return complex_, signed, labelling
 
 
 def _move_record(move, z2):
@@ -296,13 +294,13 @@ def cmd_info(args):
         print(f"z2: valid free involution on "
               f"{len(signed.positive_vertices)} vertex pairs")
     if labelling is not None:
-        violations = validate_fan(complex_, labelling)
+        violations = validate_fan(signed or complex_, labelling)
         if violations:
             print(f"labels: {len(violations)} violations")
             for kind, where in violations:
                 print(f"  {kind}: {where}")
             return 2
-        counts = alternating_counts(complex_, labelling)
+        counts = alternating_counts(signed or complex_, labelling)
         print(f"labels: valid Fan labelling, alternating facets "
               f"+{counts.positive} / -{counts.negative}")
     return 0
@@ -363,23 +361,23 @@ def cmd_quotient(args):
 
 
 def cmd_fan_check(args):
-    complex_, _, labelling = _load(args.file)
+    complex_, signed, labelling = _load(args.file)
     labelling = _need_labels(labelling, args.file)
-    violations = validate_fan(complex_, labelling)
+    violations = validate_fan(signed or complex_, labelling)
     if violations:
         for kind, where in violations:
             print(f"violation {kind}: {where}")
         return 2
-    counts = alternating_counts(complex_, labelling)
+    counts = alternating_counts(signed or complex_, labelling)
     print("valid Fan labelling")
     print(f"alternating facets: +{counts.positive} / -{counts.negative}")
     return 0
 
 
 def cmd_tucker(args):
-    complex_, _, labelling = _load(args.file)
+    complex_, signed, labelling = _load(args.file)
     labelling = _need_labels(labelling, args.file)
-    edge = tucker_witness(complex_, labelling)
+    edge = tucker_witness(signed or complex_, labelling)
     print(f"complementary edge: {list(edge)} "
           f"(labels {labelling[edge[0]]} and {labelling[edge[1]]})")
     return 0

@@ -284,32 +284,35 @@ class SimplicialComplex:
                 out.append(tuple(sorted(kept + rest + (new_vertex,))))
         return SimplicialComplex(_canonical_facets(out))
 
-    def barycentric_subdivide(self, name_faces=None):
+    def _orbit(self, face):
+        """The faces named with ``face`` in a subdivision: ``face`` alone here."""
+        return (face,)
+
+    def barycentric_subdivide(self):
         """Barycentric subdivision plus the map new-vertex -> original face.
 
         Vertices of the subdivision correspond to the nonempty faces of
         the complex.  Zero-dimensional faces keep their original ids;
-        every higher face receives a fresh positive id, allocated in
-        order of decreasing dimension (lexicographic within a
-        dimension) starting just above the largest absolute id in use.
-        ``name_faces`` can override the allocation and is used by the
-        equivariant version to hand out antipodal id pairs.
+        every higher face not yet named gets a fresh positive id, and the
+        other faces of its :meth:`_orbit` the same id negated, allocated in
+        order of decreasing dimension (lexicographic within a dimension)
+        starting just above the largest absolute id in use.
 
-        Returns ``(subdivision, face_map)``.
+        Returns ``(subdivision, face_map)``, the subdivision a plain complex.
         """
-        if name_faces is None:
-            name_faces = {}
-            next_id = max(map(abs, self.vertices), default=0) + 1
-            for d in range(self.dimension, 0, -1):
-                for f in self.faces(d):
-                    name_faces[f] = next_id
+        names = {}
+        next_id = max(map(abs, self.vertices), default=0) + 1
+        for d in range(self.dimension, 0, -1):
+            for f in self.faces(d):
+                if f not in names:
+                    names.update(zip(self._orbit(f), (next_id, -next_id)))
                     next_id += 1
         face_map = {v: (v,) for v in self.vertices}
-        for f, v in name_faces.items():
+        for f, v in names.items():
             face_map[v] = f
 
         def name(f):
-            return f[0] if len(f) == 1 else name_faces[f]
+            return f[0] if len(f) == 1 else names[f]
 
         out = []
         for facet in self.facets:

@@ -33,7 +33,7 @@ from .errors import (
     InterferingAntipodalMove,
     MoveNotAdmissible,
 )
-from .z2 import Z2Complex, _checked_kind, _checked_symmetric, _negated
+from .z2 import Z2Complex, _checked_kind, _negated
 
 
 @dataclass(frozen=True)
@@ -122,15 +122,14 @@ class MoveIndex:
     for the smaller face of each antipodal pair only, the face ``(a, ...,
     b)`` with ``a + b < 0`` (``a + b == 0`` would put ``a`` and ``-a`` in
     one face), and looks any face up as that one (:meth:`_key`).  It is
-    built only on a pure complex, equivariant and free if symmetric.
+    built only on a pure complex; a :class:`Z2Complex` was checked when it
+    was built, and so is the symmetric ``state``.
     """
 
     def __init__(self, state):
         self.z2 = isinstance(state, Z2Complex)
         if not state.is_pure():
             raise BistellarError("a MoveIndex needs a pure complex")
-        if self.z2:
-            _checked_symmetric(state.facets)
         self.state, self._dimension = state, state.dimension
         self.fresh = fresh_vertex(state)
         self._facets, self._cofacets, self._links = set(), {}, None
@@ -323,8 +322,8 @@ def apply_z2_move(z2complex, move):
     stars of ``removed`` and its antipode share no facet and every new face
     contains ``inserted``, so the pair applies, equivariant and free, unless
     ``inserted`` meets its antipode (``{v, -v}``), which raises
-    :class:`InterferingAntipodalMove`.  A complex that is not symmetric
-    raises :class:`NotEquivariant` or :class:`ActionNotFree` before that."""
+    :class:`InterferingAntipodalMove`.  The result is checked when it is
+    built, as every :class:`Z2Complex` is."""
     index = MoveIndex(_checked_kind(z2complex, True))
     index.apply(move)
     return index.state, move.inverse()

@@ -163,10 +163,6 @@ class FanCertificate:
     final_labelling: "FanLabelling"
     final_counts: tuple
 
-    @property
-    def alpha_positive(self):
-        return self.initial_counts[0]
-
 
 def fan_certificate(z2complex, labelling, budget=100_000, seed=0):
     """Reduce to the cross polytope while transporting the labelling,

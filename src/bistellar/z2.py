@@ -59,27 +59,27 @@ class Z2Complex(SimplicialComplex):
     """A :class:`SimplicialComplex` with the free involution ``v -> -v``;
     ``complex`` is the plain complex on the same facets, without it.
 
-    The constructor trusts its input and :meth:`from_complex` validates it;
-    :meth:`quotient` checks its edges before it identifies antipodes.
+    The constructor checks equivariance and freeness, so every instance
+    has both: a facet whose antipodal image is missing raises
+    :class:`NotEquivariant`, one containing both ``v`` and ``-v``
+    :class:`ActionNotFree`.
     """
 
     def __init__(self, complex_):
+        _checked_symmetric(complex_.facets)
         super().__init__(complex_.facets)
         vars(self).update(vars(complex_))  # and what it has cached so far
         self.complex = complex_
 
     @classmethod
     def from_complex(cls, complex_):
-        """Validate equivariance and freeness and wrap the complex: a facet
-        whose antipodal image is missing raises :class:`NotEquivariant`, one
-        containing both ``v`` and ``-v`` :class:`ActionNotFree`."""
-        _checked_symmetric(complex_.facets)
+        """The same as the constructor."""
         return cls(complex_)
 
     @classmethod
     def from_facets(cls, facet_list):
-        """:meth:`SimplicialComplex.from_facets`, then :meth:`from_complex`."""
-        return cls.from_complex(SimplicialComplex.from_facets(facet_list))
+        """:meth:`SimplicialComplex.from_facets`, then the constructor."""
+        return cls(SimplicialComplex.from_facets(facet_list))
 
     def __eq__(self, other):
         return isinstance(other, Z2Complex) and self.facets == other.facets
@@ -98,37 +98,31 @@ class Z2Complex(SimplicialComplex):
 
     # -- subdivision and quotient ---------------------------------------------
 
+    def _orbit(self, face):
+        """``face`` and its antipode, which a subdivision names ``±id``."""
+        return face, antipode(face)
+
     def equivariant_sd(self):
         """Barycentric subdivision with barycenters allocated in antipodal pairs.
 
-        Faces are named in order of non-increasing dimension with
-        antipodal faces handled consecutively (lexicographic order
-        within a dimension), which matches performing the underlying
-        stellar subdivisions in that order.  The lexicographically
-        smaller face of each pair receives the positive id.
+        :meth:`barycentric_subdivide` names faces in order of non-increasing
+        dimension, lexicographic within a dimension, and each face with its
+        antipode, which matches performing the underlying stellar
+        subdivisions in that order.  The lexicographically smaller face of
+        each pair receives the positive id.
 
         Returns ``(subdivided Z2Complex, face_map)`` where the face map
         sends each vertex of the subdivision to the face it subdivides.
         """
-        name_faces = {}
-        next_id = max(abs(v) for v in self.vertices) + 1
-        for d in range(self.dimension, 0, -1):
-            for f in self.faces(d):
-                if f in name_faces:
-                    continue
-                name_faces[f] = next_id
-                name_faces[antipode(f)] = -next_id
-                next_id += 1
-        sd, face_map = self.barycentric_subdivide(name_faces=name_faces)
-        return Z2Complex.from_complex(sd), face_map
+        sd, face_map = self.barycentric_subdivide()
+        return Z2Complex(sd), face_map
 
     def quotient(self):
         """Identify each antipodal vertex pair with its positive id; returns
-        ``(quotient complex, projection)``, the projection a vertex map.  The
-        facets are checked as by :meth:`from_complex`, and a vertex adjacent to
-        both ``w`` and ``-w`` raises :class:`QuotientRequiresSubdivision`
-        (:meth:`equivariant_sd` leaves none)."""
-        _checked_symmetric(self.facets)
+        ``(quotient complex, projection)``, the projection a vertex map.  A
+        vertex adjacent to both ``w`` and ``-w`` raises
+        :class:`QuotientRequiresSubdivision` (:meth:`equivariant_sd` leaves
+        none); the facets were checked when the complex was built."""
         edges = self.faces(1)
         present = set(edges)
         for a, b in edges:

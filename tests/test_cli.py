@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bistellar import (
     BistellarError,
     BistellarMove,
+    NotEquivariant,
     apply_z2_move,
     canonical_cross_labelling,
     cross_polytope,
@@ -529,6 +530,18 @@ class TestMalformedInput:
                "labels": [[9, 1], [1, 1], [-7, 2]]}
         with pytest.raises(BistellarError, match="^labels: vertex -7 is not in"):
             parse_complex_document(json.dumps(doc))
+
+    @pytest.mark.parametrize("command", ["info", "fan-check"])
+    def test_symmetry_is_reported_before_a_stray_label(self, tmp_path, capsys,
+                                                       command):
+        # the complex is wrapped, and so checked, before its labels are read
+        doc = {"facets": [[1, 2], [2, 3], [1, 3]], "z2": True,
+               "labels": [[1, 1], [2, 2], [3, 3], [9, 4]]}
+        with pytest.raises(NotEquivariant, match=r"^facet \(1, 2\) has no antipodal"):
+            parse_complex_document(json.dumps(doc))
+        assert main([command, self._write(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == \
+            "error: facet (1, 2) has no antipodal facet\n"
 
     def test_repeated_label_rejected(self, tmp_path, capsys):
         # the last entry used to win, reported as an antipodality violation

@@ -118,23 +118,27 @@ def test_move_index_apply_returns_none_and_the_move_names_its_facets():
 
 
 def test_move_index_checks_the_complex_when_built():
-    # A symmetric index keeps one face of each antipodal pair, so it checks
-    # once what a raw Z2Complex(cx) does not: purity (of either kind),
-    # closure under negation and freeness.  Each used to pass unchecked.
+    # An index checks purity (of either kind), which a complex need not have.
     from_facets = bistellar.SimplicialComplex.from_facets
     dangling = from_facets([[1, 2, 3], [-3, -2, -1], [3, 4], [-4, -3]])
+    for state in (dangling, bistellar.Z2Complex.from_complex(dangling)):
+        with pytest.raises(bistellar.BistellarError, match="needs a pure complex"):
+            bistellar.MoveIndex(state)
+
+
+def test_z2_complex_checks_the_complex_when_built():
+    # Closure under negation and freeness are checked by the constructor
+    # itself, so no raw Z2Complex(cx) passes unchecked into an index.
+    from_facets = bistellar.SimplicialComplex.from_facets
     cases = [
-        (dangling, bistellar.BistellarError, "needs a pure complex"),
-        (bistellar.Z2Complex.from_complex(dangling), bistellar.BistellarError,
-         "needs a pure complex"),
-        (bistellar.Z2Complex(bistellar.simplex_boundary(3)), bistellar.NotEquivariant,
+        (bistellar.simplex_boundary(3), bistellar.NotEquivariant,
          r"facet \(1, 2, 3\) has no antipodal facet"),
-        (bistellar.Z2Complex(from_facets([[-1, 1, 2], [-2, -1, 1]])),
+        (from_facets([[-1, 1, 2], [-2, -1, 1]]),
          bistellar.ActionNotFree, r"facet \(-2, -1, 1\) contains the antipodal pair ±1"),
     ]
-    for state, error, message in cases:
+    for complex_, error, message in cases:
         with pytest.raises(error, match=message):
-            bistellar.MoveIndex(state)
+            bistellar.Z2Complex(complex_)
 
 
 def test_entry_points_check_the_kind_of_complex():

@@ -61,6 +61,17 @@ class TestMakeSigned:
         with pytest.raises(NotEquivariant):
             Z2Complex.from_complex(cx)
 
+    @pytest.mark.parametrize("facets, error, message", [
+        (simplex_boundary(3).facets, NotEquivariant,
+         r"facet \(1, 2, 3\) has no antipodal facet"),
+        ([[-1, 1, 2], [-2, -1, 1]],
+         ActionNotFree, r"facet \(-2, -1, 1\) contains the antipodal pair ±1"),
+    ], ids=["not-equivariant", "not-free"])
+    def test_the_constructor_checks_a_raw_complex(self, facets, error, message):
+        # so quotient() and MoveIndex never meet an unchecked Z2Complex
+        with pytest.raises(error, match=message):
+            Z2Complex(SimplicialComplex.from_facets(facets))
+
     @given(faces=st.lists(st.sets(st.integers(-4, 4).filter(bool), min_size=1,
                                   max_size=4), min_size=1, max_size=8),
            closed=st.booleans())
@@ -69,14 +80,20 @@ class TestMakeSigned:
         # facet-by-facet loop accepts and names the same first offender
         if closed:
             faces += [{-v for v in f} for f in faces]
-        cx = SimplicialComplex.from_facets([sorted(f) for f in faces])
+        facets = [sorted(f) for f in faces]
+        cx = SimplicialComplex.from_facets(facets)
         expected = naive_z2_error(cx.facets)
-        try:
-            Z2Complex.from_complex(cx)
-            outcome = None
-        except (NotEquivariant, ActionNotFree) as exc:
-            outcome = (type(exc).__name__, str(exc))
-        assert outcome == expected
+        # every way in meets the one check in the constructor
+        text = dumps_canonical({"facets": facets, "z2": True})
+        for build in (Z2Complex, Z2Complex.from_complex,
+                      lambda cx: Z2Complex.from_facets(facets),
+                      lambda cx: parse_complex_document(text)[1]):
+            try:
+                build(cx)
+                outcome = None
+            except (NotEquivariant, ActionNotFree) as exc:
+                outcome = (type(exc).__name__, str(exc))
+            assert outcome == expected
 
     def test_every_face_has_antipode(self, octahedron, four_cycle):
         for signed in (octahedron, four_cycle):
@@ -111,6 +128,37 @@ class TestEquivariantSubdivision:
         assert twice.f_vector().counts == (16, 16)
         Z2Complex.from_complex(twice.complex)
 
+    @pytest.mark.parametrize("source", ["C2", "C3", "C4", "four_cycle",
+                                        "walked-C3-1", "walked-C3-2"])
+    def test_one_naming_loop_for_both_kinds(self, source, request):
+        if source.startswith("walked"):
+            signed, _ = random_z2_walk(cross_polytope(3), 15, seed=int(source[-1]))
+        elif source.startswith("C"):
+            signed = cross_polytope(int(source[1]))
+        else:
+            signed = request.getfixturevalue(source)
+        start = max(map(abs, signed.vertices)) + 1
+        order = sorted(signed.faces(), key=lambda f: (-len(f), f))[:-len(signed.vertices)]
+
+        sd, face_map = signed.equivariant_sd()
+        named = {v: f for v, f in face_map.items() if v not in signed.vertices}
+        positive = sorted(v for v in named if v > 0)
+        # ids rise from max|v| + 1, the smaller face of a pair takes +id and
+        # its antipode -id, pairs in order of non-increasing dimension, then
+        # lexicographic, as that order meets their smaller faces
+        assert positive == list(range(start, start + len(order) // 2))
+        assert sorted(named) == sorted(positive + [-v for v in positive])
+        assert [named[v] for v in positive] == [f for f in order if f < antipode(f)]
+        assert all(named[-v] == antipode(named[v]) for v in positive)
+        assert signed.barycentric_subdivide() == (sd.complex, face_map)
+
+        # on the plain complex every face gets its own positive id, in that order
+        plain, plain_map = signed.complex.barycentric_subdivide()
+        assert plain_map == {**{v: (v,) for v in signed.vertices},
+                             **{start + i: f for i, f in enumerate(order)}}
+        assert type(plain) is SimplicialComplex
+        assert is_isomorphic(plain, sd.complex)
+
     def test_same_complex_as_plain_subdivision(self, octahedron):
         plain, _ = octahedron.complex.barycentric_subdivide()
         signed, _ = octahedron.equivariant_sd()
@@ -143,17 +191,6 @@ class TestQuotient:
         assert quotient.f_vector().counts == halved
         assert halved == tuple(c // 2 for c in torus.f_vector().counts)
         assert quotient.euler_characteristic() == 0
-
-    @pytest.mark.parametrize("state, error, message", [
-        (Z2Complex(simplex_boundary(3)), NotEquivariant,
-         r"facet \(1, 2, 3\) has no antipodal facet"),
-        (Z2Complex(SimplicialComplex.from_facets([[-1, 1, 2], [-2, -1, 1]])),
-         ActionNotFree, r"facet \(-2, -1, 1\) contains the antipodal pair ±1"),
-    ], ids=["not-equivariant", "not-free"])
-    def test_checks_a_raw_complex(self, state, error, message):
-        # a raw Z2Complex(cx) is not validated when built
-        with pytest.raises(error, match=message):
-            state.quotient()
 
     def test_a_walk_of_the_subdivision_is_refused(self, octahedron):
         sd, _ = octahedron.equivariant_sd()
