@@ -250,14 +250,15 @@ def _emit(doc, path=None):
 
 
 def _load(path, pure=False):
+    """``(cx, labelling)``, ``cx`` a Z2Complex exactly when the file is marked "z2"."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            loaded = parse_complex_document(handle.read())
+            complex_, signed, labelling = parse_complex_document(handle.read())
     except (OSError, UnicodeDecodeError, _UnreadableJSON) as exc:
         raise BistellarError(f"{path}: {exc}") from exc
-    if pure and not loaded[0].is_pure():
+    if pure and not complex_.is_pure():
         raise BistellarError(f"{path}: moves need a pure complex")
-    return loaded
+    return complex_ if signed is None else signed, labelling
 
 
 def _parse_face(text):
@@ -267,10 +268,10 @@ def _parse_face(text):
         raise BistellarError(f"face {text!r} is not a list of integers") from None
 
 
-def _need_z2(signed, path):
-    if signed is None:
+def _need_z2(cx, path):
+    if not isinstance(cx, Z2Complex):
         raise BistellarError(f"{path} is not marked 'z2': true")
-    return signed
+    return cx
 
 
 def _need_labels(labelling, path):
@@ -281,34 +282,37 @@ def _need_labels(labelling, path):
 
 # -- subcommands -----------------------------------------------------------------
 
-def cmd_info(args):
-    complex_, signed, labelling = _load(args.file)
-    fv = complex_.f_vector()
-    print(f"dimension: {complex_.dimension}")
-    print(f"f-vector: {fv.counts}")
-    print(f"euler-characteristic: {fv.euler_characteristic}")
-    print(f"pure: {complex_.is_pure()}")
-    print(f"closed-pseudomanifold: {is_closed_pseudomanifold(complex_)}")
-    print(f"digest: {complex_digest(complex_)}")
-    if signed is not None:
-        print(f"z2: valid free involution on "
-              f"{len(signed.positive_vertices)} vertex pairs")
-    if labelling is not None:
-        violations = validate_fan(signed or complex_, labelling)
-        if violations:
-            print(f"labels: {len(violations)} violations")
-            for kind, where in violations:
-                print(f"  {kind}: {where}")
-            return 2
-        counts = alternating_counts(signed or complex_, labelling)
-        print(f"labels: valid Fan labelling, alternating facets "
-              f"+{counts.positive} / -{counts.negative}")
+def _label_report(cx, labelling):
+    """Print the Fan violations and return 2, or the alternating counts and 0."""
+    violations = validate_fan(cx, labelling)
+    if violations:
+        for kind, where in violations:
+            print(f"violation {kind}: {where}")
+        return 2
+    counts = alternating_counts(cx, labelling)
+    print("valid Fan labelling")
+    print(f"alternating facets: +{counts.positive} / -{counts.negative}")
     return 0
 
 
+def cmd_info(args):
+    cx, labelling = _load(args.file)
+    fv = cx.f_vector()
+    print(f"dimension: {cx.dimension}")
+    print(f"f-vector: {fv.counts}")
+    print(f"euler-characteristic: {fv.euler_characteristic}")
+    print(f"pure: {cx.is_pure()}")
+    print(f"closed-pseudomanifold: {is_closed_pseudomanifold(cx)}")
+    print(f"digest: {complex_digest(cx)}")
+    if isinstance(cx, Z2Complex):
+        print(f"z2: valid free involution on "
+              f"{len(cx.positive_vertices)} vertex pairs")
+    return 0 if labelling is None else _label_report(cx, labelling)
+
+
 def cmd_moves(args):
-    complex_, signed, _ = _load(args.file, pure=True)
-    found = list(MoveIndex(_need_z2(signed, args.file) if args.z2 else complex_))
+    cx, _ = _load(args.file, pure=True)
+    found = list(MoveIndex(cx))
     for move in found:
         print(f"removed={list(move.removed)} inserted={list(move.inserted)}")
     print(f"total: {len(found)}")
@@ -316,17 +320,16 @@ def cmd_moves(args):
 
 
 def cmd_flip(args):
-    complex_, signed, _ = _load(args.file, pure=True)
-    index = MoveIndex(complex_ if signed is None else signed)
+    cx, _ = _load(args.file, pure=True)
+    index = MoveIndex(cx)
     index.apply(BistellarMove(_parse_face(args.removed), _parse_face(args.inserted)))
     _emit(complex_document(index.state, z2=index.z2), args.output)
     return 0
 
 
 def cmd_walk(args):
-    _, signed, _ = _load(args.file, pure=True)
-    signed = _need_z2(signed, args.file)
-    final, sequence = random_z2_walk(signed, args.steps, args.seed)
+    cx, _ = _load(args.file, pure=True)
+    final, sequence = random_z2_walk(_need_z2(cx, args.file), args.steps, args.seed)
     _emit(complex_document(final, z2=True), args.output)
     if args.log:
         _emit(sequence_document(sequence), args.log)
@@ -334,17 +337,16 @@ def cmd_walk(args):
 
 
 def cmd_subdivide(args):
-    complex_, signed, _ = _load(args.file)
+    cx, _ = _load(args.file)
     if args.stellar is not None:
         face = _parse_face(args.stellar)
-        fresh = fresh_vertex(complex_) if args.fresh is None else args.fresh
-        result = complex_.stellar_subdivide(face, fresh)
+        fresh = fresh_vertex(cx) if args.fresh is None else args.fresh
+        result = cx.stellar_subdivide(face, fresh)
         mapping = {fresh: tuple(sorted(set(face)))}  # the face it subdivided
-    elif signed is not None:
-        result, mapping = signed.equivariant_sd()
     else:
-        result, mapping = complex_.barycentric_subdivide()
-    _emit(complex_document(result, z2=isinstance(result, Z2Complex)), args.output)
+        result, mapping = cx.barycentric_subdivide()
+    z2 = args.barycentric and isinstance(cx, Z2Complex)
+    _emit(complex_document(result, z2=z2), args.output)
     if args.map:
         _emit({"format": FORMAT_VERSION, "kind": "face-map",
                "map": [[v, list(f)] for v, f in sorted(mapping.items())]}, args.map)
@@ -352,40 +354,31 @@ def cmd_subdivide(args):
 
 
 def cmd_quotient(args):
-    _, signed, _ = _load(args.file)
-    signed = _need_z2(signed, args.file)
-    subdivided, _ = signed.equivariant_sd()
+    cx, _ = _load(args.file)
+    subdivided, _ = _need_z2(cx, args.file).equivariant_sd()
     quotient, _ = subdivided.quotient()
     _emit(complex_document(quotient), args.output)
     return 0
 
 
 def cmd_fan_check(args):
-    complex_, signed, labelling = _load(args.file)
-    labelling = _need_labels(labelling, args.file)
-    violations = validate_fan(signed or complex_, labelling)
-    if violations:
-        for kind, where in violations:
-            print(f"violation {kind}: {where}")
-        return 2
-    counts = alternating_counts(signed or complex_, labelling)
-    print("valid Fan labelling")
-    print(f"alternating facets: +{counts.positive} / -{counts.negative}")
-    return 0
+    cx, labelling = _load(args.file)
+    return _label_report(cx, _need_labels(labelling, args.file))
 
 
 def cmd_tucker(args):
-    complex_, signed, labelling = _load(args.file)
+    cx, labelling = _load(args.file)
     labelling = _need_labels(labelling, args.file)
-    edge = tucker_witness(signed or complex_, labelling)
+    edge = tucker_witness(cx, labelling)
     print(f"complementary edge: {list(edge)} "
           f"(labels {labelling[edge[0]]} and {labelling[edge[1]]})")
     return 0
 
 
 def cmd_reduce(args):
-    complex_, signed, _ = _load(args.file)
-    source = _need_z2(signed, args.file) if args.z2 else complex_
+    cx, _ = _load(args.file)
+    plain = cx.complex if isinstance(cx, Z2Complex) else cx  # searched without --z2
+    source = _need_z2(cx, args.file) if args.z2 else plain
     reduce = z2_reduce_to_cross_polytope if args.z2 else reduce_to_boundary_simplex
     report = reduce(source, budget=args.budget, seed=args.seed)
     print(f"outcome: {report.outcome}")
@@ -396,8 +389,7 @@ def cmd_reduce(args):
     if args.log:
         _emit(sequence_document(report.sequence), args.log)
     if report.reduced:
-        target = (cross_polytope if args.z2 else simplex_boundary)(
-            complex_.dimension + 1)
+        target = (cross_polytope if args.z2 else simplex_boundary)(cx.dimension + 1)
         verified = replay_verify(source, report.sequence, target)
         print(f"replay verified: {verified}")
         return 0 if verified else 2
@@ -405,8 +397,8 @@ def cmd_reduce(args):
 
 
 def cmd_certify(args):
-    complex_, signed, labelling = _load(args.file)
-    signed = _need_z2(signed, args.file)
+    cx, labelling = _load(args.file)
+    signed = _need_z2(cx, args.file)
     if args.labels == "file":
         labelling = _need_labels(labelling, args.file)
     elif args.labels == "canon":
@@ -451,9 +443,7 @@ def build_parser():
 
     add("info", cmd_info, "f-vector, Euler characteristic and validators")
 
-    p = add("moves", cmd_moves, "list admissible moves")
-    p.add_argument("--z2", action="store_true",
-                   help="list symmetric move pairs instead of plain moves")
+    add("moves", cmd_moves, "list admissible moves (symmetric pairs on z2 files)")
 
     p = add("flip", cmd_flip, "apply one move (the symmetric pair on z2 files)")
     p.add_argument("--removed", required=True, help="face to remove, e.g. '1,2,3'" + negative)

@@ -33,7 +33,7 @@ def cross_polytope(k):
     _checked_dimension(k)
     facets = [tuple(sorted(s * i for s, i in zip(signs, range(1, k + 1))))
               for signs in product((1, -1), repeat=k)]
-    return Z2Complex.from_complex(SimplicialComplex(tuple(sorted(facets))))
+    return Z2Complex(SimplicialComplex(tuple(sorted(facets))))
 
 
 def canonical_cross_labelling(k):

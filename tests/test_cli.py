@@ -10,13 +10,17 @@ from bistellar import (
     BistellarError,
     BistellarMove,
     NotEquivariant,
+    Z2Complex,
     apply_z2_move,
     canonical_cross_labelling,
     cross_polytope,
+    enumerate_moves,
+    enumerate_z2_moves,
     fan_certificate,
     fresh_vertex,
     random_fan_labelling,
     random_z2_walk,
+    simplex_boundary,
 )
 from bistellar.cli import (
     certificate_document,
@@ -186,9 +190,40 @@ class TestCommands:
         assert main(["fan-check", bad_labels_file]) == 2
         assert "violation" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("fixture", ["octa_file", "bad_labels_file"])
+    def test_info_and_fan_check_print_one_label_report(self, fixture, request,
+                                                        capsys):
+        path = request.getfixturevalue(fixture)
+        fan_code = main(["fan-check", path])
+        fan_out = capsys.readouterr().out
+        assert main(["info", path]) == fan_code
+        info_out = capsys.readouterr().out
+        assert fan_out and info_out.endswith(fan_out)
+        assert "z2: valid free involution" in info_out.removesuffix(fan_out)
+
     def test_moves_listing(self, octa_file, capsys):
-        assert main(["moves", octa_file, "--z2"]) == 0
+        assert main(["moves", octa_file]) == 0
         assert "total: 4" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("make", [
+        lambda: cross_polytope(3),
+        lambda: random_z2_walk(cross_polytope(4), 40, seed=5)[0],
+        lambda: simplex_boundary(3),
+    ], ids=["octahedron", "walked-c4", "plain-tetrahedron"])
+    def test_flip_applies_every_listed_move(self, tmp_path, capsys, make):
+        cx = make()
+        z2 = isinstance(cx, Z2Complex)
+        path, out = tmp_path / "in.json", str(tmp_path / "out.json")
+        path.write_text(dumps_canonical(complex_document(cx, z2=z2)))
+        assert main(["moves", str(path)]) == 0
+        *rows, total = capsys.readouterr().out.splitlines()
+        enumerate_ = enumerate_z2_moves if z2 else enumerate_moves
+        assert total == f"total: {len(enumerate_(cx))}"
+        for row in rows:  # removed=[1, 2, 3] inserted=[4]
+            removed, inserted = [",".join(map(str, json.loads(part))) for part
+                                 in row.removeprefix("removed=").split(" inserted=")]
+            assert main(["flip", str(path), f"--removed={removed}",
+                         f"--inserted={inserted}", "-o", out]) == 0, row
 
     def test_flip_writes_result(self, octa_file, tmp_path, capsys):
         out = tmp_path / "flipped.json"
@@ -637,5 +672,12 @@ def test_main_fuzz(tmp_path_factory, doc):
     path = tmp_path_factory.mktemp("fuzz") / "doc.json"
     path.write_text(json.dumps(doc))
     for argv in (["info"], ["moves"], ["fan-check"], ["tucker"],
-                 ["walk", "--steps", "2", "--seed", "1"]):
+                 ["walk", "--steps", "2", "--seed", "1"],
+                 ["flip", "--removed", "1", "--inserted", "2"],
+                 ["subdivide", "--barycentric"], ["subdivide", "--stellar", "1"],
+                 ["quotient"],
+                 ["reduce", "--seed", "1", "--budget", "5"],
+                 ["reduce", "--seed", "1", "--budget", "5", "--z2"],
+                 ["certify", "--labels", "canon", "--seed", "1", "--budget", "5"],
+                 ["certify", "--labels", "random", "--seed", "1", "--budget", "5"]):
         assert main([argv[0], str(path)] + argv[1:]) in (0, 2, 3)
