@@ -337,6 +337,8 @@ def cmd_walk(args):
 
 
 def cmd_subdivide(args):
+    if args.fresh is not None and args.stellar is None:
+        raise BistellarError("--fresh needs --stellar")
     cx, _ = _load(args.file)
     if args.stellar is not None:
         face = _parse_face(args.stellar)
@@ -462,7 +464,7 @@ def build_parser():
                        help="barycentric subdivision (equivariant on z2 files)")
     group.add_argument("--stellar", metavar="FACE",
                        help="stellar subdivision at this face, e.g. '1,2'" + negative)
-    p.add_argument("--fresh", type=int, help="id for the new vertex (default: auto)")
+    p.add_argument("--fresh", type=int, help="id for the --stellar vertex (default: auto)")
     p.add_argument("-o", "--output", help="write result here instead of stdout")
     p.add_argument("--map", help="write the new-vertex-to-face map here")
 

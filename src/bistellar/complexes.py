@@ -53,7 +53,7 @@ def _canonical_facets(faces):
     empty face is pruned next to a nonempty one; ``[()]`` gives ``((),)``.
     """
     uniq = set(faces)
-    if len({len(f) for f in uniq}) < 2:
+    if len(set(map(len, uniq))) < 2:
         return tuple(sorted(uniq))
     uniq.discard(())
     kept = []
@@ -299,6 +299,12 @@ class SimplicialComplex:
         starting just above the largest absolute id in use.
 
         Returns ``(subdivision, face_map)``, the subdivision a plain complex.
+
+        Each facet's nonempty faces are named once, in ``combinations``
+        order.  Its chains come from a plan worked out once per facet size
+        in each call: one list of positions into those names per vertex
+        order.  So a facet of ``n`` vertices costs one name per face, of
+        ``2**n - 1``, and one sort of ``n`` ints per chain, of ``n!``.
         """
         names = {}
         next_id = max(map(abs, self.vertices), default=0) + 1
@@ -311,16 +317,16 @@ class SimplicialComplex:
         for f, v in names.items():
             face_map[v] = f
 
-        def name(f):
-            return f[0] if len(f) == 1 else names[f]
-
-        out = []
+        plans, out = {}, []
         for facet in self.facets:
-            for perm in permutations(facet):
-                chain = []
-                for i in range(len(perm)):
-                    chain.append(name(tuple(sorted(perm[: i + 1]))))
-                out.append(tuple(sorted(chain)))
+            sizes = range(1, len(facet) + 1)
+            if len(facet) not in plans:  # positions of each vertex order's prefixes
+                at = {f: i for i, f in enumerate(chain.from_iterable(
+                    combinations(range(len(facet)), k) for k in sizes))}
+                plans[len(facet)] = [[at[tuple(sorted(p[:k]))] for k in sizes]
+                                     for p in permutations(range(len(facet)))]
+            ids = [*facet, *(names[f] for k in sizes[1:] for f in combinations(facet, k))]
+            out.extend(tuple(sorted([ids[i] for i in p])) for p in plans[len(facet)])
         return SimplicialComplex(_canonical_facets(out)), face_map
 
     def __eq__(self, other):

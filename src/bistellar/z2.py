@@ -100,7 +100,7 @@ class Z2Complex(SimplicialComplex):
 
     def _orbit(self, face):
         """``face`` and its antipode, which a subdivision names ``±id``."""
-        return face, antipode(face)
+        return face, _negated(face)
 
     def equivariant_sd(self):
         """Barycentric subdivision with barycenters allocated in antipodal pairs.

@@ -73,6 +73,36 @@ def naive_cofacets(facets):
     return {face: sorted(containing) for face, containing in out.items()}
 
 
+def naive_barycentric_subdivide(facets, signed=False):
+    """``(facets, face_map)`` of the barycentric subdivision of the complex
+    generated by ``facets`` (increasing tuples), one vertex order at a time.
+
+    A vertex keeps its id; every larger face gets the next id from
+    ``max|v| + 1``, by non-increasing dimension and then lexicographically,
+    and with ``signed`` its antipode gets the same id negated.  Each vertex
+    order of each facet gives the chain of its sorted prefixes.  A chain
+    holds the name of its facet, so chains of two facets of an antichain
+    never nest, and no chain is pruned.
+    """
+    faces = naive_faces(facets)
+    names = {f: f[0] for f in faces if len(f) == 1}
+    next_id = max(map(abs, names.values()), default=0) + 1
+    for f in sorted(faces, key=lambda f: (-len(f), f)):
+        if f not in names:
+            names[f] = next_id
+            if signed:
+                names[tuple(sorted(-v for v in f))] = -next_id
+            next_id += 1
+    out = []
+    for facet in facets:
+        for perm in permutations(facet):
+            chain = []
+            for i in range(len(perm)):
+                chain.append(names[tuple(sorted(perm[: i + 1]))])
+            out.append(tuple(sorted(chain)))
+    return tuple(sorted(set(out))), {v: f for f, v in names.items()}
+
+
 def naive_star(facets, vertex):
     """The facets containing ``vertex``."""
     return [f for f in facets if vertex in f]

@@ -520,13 +520,16 @@ class TestMalformedInput:
          "label bound must be at least 1, got 0"),
         (["subdivide", "--stellar", " , "], "the empty face has no stellar"),
         (["subdivide", "--stellar", ""], "the empty face has no stellar"),
+        (["subdivide", "--barycentric", "--fresh", "5"], "--fresh needs --stellar"),
     ], ids=["walk-steps", "reduce-z2-budget", "reduce-budget", "certify-budget",
-            "label-bound-zero", "stellar-blank", "stellar-empty"])
+            "label-bound-zero", "stellar-blank", "stellar-empty",
+            "fresh-without-stellar"])
     def test_bad_counts_and_empty_faces_rejected(self, octa_file, capsys, argv,
                                                  needle):
         # each used to exit 0: a negative count ran no step, a label bound
-        # of 0 fell back to dimension + 2, and an empty stellar face wrote
-        # {"facets": []} or ran the barycentric subdivision
+        # of 0 fell back to dimension + 2, an empty stellar face wrote
+        # {"facets": []} or ran the barycentric subdivision, and --fresh
+        # beside --barycentric was ignored
         assert main([argv[0], octa_file] + argv[1:]) == 2
         out = capsys.readouterr().err
         assert out.startswith("error: ") and needle in out

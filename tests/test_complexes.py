@@ -37,6 +37,7 @@ from bistellar import (
 from bistellar import complexes
 from bistellar.complexes import _canonical_facets
 from conftest import (
+    naive_barycentric_subdivide,
     naive_canonical_facets,
     naive_euler,
     naive_f_vector,
@@ -309,6 +310,34 @@ class TestBarycentricSubdivision:
     def test_empty_face_alone(self):
         only_empty = SimplicialComplex(((),))
         assert only_empty.barycentric_subdivide() == (only_empty, {})
+
+
+_SMALL_IDS = st.integers(-6, 6).filter(bool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cx=st.one_of(
+    st.builds(lambda k, steps, seed: random_z2_walk(cross_polytope(k), steps, seed)[0],
+              st.sampled_from([3, 4]), st.integers(0, 40), st.integers(0, 999)),
+    st.lists(st.lists(_SMALL_IDS, min_size=1, max_size=4), min_size=1, max_size=5)
+    .map(SimplicialComplex.from_facets)),
+    twice=st.booleans())
+@example(cx=cross_polytope(5), twice=False)
+@example(cx=simplex_boundary(5), twice=False)
+@example(cx=SimplicialComplex.from_facets([[1, 2, 3], [3, 4]]), twice=True)
+@example(cx=SimplicialComplex.from_facets([[-3], [1], [2]]), twice=False)
+@example(cx=SimplicialComplex.from_facets([[-5, -1, 2], [-5, 3], [-4, -2]]), twice=True)
+@example(cx=cross_polytope(3), twice=True)
+def test_barycentric_subdivide_matches_the_per_permutation_oracle(cx, twice):
+    # the chains come from one plan of positions per facet size; the oracle
+    # sorts every prefix of every vertex order
+    if twice and len(cx.facets) <= 16:  # the subdivision of a subdivision
+        cx = cx.equivariant_sd()[0] if isinstance(cx, Z2Complex) \
+            else cx.barycentric_subdivide()[0]
+    for each in (cx, cx.complex) if isinstance(cx, Z2Complex) else (cx,):
+        sd, face_map = each.barycentric_subdivide()
+        assert (sd.facets, face_map) == naive_barycentric_subdivide(
+            each.facets, signed=isinstance(each, Z2Complex))
 
 
 class TestIsomorphism:
