@@ -21,9 +21,10 @@ face of each antipodal pair.  The ``z2`` functions raise
 
 import random
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations, count
+from functools import cache, cached_property
+from itertools import chain, combinations, count, repeat
 from operator import neg
 
 from .complexes import FVector, SimplicialComplex, _checked_face, complex_digest
@@ -109,9 +110,9 @@ class MoveIndex:
     :meth:`apply` is the one place where a flip is checked and made.
     ``state`` is built from the facet set ``_facets`` when read;
     ``_cofacets`` maps each face to the facets containing it, and ``_f``
-    counts its keys by dimension for :meth:`f_vector`.  Moves are
-    listed on the first read, then kept by rechecking only the faces of the
-    removed and added facets and the faces that would insert one of those:
+    counts its keys by dimension for :meth:`f_vector`.  Moves are listed on
+    the first read, then kept by rechecking only the faces that a flip can
+    change (:meth:`apply`):
     ``_links`` maps each face to :meth:`_link_simplex` where that is not
     None (``fresh`` fills in ``()`` on reading, so new vertices never dirty
     facet moves); ``_owners`` inverts ``_links`` and is read only for the
@@ -132,9 +133,14 @@ class MoveIndex:
             raise BistellarError("a MoveIndex needs a pure complex")
         self.state, self._dimension = state, state.dimension
         self.fresh = fresh_vertex(state)
-        self._facets, self._cofacets, self._links = set(), {}, None
-        self._f = [0] * (state.dimension + 1)
-        self._swap((), state.facets)
+        self._facets, self._cofacets, self._links = set(state.facets), {}, None
+        for facet in state.facets:
+            for k in range(1, len(facet) + 1):
+                for face in combinations(facet, k):
+                    if not (self.z2 and face[0] + face[-1] > 0):
+                        self._cofacets.setdefault(face, []).append(facet)
+        sizes = Counter(map(len, self._cofacets))
+        self._f = [sizes[k] for k in range(1, state.dimension + 2)]
 
     @cached_property
     def state(self):
@@ -154,7 +160,8 @@ class MoveIndex:
         if self._links is None:
             self._links, self._owners = {}, {}
             self._buckets = [[] for _ in range(self._dimension + 2)]
-            self._recheck(list(self._cofacets))
+            self._recheck(zip(self._cofacets, repeat(...)), listing=True)
+            self._buckets = [sorted(bucket) for bucket in self._buckets]
         return self._buckets
 
     def __len__(self):
@@ -176,22 +183,27 @@ class MoveIndex:
 
     def apply(self, move):
         """Check ``move`` (and its antipodal image, see :func:`apply_z2_move`)
-        and swap the facets that :func:`_replaced` names; a rejected move changes
-        nothing."""
+        and make it by :meth:`_flip`; a rejected move changes nothing.  Only
+        faces of the move's union change cofacets, and only those whose count
+        was or is ``need`` can gain or lose a link.  The simplices that come or
+        go are the union's faces containing ``inserted`` or ``removed``, and a
+        face outside the union waits on no larger one, as that would put
+        ``inserted`` in an old facet or ``removed`` in a cofacet of the face,
+        which stays.  So two lookups find the other faces to recheck."""
         removed, inserted = move.removed, move.inserted
         key = self._key(removed)
         flipped = key != removed  # check the half that removes the kept face
         link, B = self._link_simplex(key), _negated(inserted) if flipped else inserted
         if link is None or not (link == B if link else len(B) == 1) \
-                or self._key(B) in self._cofacets:
+                or (target := self._key(B)) in self._cofacets:
             raise MoveNotAdmissible(f"{move} is not admissible here")
         if self.z2 and not set(B).isdisjoint(map(neg, B)):
             raise InterferingAntipodalMove(
                 f"{move} inserts a simplex that meets its antipode")
-        touched, toggled = self._swap(*_replaced(move, self.z2))
+        changed = self._flip(move)
         if self._links is not None:
-            owners = self._owners
-            self._recheck(touched.union(*map(owners.get, owners.keys() & toggled)))
+            waiting = [*self._owners.get(key, ()), *self._owners.get(target, ())]
+            self._recheck([*changed, *zip(waiting, repeat(...))])
         vars(self).pop("state", None)
         if len(removed) == 1:  # ids below fresh were used; this one may be free
             self.fresh = min(self.fresh, abs(removed[0]))
@@ -216,62 +228,69 @@ class MoveIndex:
         apex = set().union(*containing).difference(face)
         return tuple(sorted(apex)) if len(apex) == need else None
 
-    def _swap(self, gone, added):
-        """Replace facets in the facet set and the cofacet map, counting each
-        kept face as it enters or leaves the map; returns the set of kept
-        faces touched and the set of those that entered or left."""
-        touched, toggled, z2 = set(), set(), self.z2
-        for facet in gone:
-            self._facets.remove(facet)
-            for k in range(1, len(facet) + 1):
-                for face in combinations(facet, k):
-                    if z2 and face[0] + face[-1] > 0:
-                        continue
-                    containing = self._cofacets[face]
-                    containing.remove(facet)
-                    if not containing:
-                        del self._cofacets[face]
-                        self._f[k - 1] -= 1
-                        toggled.add(face)
-                    touched.add(face)
-        for facet in added:
-            self._facets.add(facet)
-            for k in range(1, len(facet) + 1):
-                for face in combinations(facet, k):
-                    if z2 and face[0] + face[-1] > 0:
-                        continue
-                    containing = self._cofacets.setdefault(face, [])
-                    if not containing:
-                        self._f[k - 1] += 1
-                        toggled.add(face)
-                    containing.append(facet)
-                    touched.add(face)
-        return touched, toggled
+    def _flip(self, move):
+        """Swap the facets that :func:`_replaced` names in one pass over the
+        faces of :func:`_halves` that :func:`_flip_plan` lays out; returns
+        ``(face, link)`` for each face whose cofacet count was or is ``need``,
+        with its link simplex if it enters or leaves, else ``...``."""
+        halves = _halves(move, self.z2)
+        gone, added = _replaced(move, self.z2, halves)
+        self._facets.symmetric_difference_update(gone + added)
+        cofacets, f, z2, changed = self._cofacets, self._f, self.z2, []
+        a, b = len(move.inserted), len(move.removed)
+        for h, (faces, at) in enumerate(halves):
+            out, take = gone[h * a:h * a + a], added[h * b:h * b + b].__getitem__
+            for face, rest, (need, left, joined) in zip(
+                    faces, reversed(faces), _flip_plan(a + b, at)):
+                if z2 and face[0] + face[-1] > 0:
+                    continue
+                if not left:  # in no gone facet: it contains inserted and enters
+                    cofacets[face] = [*map(take, joined)]
+                    f[len(face) - 1] += 1
+                    changed.append((face, rest if need > 1 else ()))
+                elif not joined:  # in no added facet: it contains removed and leaves
+                    del cofacets[face]
+                    f[len(face) - 1] -= 1
+                    changed.append((face, None))
+                else:
+                    containing = cofacets[face]
+                    was = len(containing) == need
+                    for j in left:
+                        containing.remove(out[j])
+                    containing += map(take, joined)
+                    if was or len(containing) == need:
+                        changed.append((face, ...))
+        return changed
 
-    def _recheck(self, faces):
-        links, owners = self._links, self._owners
-        for face in faces:
-            old, link = links.get(face), self._link_simplex(face)
-            if link is None and old is None:
-                continue
-            key = self._key(link)
+    def _recheck(self, faces, listing=False):
+        """Update links, owners and buckets for ``(face, link)`` pairs, ``...``
+        for a link not known, keying links as :meth:`_key` does; ``listing``
+        appends to the buckets, to be sorted."""
+        links, owners, buckets, z2 = self._links, self._owners, self._buckets, self.z2
+        cofacets, link_simplex = self._cofacets, self._link_simplex
+        for face, link in faces:
+            old, link = links.get(face), link_simplex(face) if link is ... else link
+            k = _negated(link) if z2 and link and link[0] + link[-1] > 0 else link
             if link != old:
                 if old:
-                    waiting = owners[self._key(old)]
+                    o = _negated(old) if z2 and old[0] + old[-1] > 0 else old
+                    waiting = owners[o]
                     waiting.remove(face)
                     if not waiting:
-                        del owners[self._key(old)]
+                        del owners[o]
                 if link is None:
                     del links[face]
                 else:
                     links[face] = link
                     if link:
-                        owners.setdefault(key, []).append(face)
+                        owners.setdefault(k, []).append(face)
             # in a free complex a link simplex meets its antipode only as (-v, v)
             listed = link is not None and (not link or (
-                key not in self._cofacets and not (self.z2 and link[0] + link[-1] == 0)))
-            bucket = self._buckets[len(face)]
-            i = bisect_left(bucket, face)
+                k not in cofacets and not (z2 and link[0] + link[-1] == 0)))
+            if old is None and not listed:  # nor was it listed
+                continue
+            bucket = buckets[len(face)]
+            i = len(bucket) if listing else bisect_left(bucket, face)
             if i < len(bucket) and bucket[i] == face:
                 if not listed:
                     del bucket[i]
@@ -279,17 +298,38 @@ class MoveIndex:
                 bucket.insert(i, face)
 
 
-def _replaced(move, z2):
+def _halves(move, z2):
+    """``(faces, at)``: the proper faces of the sorted union of ``removed`` and
+    ``inserted`` in :func:`_flip_plan` order, and the positions of
+    ``inserted`` in the union; if ``z2``, the antipodal move's follow."""
+    union = tuple(sorted(move.removed + move.inserted))
+    pairs = ((union, move.inserted), (_negated(union), _negated(move.inserted)))
+    return [([*chain.from_iterable(map(combinations, repeat(u), range(1, len(u))))],
+             tuple(map(u.index, inserted))) for u, inserted in pairs[:1 + z2]]
+
+
+@cache
+def _flip_plan(n, at):
+    """``(need, left, joined)`` for each proper face of an ``n``-vertex union
+    whose positions ``at`` hold ``inserted``, in :func:`~itertools.combinations`
+    order by size, which lists their complements in reverse: ``left`` and
+    ``joined`` index the gone and added facets that contain the face, and
+    ``need`` is the cofacet count of a face with a link."""
+    rest = [i for i in range(n) if i not in at]
+    return tuple((n - k, tuple(j for j, i in enumerate(at) if i not in face),
+                  tuple(j for j, i in enumerate(rest) if i not in face))
+                 for k in range(1, n) for face in combinations(range(n), k))
+
+
+def _replaced(move, z2, halves=None):
     """``(gone, added)``: the facets of ``removed * boundary(inserted)``, which
-    go, and of ``boundary(removed) * inserted``, which come; each is the union
-    of the two faces less one vertex of ``inserted`` or of ``removed``.  If
-    ``z2``, the same for the antipodal move follows, in the same order."""
-    inserted = move.inserted
-    both = tuple(sorted(move.removed + inserted))  # disjoint if the move applies
+    go, and of ``boundary(removed) * inserted``, which come, each the union
+    less one vertex, in union order; if ``z2``, the antipodal move's follow.
+    ``halves`` is :func:`_halves` of the move, if known."""
     gone, added = [], []
-    for face, sign in ((both, 1), (_negated(both), -1)) if z2 else ((both, 1),):
-        for i, v in enumerate(face):
-            (gone if sign * v in inserted else added).append(face[:i] + face[i + 1:])
+    for faces, at in halves or _halves(move, z2):
+        for i in range(len(faces[-1]) + 1):  # faces[~i] lacks the i-th vertex
+            (gone if i in at else added).append(faces[~i])
     return gone, added
 
 

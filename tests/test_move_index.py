@@ -11,8 +11,13 @@ validate: the index checks moves only against the complex it starts from.  It mu
 and a link for every face whose link is a simplex boundary; a symmetric
 index keeps both for the smaller face of each antipodal pair only.
 Rewound through inverse moves, the index must equal one built afresh at
-that earlier state.
+that earlier state.  Walks run in dimensions 1 to 4, so every flip plan
+size from 3 to 6 vertices is used.  A flip must recheck every face whose
+link or listing changes, and the faces that enter or leave must be those
+of the union containing ``inserted`` or ``removed``.
 """
+
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +35,7 @@ from bistellar import (
     fresh_vertex,
     simplex_boundary,
 )
-from bistellar.moves import _replaced
+from bistellar.moves import _flip_plan, _halves, _replaced
 from conftest import (
     naive_admissible_moves,
     naive_cofacets,
@@ -142,20 +147,82 @@ def walk_and_check(start, picks):
             assert index.state.facets == facets[-1]
 
 
-@pytest.mark.parametrize("base", [simplex_boundary(3), simplex_boundary(4)],
-                         ids=["tetrahedron", "4-simplex"])
+@pytest.mark.parametrize("base", [simplex_boundary(2), simplex_boundary(3),
+                                  simplex_boundary(4)],
+                         ids=["triangle", "tetrahedron", "4-simplex"])
 @given(picks=choices)
 @settings(max_examples=25, deadline=None)
 def test_plain_walks_keep_index_exact(base, picks):
     walk_and_check(base, picks)
 
 
-@pytest.mark.parametrize("base", [cross_polytope(3), cross_polytope(4)],
-                         ids=["octahedron", "cross-4"])
+@pytest.mark.parametrize("base", [cross_polytope(2), cross_polytope(3),
+                                  cross_polytope(4)],
+                         ids=["square", "octahedron", "cross-4"])
 @given(picks=choices)
 @settings(max_examples=25, deadline=None)
 def test_symmetric_walks_keep_index_exact(base, picks):
     walk_and_check(base, picks)
+
+
+@pytest.mark.parametrize("base", [simplex_boundary(5), cross_polytope(5)],
+                         ids=["5-simplex", "cross-5"])
+@given(picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=6))
+@settings(max_examples=8, deadline=None)
+def test_walks_keep_index_exact_in_dimension_4(base, picks):
+    # the naive oracles are slow on 4-spheres, so these walks are short
+    walk_and_check(base, picks)
+
+
+def naive_listing(facets, z2):
+    """Each kept face with a link simplex, mapped to that simplex and
+    whether the face is listed."""
+    kept = (lambda a: min(a, antipode(a))) if z2 else (lambda a: a)
+    listed = {a for a, b in naive_admissible_moves(facets)
+              if not z2 or b == "fresh" or set(b).isdisjoint(antipode(b))}
+    return {a: (b, a in listed) for a, b in naive_link_simplices(facets).items()
+            if kept(a) == a}
+
+
+@pytest.mark.parametrize("base", [simplex_boundary(2), simplex_boundary(3),
+                                  cross_polytope(3), cross_polytope(4)],
+                         ids=["triangle", "tetrahedron", "octahedron", "cross-4"])
+@given(picks=choices)
+@settings(max_examples=15, deadline=None)
+def test_a_flip_rechecks_every_face_it_changes(base, picks):
+    # A flip rechecks only the faces whose cofacet count was or is the one
+    # a link needs (those that enter or leave with their link known) and
+    # those waiting on ``removed`` or ``inserted``; every face whose link or
+    # listing differs must be among them.  The faces that enter or leave are
+    # those of the union (and its antipode) containing ``inserted`` or
+    # ``removed``, as the plan says.
+    index = MoveIndex(base)
+    len(index)  # list it, so that each flip rechecks
+    rechecked, recheck = [], index._recheck
+    index._recheck = lambda faces: (rechecked.extend(f for f, _ in faces),
+                                    recheck(faces))
+    kept = (lambda a: min(a, antipode(a))) if index.z2 else (lambda a: a)
+    for pick in picks:
+        move = index[pick % len(index)]
+        before, keys = naive_listing(index.state.facets, index.z2), set(index._cofacets)
+        rechecked.clear()
+        index.apply(move)
+        after = naive_listing(index.state.facets, index.z2)
+        assert {a for a in before.keys() | after.keys()
+                if before.get(a) != after.get(a)} <= set(rechecked)
+        union = sorted(move.removed + move.inserted)
+        faces = [f for k in range(1, len(union)) for f in combinations(union, k)]
+        planned = {"enters": set(), "leaves": set()}
+        for proper, at in _halves(move, index.z2):
+            for face, (_, left, joined) in zip(proper, _flip_plan(len(union), at)):
+                if not left:
+                    planned["enters"].add(kept(face))
+                if not joined:
+                    planned["leaves"].add(kept(face))
+        entering = {kept(f) for f in faces if set(move.inserted) <= set(f)}
+        leaving = {kept(f) for f in faces if set(move.removed) <= set(f)}
+        assert entering == set(index._cofacets) - keys == planned["enters"]
+        assert leaving == keys - set(index._cofacets) == planned["leaves"]
 
 
 def test_blocked_face_is_released_when_its_simplex_goes():
