@@ -65,7 +65,7 @@ class BistellarMove:
         >>> move, (index.state, index.fresh, list(index)) == before
         (BistellarMove([-3, -2, -1] -> [4]), True)
         """
-        return BistellarMove(self.inserted, self.removed)
+        return _trusted(self.inserted, self.removed)
 
     def antipodal(self):
         return BistellarMove(_negated(self.removed), _negated(self.inserted))
@@ -76,6 +76,14 @@ class BistellarMove:
 
     def __repr__(self):
         return f"BistellarMove({list(self.removed)} -> {list(self.inserted)})"
+
+
+def _trusted(removed, inserted):
+    """A :class:`BistellarMove` of faces already checked, built unchecked."""
+    move = object.__new__(BistellarMove)
+    fields = move.__dict__
+    fields["removed"], fields["inserted"] = removed, inserted
+    return move
 
 
 def fresh_vertex(complex_):
@@ -104,27 +112,26 @@ def find_move(complex_, face):
 
 
 class MoveIndex:
-    """The moves of a pure complex (symmetric pairs for a
-    :class:`Z2Complex`); ``index[i]`` is the ``i``-th in enumeration order.
+    """The moves of a pure complex (symmetric pairs for a :class:`Z2Complex`):
+    ``index[i]`` is the ``i``-th in enumeration order, iterating walks the
+    buckets once, and these moves and their inverses are built unchecked.
 
     :meth:`apply` is the one place where a flip is checked and made.
-    ``state`` is built from the facet set ``_facets`` when read;
-    ``_cofacets`` maps each face to the facets containing it, and ``_f``
-    counts its keys by dimension for :meth:`f_vector`.  Moves are listed on
-    the first read, then kept by rechecking only the faces that a flip can
-    change (:meth:`apply`):
-    ``_links`` maps each face to :meth:`_link_simplex` where that is not
-    None (``fresh`` fills in ``()`` on reading, so new vertices never dirty
-    facet moves); ``_owners`` inverts ``_links`` and is read only for the
-    simplices that enter or leave, so a face waiting on a simplex is
-    rechecked when it comes or goes; ``_buckets[k]`` sorts the listed
-    ``k``-vertex faces, and a bucket is edited only when a face enters or
-    leaves the listing.  A symmetric index keeps all but ``_facets``
-    for the smaller face of each antipodal pair only, the face ``(a, ...,
-    b)`` with ``a + b < 0`` (``a + b == 0`` would put ``a`` and ``-a`` in
-    one face), and looks any face up as that one (:meth:`_key`).  It is
-    built only on a pure complex; a :class:`Z2Complex` was checked when it
-    was built, and so is the symmetric ``state``.
+    ``state`` is built from the facet set ``_facets`` when read; ``_cofacets``
+    maps each face to the facets containing it, and ``_f`` counts its keys by
+    dimension for :meth:`f_vector`.  Moves are listed on the first read, then
+    kept by rechecking only the faces that a flip can change (:meth:`apply`):
+    ``_links`` maps each face to :meth:`_link_simplex` where that is not None
+    (``fresh`` fills in ``()`` on reading, so new vertices never dirty facet
+    moves); ``_owners`` inverts ``_links`` and is read only for the simplices
+    that enter or leave, so a face waiting on a simplex is rechecked when it
+    comes or goes; ``_buckets[k]`` sorts the listed ``k``-vertex faces, and a
+    bucket is edited only when a face enters or leaves the listing.  A
+    symmetric index keeps all but ``_facets`` for the smaller face of each
+    antipodal pair only, the face ``(a, ..., b)`` with ``a + b < 0``
+    (``a + b == 0`` would put ``a`` and ``-a`` in one face), and looks any
+    face up as that one (:meth:`_key`).  It is built only on a pure complex;
+    a :class:`Z2Complex` is checked when built, as is a symmetric ``state``.
     """
 
     def __init__(self, state):
@@ -167,19 +174,27 @@ class MoveIndex:
     def __len__(self):
         return sum(map(len, self._listed()))
 
+    def __iter__(self):
+        return map(self._move, chain.from_iterable(self._listed()))
+
     def __getitem__(self, position):
+        """The move at ``position``, counted from the end if negative."""
+        at = position + len(self) if position < 0 else position
         for bucket in self._listed():
-            if 0 <= position < len(bucket):
-                face = bucket[position]
-                return BistellarMove(face, self._links[face] or (self.fresh,))
-            position -= len(bucket)
-        raise IndexError(position)
+            if 0 <= at < len(bucket):
+                return self._move(bucket[at])
+            at -= len(bucket)
+        raise IndexError(f"position {position} is out of range for {len(self)} moves")
+
+    def _move(self, face):
+        return _trusted(face, self._links[face] or (self.fresh,))
 
     def lowest(self):
         """``(facet_delta, count)`` of the first, most downhill moves:
         ``facet_delta`` is ``2 * len(removed) - (dimension + 2)``."""
-        k, bucket = next((k, b) for k, b in enumerate(self._listed()) if b)
-        return 2 * k - self._dimension - 2, len(bucket)
+        for k, bucket in enumerate(self._listed()):
+            if bucket:
+                return 2 * k - self._dimension - 2, len(bucket)
 
     def apply(self, move):
         """Check ``move`` (and its antipodal image, see :func:`apply_z2_move`)

@@ -65,14 +65,14 @@ def _search(start, budget, seed):
     rng = random.Random(seed)
     index = MoveIndex(start)
     multiplier = 2 if index.z2 else 1
-    # On d + 2 vertices, or 2(d + 1) free ones, a ridge has only the target's two
+    # On d + 2 vertices, or d + 1 free pairs, a ridge has only the target's two
     # cofacets; moves keep the state closed and strongly connected, so it is the target.
-    target_vertices = multiplier * start.dimension + 2
+    target_vertices = start.dimension + 2 - index.z2  # a symmetric index counts pairs
 
     log, flips, applied, restarts = [], 0, 0, 0
-    best = (index.f_vector().counts[::-1], 0)  # (energy, len(log))
+    best = (index._f[::-1], 0)  # (energy, len(log)); the search ends at this state
     temperature = _START_TEMPERATURE
-    while not (reduced := index.f_vector().counts[0] == target_vertices):
+    while not (reduced := index._f[0] == target_vertices):
         if temperature < _RESTART_BELOW or flips == budget:
             # Rewind to the best state; removed vertices come back under their ids.
             while len(log) > best[1]:
@@ -96,7 +96,7 @@ def _search(start, budget, seed):
             index.apply(move)
             log.append(move)
             applied += 1
-            energy = index.f_vector().counts[::-1]
+            energy = index._f[::-1]
             if energy < best[0]:
                 best = (energy, len(log))
         temperature *= _COOLING
@@ -104,7 +104,7 @@ def _search(start, budget, seed):
         "reduced" if reduced else "inconclusive",
         FlipSequence(tuple(log), index.z2, complex_digest(start),
                      complex_digest(index.state)),
-        flips, applied, restarts, best[0][::-1], budget, seed), index.state
+        flips, applied, restarts, index.f_vector().counts, budget, seed), index.state
 
 
 def reduce_to_boundary_simplex(complex_, budget=100_000, seed=0):

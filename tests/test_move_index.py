@@ -302,8 +302,34 @@ def test_either_half_of_a_pair_applies_it(base, picks):
 
 
 def test_reads_past_the_end():
-    index = MoveIndex(simplex_boundary(3))
-    assert len(index) == 4
-    for position in (len(index), -1):
-        with pytest.raises(IndexError):
-            index[position]
+    # A negative position counts from the end, as in a list; the error for a
+    # position out of range names it and the number of moves.
+    for base in (simplex_boundary(3), cross_polytope(3)):
+        index = MoveIndex(base)
+        listed = list(index)
+        assert len(index) == len(listed) == 4
+        assert [index[p] for p in range(-4, 0)] == listed
+        for position in (4, 10, -5):
+            with pytest.raises(IndexError) as raised:
+                index[position]
+            assert str(raised.value) == \
+                f"position {position} is out of range for 4 moves"
+
+
+@pytest.mark.parametrize("base", [simplex_boundary(4), cross_polytope(3),
+                                  cross_polytope(4)],
+                         ids=["4-simplex", "cross-3", "cross-4"])
+@given(picks=choices)
+@settings(max_examples=15, deadline=None)
+def test_listed_moves_equal_checked_ones(base, picks):
+    # The index builds the moves it lists, and their inverses, without
+    # checking faces it made; each must equal the checked construction.
+    index = MoveIndex(base)
+    for pick in picks:
+        listed = list(index)
+        assert listed == [index[i] for i in range(len(index))]
+        for m in listed:
+            for made in (m, m.inverse()):
+                checked = BistellarMove(made.removed, made.inserted)
+                assert made == checked and repr(made) == repr(checked)
+        index.apply(listed[pick % len(listed)])

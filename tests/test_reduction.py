@@ -180,6 +180,10 @@ def search_input(name):
         return cross_polytope(4).equivariant_sd()[0]
     if name == "sd-simplex4":
         return simplex_boundary(4).barycentric_subdivide()[0]
+    if name == "sd-c3":
+        return cross_polytope(3).equivariant_sd()[0]
+    if name == "sd-simplex3":
+        return simplex_boundary(3).barycentric_subdivide()[0]
     return random_z2_walk(cross_polytope(3), 80, seed=5)[0]
 
 
@@ -197,6 +201,22 @@ def test_rewinding_search_matches_rebuilding_one(name, budget, seed):
     assert report == rebuild_search(start, budget, seed)
     assert report.reduced == (budget == 100_000)
     assert not report.reduced or on_target(final, start)
+
+
+@pytest.mark.parametrize("name", ["sd-c3", "sd-simplex3"])
+@pytest.mark.parametrize("budget", [5, 40, 100_000])
+def test_best_f_vector_is_the_replayed_one(name, budget):
+    # The search keeps its energy and stop test on the index's face counts;
+    # the sequence leads to the best state, reduced or not, and the report's
+    # f-vector must be that state's.
+    start = search_input(name)
+    search = z2_reduce_to_cross_polytope if name == "sd-c3" else reduce_to_boundary_simplex
+    outcomes = set()
+    for seed in range(1, 6):
+        report = search(start, budget=budget, seed=seed)
+        assert report.best_f_vector == replay(start, report.sequence).f_vector().counts
+        outcomes.add(report.outcome)
+    assert len(outcomes) == 1 + (budget == 40)  # budget 40 ends both ways
 
 
 @pytest.mark.parametrize("name, seed", [("sd-c4", 1), ("sd-simplex4", 2)])
