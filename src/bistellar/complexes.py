@@ -164,29 +164,13 @@ class SimplicialComplex:
     def dimension(self):
         return max(len(f) for f in self.facets) - 1
 
-    @cached_property
-    def _facet_sets(self):
-        return tuple(frozenset(f) for f in self.facets)
-
-    @cached_property
-    def _vertex_to_facets(self):
-        index = {}
-        for i, f in enumerate(self.facets):
-            for v in f:
-                index.setdefault(v, []).append(i)
-        return index
-
     def __contains__(self, face):
         return bool(self.facets_containing(face))
 
     def facets_containing(self, face):
         """Indices of facets that contain ``face``."""
-        face = _checked_face(face)
-        if not face:
-            return list(range(len(self.facets)))
-        hits = self._vertex_to_facets.get(face[0], ())
-        fs = frozenset(face)
-        return [i for i in hits if fs <= self._facet_sets[i]]
+        fs = frozenset(_checked_face(face))
+        return [i for i, f in enumerate(self.facets) if fs.issubset(f)]
 
     def _star_indices(self, face):
         """``face`` checked, and the facets containing it as indices;
@@ -200,10 +184,10 @@ class SimplicialComplex:
     def faces(self, dim=None):
         """All faces, or all faces of one dimension, as sorted tuples.
 
-        The empty face is not reported.
+        The empty face is not reported: a ``dim`` below 0 gives ``[]``.
         """
         if dim is not None:
-            return sorted(self._faces((dim + 1,)))
+            return sorted(self._faces((dim + 1,))) if dim >= 0 else []
         return sorted(self._faces(range(1, self.dimension + 2)),
                       key=lambda t: (len(t), t))
 
@@ -271,7 +255,7 @@ class SimplicialComplex:
         if not face:
             raise EmptyComplex("the empty face has no stellar subdivision")
         (new_vertex,) = _checked_face((new_vertex,))
-        if new_vertex in self._vertex_to_facets:
+        if new_vertex in self.vertices:
             raise VertexCollision(f"vertex {new_vertex} already present")
 
         doomed = set(hits)
@@ -330,14 +314,14 @@ class SimplicialComplex:
         return SimplicialComplex(_canonical_facets(out)), face_map
 
     def __eq__(self, other):
-        return isinstance(other, SimplicialComplex) and self.facets == other.facets
+        return type(other) is type(self) and self.facets == other.facets
 
     def __hash__(self):
         return hash(self.facets)
 
     def __repr__(self):
         fv = self.f_vector().counts
-        return f"SimplicialComplex(dim={self.dimension}, f={fv})"
+        return f"{type(self).__name__}(dim={self.dimension}, f={fv})"
 
 
 def boundary_of_simplex(face):

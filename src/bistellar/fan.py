@@ -78,13 +78,11 @@ class FanLabelling:
     def labels(self):
         return MappingProxyType(self._labels)
 
-    def label(self, vertex):
+    def __getitem__(self, vertex):
         try:
             return self._labels[vertex]
         except KeyError:
             raise IncompleteLabelling(f"vertex {vertex} is unlabelled") from None
-
-    __getitem__ = label
 
     def __contains__(self, vertex):
         return vertex in self._labels

@@ -44,11 +44,7 @@ def canonical_cross_labelling(k):
     is positive.
     """
     _checked_dimension(k)
-    labels = {}
-    for i in range(1, k + 1):
-        labels[i] = i
-        labels[-i] = -i
-    return FanLabelling(labels)
+    return FanLabelling({v: v for v in range(-k, k + 1) if v})
 
 
 def random_fan_labelling(z2complex, bound, seed):

@@ -81,16 +81,6 @@ class Z2Complex(SimplicialComplex):
         """:meth:`SimplicialComplex.from_facets`, then the constructor."""
         return cls(SimplicialComplex.from_facets(facet_list))
 
-    def __eq__(self, other):
-        return isinstance(other, Z2Complex) and self.facets == other.facets
-
-    def __hash__(self):
-        return hash(self.facets)
-
-    def __repr__(self):
-        fv = self.f_vector().counts
-        return f"Z2Complex(dim={self.dimension}, f={fv})"
-
     @cached_property
     def positive_vertices(self):
         """One representative per antipodal vertex pair (the positive id)."""

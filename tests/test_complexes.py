@@ -41,6 +41,7 @@ from conftest import (
     naive_canonical_facets,
     naive_euler,
     naive_f_vector,
+    naive_faces,
     naive_isomorphism,
     naive_link_faces,
 )
@@ -88,6 +89,32 @@ class TestFromFacets:
         for f in cx.facets:
             for v in f:
                 assert tuple(x for x in f if x != v) in cx
+
+    @given(st.lists(st.frozensets(st.integers(-6, 6).filter(bool),
+                                  min_size=1, max_size=4),
+                    min_size=1, max_size=8),
+           st.lists(st.frozensets(st.integers(-7, 7).filter(bool), max_size=3),
+                    max_size=6),
+           st.integers(-7, 7).filter(bool))
+    def test_incidence_of_present_and_absent_faces(self, sets, probes, new):
+        cx = SimplicialComplex.from_facets(sets)
+        for face in cx.faces() + [tuple(sorted(p)) for p in probes]:
+            hits = [i for i, f in enumerate(cx.facets) if set(face) <= set(f)]
+            assert cx.facets_containing(face) == hits
+            assert (face in cx) == bool(hits)
+            if not hits:
+                for query in (cx.link, cx.star):
+                    with pytest.raises(FaceNotPresent):
+                        query(face)
+                continue
+            link = [tuple(v for v in cx.facets[i] if v not in face) for i in hits]
+            assert cx.link(face).facets == naive_canonical_facets(link)
+            if face:
+                try:
+                    cx.stellar_subdivide(face, new)
+                    assert new not in cx.vertices
+                except VertexCollision:
+                    assert new in cx.vertices
 
 
 rows = st.sets(st.frozensets(st.integers(-6, 6).filter(bool), min_size=3,
@@ -137,6 +164,9 @@ class TestFVector:
     def test_matches_naive_on_corpus(self, octahedron, tetra_boundary):
         for cx in (octahedron.complex, tetra_boundary, simplex_boundary(4)):
             assert cx.f_vector().counts == naive_f_vector(cx.facets)
+            for dim in range(-2, cx.dimension + 3):  # never the empty face
+                assert cx.faces(dim) == sorted(
+                    f for f in naive_faces(cx.facets) if len(f) == dim + 1)
 
     def test_equality(self, tetra_boundary):
         # comparing with a non-iterable used to raise TypeError

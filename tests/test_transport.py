@@ -173,13 +173,13 @@ def walk_with_oracle(base, walk_seed, label_seed, steps, bound=1):
         if nudged:
             u = max(ins, key=labels.get)
             around = {f: alternating_sign(f, labels)
-                      for w in (u, -u) for f in naive_star(index._facets, w)}
+                      for w in (u, -u) for f in naive_star(index.state.facets, w)}
         nudges += nudged
         index.apply(move)
         delta = _transport(labels, move)
         if nudged:
             assert all(alternating_sign(f, labels) == sign
-                       for f, sign in around.items() if f in index._facets)
+                       for f, sign in around.items() if f in index.state.facets)
         counts = (counts[0] + delta[0], counts[1] + delta[1])
         reference = rational_relabel(reference, move)
         state = index.state

@@ -286,9 +286,16 @@ class TestIsASimplicialComplex:
 
     def test_never_equal_to_its_plain_complex(self):
         signed = cross_polytope(3)
-        assert signed != signed.complex
-        assert signed.complex != signed
+        assert signed != signed.complex and not signed == signed.complex
+        assert signed.complex != signed and not signed.complex == signed
         assert signed == cross_polytope(3)
+        assert repr(signed) == "Z2Complex(dim=2, f=(6, 12, 8))"
+        assert repr(signed.complex) == "SimplicialComplex(dim=2, f=(6, 12, 8))"
+        for kind in (lambda cx: cx, lambda cx: cx.complex):
+            left, right = kind(signed), kind(cross_polytope(3))
+            assert left == right and hash(left) == hash(right)
+            assert {left: "found"}[right] == "found"
+        assert len({signed: 0, signed.complex: 1}) == 2  # one hash, not equal
 
     @pytest.mark.parametrize("call", [
         lambda cx: find_isomorphism(cx, cx.complex),
