@@ -7,12 +7,13 @@ sorted by vertex id, so serialization is canonical: writing the same
 object twice gives byte-identical files, which keeps certificates and
 golden outputs diffable.
 
-Exit codes: 0 success / verified, 2 validation, input or file failure
-(violations are listed on stdout, errors on stderr), 3 inconclusive reduction.
+Exit codes: 0 success / verified, 1 stdout closed by its reader, 2 validation,
+input or file failure (violations on stdout, errors on stderr), 3 inconclusive.
 """
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain
 
@@ -501,7 +502,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout, as ``| head`` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except BistellarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -119,16 +119,17 @@ class MoveIndex:
     :meth:`apply` is the one place where a flip is checked and made.
     ``_cofacets`` maps each face to the facets containing it, ``state`` is
     built from its top-dimensional keys when read, and ``_f`` counts its keys
-    by dimension for :meth:`f_vector`.  Moves are listed on the first read, then
-    kept by rechecking only the faces that a flip can change (:meth:`apply`):
-    ``_links`` maps each face to :meth:`_link_simplex` where that is not None
-    (``fresh`` fills in ``()`` on reading, so new vertices never dirty facet
-    moves); ``_owners`` inverts ``_links`` and is read only for the simplices
-    that enter or leave, so a face waiting on a simplex is rechecked when it
-    comes or goes (a scan of the cofacets of ``inserted`` and ``removed``
-    less one vertex in its place measured searches 10-16 % slower);
-    ``_buckets[k]`` sorts the listed ``k``-vertex faces, and a bucket is edited
-    only when a face enters or leaves the listing.  A symmetric index keeps
+    by dimension for :meth:`f_vector`.  Moves are listed when the index is
+    built, by the recheck of every face, and then kept by rechecking only the
+    faces that a flip can change (:meth:`apply`): ``_links`` maps each face
+    to :meth:`_link_simplex` where that is not None (``fresh`` fills in
+    ``()`` on reading, so new vertices never dirty facet moves); ``_owners``
+    inverts ``_links`` and is read only for the simplices that enter or
+    leave, so a face waiting on a simplex is rechecked when it comes or goes
+    (a scan of the cofacets of ``inserted`` and ``removed`` less one vertex
+    in its place measured searches 10-16 % slower); ``_buckets[k]`` sorts
+    the listed ``k``-vertex faces, and a face is put in or taken out by
+    bisection only when it enters or leaves the listing.  A symmetric index keeps
     all of these for the smaller face of each antipodal pair only, the face
     ``(a, ..., b)`` with ``a + b < 0`` (``a + b == 0`` would put ``a`` and
     ``-a`` in one face), and looks any face up as that one (:meth:`_key`).
@@ -142,7 +143,7 @@ class MoveIndex:
             raise BistellarError("a MoveIndex needs a pure complex")
         self.state, self._dimension = state, state.dimension
         self.fresh = fresh_vertex(state)
-        self._cofacets, self._links = {}, None
+        self._cofacets, self._links, self._owners = {}, {}, {}
         for facet in state.facets:
             for k in range(1, len(facet) + 1):
                 for face in combinations(facet, k):
@@ -150,6 +151,8 @@ class MoveIndex:
                         self._cofacets.setdefault(face, []).append(facet)
         sizes = Counter(map(len, self._cofacets))
         self._f = [sizes[k] for k in range(1, state.dimension + 2)]
+        self._buckets = [[] for _ in range(state.dimension + 2)]
+        self._recheck(zip(self._cofacets, repeat(...)))
 
     @cached_property
     def state(self):
@@ -167,25 +170,16 @@ class MoveIndex:
         """``face``, or on a symmetric index the smaller face of its pair."""
         return _negated(face) if self.z2 and face and face[0] + face[-1] > 0 else face
 
-    def _listed(self):
-        """The buckets, listed on first use: a lone flip needs none."""
-        if self._links is None:
-            self._links, self._owners = {}, {}
-            self._buckets = [[] for _ in range(self._dimension + 2)]
-            self._recheck(zip(self._cofacets, repeat(...)), listing=True)
-            self._buckets = [sorted(bucket) for bucket in self._buckets]
-        return self._buckets
-
     def __len__(self):
-        return sum(map(len, self._listed()))
+        return sum(map(len, self._buckets))
 
     def __iter__(self):
-        return map(self._move, chain.from_iterable(self._listed()))
+        return map(self._move, chain.from_iterable(self._buckets))
 
     def __getitem__(self, position):
         """The move at ``position``, counted from the end if negative."""
         at = position + len(self) if position < 0 else position
-        for bucket in self._listed():
+        for bucket in self._buckets:
             if 0 <= at < len(bucket):
                 return self._move(bucket[at])
             at -= len(bucket)
@@ -197,7 +191,7 @@ class MoveIndex:
     def lowest(self):
         """``(facet_delta, count)`` of the first, most downhill moves:
         ``facet_delta`` is ``2 * len(removed) - (dimension + 2)``."""
-        for k, bucket in enumerate(self._listed()):
+        for k, bucket in enumerate(self._buckets):
             if bucket:
                 return 2 * k - self._dimension - 2, len(bucket)
 
@@ -220,10 +214,8 @@ class MoveIndex:
         if self.z2 and not set(B).isdisjoint(map(neg, B)):
             raise InterferingAntipodalMove(
                 f"{move} inserts a simplex that meets its antipode")
-        changed = self._flip(move)
-        if self._links is not None:
-            waiting = [*self._owners.get(key, ()), *self._owners.get(target, ())]
-            self._recheck([*changed, *zip(waiting, repeat(...))])
+        waiting = [*self._owners.get(key, ()), *self._owners.get(target, ())]
+        self._recheck([*self._flip(move), *zip(waiting, repeat(...))])
         vars(self).pop("state", None)
         if len(removed) == 1:  # ids below fresh were used; this one may be free
             self.fresh = min(self.fresh, abs(removed[0]))
@@ -249,22 +241,20 @@ class MoveIndex:
         return tuple(sorted(apex)) if len(apex) == need else None
 
     def _flip(self, move):
-        """Swap the facets that :func:`_replaced` names in one pass over the
-        faces of :func:`_halves` that :func:`_flip_plan` lays out; returns
-        ``(face, link)`` for each face whose cofacet count was or is ``need``,
-        with its link simplex if it enters or leaves, else ``...``."""
-        halves = _halves(move, self.z2)
-        gone, added = _replaced(move, self.z2, halves)
+        """Swap the gone and added facets in one pass over the faces of
+        :func:`_halves` that :func:`_flip_plan` lays out; each swapped facet
+        is one of these faces, the union less one vertex, at the position the
+        plan names.  Returns ``(face, link)`` for each face whose cofacet count
+        was or is ``need``, with its link simplex if it enters or leaves, else
+        ``...``."""
         cofacets, f, z2, changed = self._cofacets, self._f, self.z2, []
-        a, b = len(move.inserted), len(move.removed)
-        for h, (faces, at) in enumerate(halves):
-            out, take = gone[h * a:h * a + a], added[h * b:h * b + b].__getitem__
+        for faces, at in _halves(move, z2):
             for face, rest, (need, left, joined) in zip(
-                    faces, reversed(faces), _flip_plan(a + b, at)):
+                    faces, reversed(faces), _flip_plan(len(faces[-1]) + 1, at)):
                 if z2 and face[0] + face[-1] > 0:
                     continue
                 if not left:  # in no gone facet: it contains inserted and enters
-                    cofacets[face] = [*map(take, joined)]
+                    cofacets[face] = [*map(faces.__getitem__, joined)]
                     f[len(face) - 1] += 1
                     changed.append((face, rest if need > 1 else ()))
                 elif not joined:  # in no added facet: it contains removed and leaves
@@ -275,16 +265,15 @@ class MoveIndex:
                     containing = cofacets[face]
                     was = len(containing) == need
                     for j in left:
-                        containing.remove(out[j])
-                    containing += map(take, joined)
+                        containing.remove(faces[j])
+                    containing += map(faces.__getitem__, joined)
                     if was or len(containing) == need:
                         changed.append((face, ...))
         return changed
 
-    def _recheck(self, faces, listing=False):
+    def _recheck(self, faces):
         """Update links, owners and buckets for ``(face, link)`` pairs, ``...``
-        for a link not known, keying links as :meth:`_key` does; ``listing``
-        appends to the buckets, to be sorted."""
+        for a link not known, keying links as :meth:`_key` does."""
         links, owners, buckets, z2 = self._links, self._owners, self._buckets, self.z2
         cofacets, link_simplex = self._cofacets, self._link_simplex
         for face, link in faces:
@@ -309,7 +298,7 @@ class MoveIndex:
             if old is None and not listed:  # nor was it listed
                 continue
             bucket = buckets[len(face)]
-            i = len(bucket) if listing else bisect_left(bucket, face)
+            i = bisect_left(bucket, face)
             if i < len(bucket) and bucket[i] == face:
                 if not listed:
                     del bucket[i]
@@ -332,26 +321,23 @@ def _flip_plan(n, at):
     """``(need, left, joined)`` for each proper face of an ``n``-vertex union
     whose positions ``at`` hold ``inserted``, in :func:`~itertools.combinations`
     order by size, which lists their complements in reverse: ``left`` and
-    ``joined`` index the gone and added facets that contain the face, and
-    ``need`` is the cofacet count of a face with a link."""
-    rest = [i for i in range(n) if i not in at]
-    return tuple((n - k, tuple(j for j, i in enumerate(at) if i not in face),
-                  tuple(j for j, i in enumerate(rest) if i not in face))
+    ``joined`` are the positions ``~i`` in that order of the gone and added
+    facets that contain the face, each the union less its ``i``-th vertex,
+    and ``need`` is the cofacet count of a face with a link."""
+    return tuple((n - k, tuple(~i for i in at if i not in face),
+                  tuple(~i for i in range(n) if i not in at and i not in face))
                  for k in range(1, n) for face in combinations(range(n), k))
 
 
-def _replaced(move, z2, halves=None):
+def _replaced(move, z2):
     """``(gone, added)``: the facets of ``removed * boundary(inserted)``, which
     go, and of ``boundary(removed) * inserted``, which come, each the union
     less one vertex, in union order; if ``z2``, the antipodal move's follow.
-    ``halves`` is :func:`_halves` of the move, if known (deriving the ridges
-    from the union again in :meth:`MoveIndex._flip` measured searches 7.6 %
-    slower)."""
-    gone, added = [], []
-    for faces, at in halves or _halves(move, z2):
-        for i in range(len(faces[-1]) + 1):  # faces[~i] lacks the i-th vertex
-            (gone if i in at else added).append(faces[~i])
-    return gone, added
+    :meth:`MoveIndex._flip` reads the same facets from :func:`_flip_plan`."""
+    halves = _halves(move, z2)  # faces[~i] lacks the i-th vertex
+    return ([faces[~i] for faces, at in halves for i in at],
+            [faces[~i] for faces, at in halves
+             for i in range(len(faces[-1]) + 1) if i not in at])
 
 
 def enumerate_moves(complex_):

@@ -1,14 +1,20 @@
 """Command line driver and document round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bistellar
 from bistellar import (
     BistellarError,
     BistellarMove,
+    FanLabelling,
     NotEquivariant,
     Z2Complex,
     apply_z2_move,
@@ -20,6 +26,7 @@ from bistellar import (
     fresh_vertex,
     random_fan_labelling,
     random_z2_walk,
+    replay_verify,
     simplex_boundary,
 )
 from bistellar.cli import (
@@ -205,6 +212,26 @@ class TestCommands:
         assert main(["moves", octa_file]) == 0
         assert "total: 4" in capsys.readouterr().out
 
+    def test_a_closed_stdout_exits_1_without_a_traceback(self, tmp_path):
+        # The reader closes the pipe after one line, as ``| head -1`` does.
+        # sd^3 of the octahedron lists over 80 kB of moves, more than a pipe
+        # holds, so the command is still writing when the pipe closes.
+        cx = cross_polytope(3)
+        for _ in range(3):
+            cx, _ = cx.equivariant_sd()
+        path = tmp_path / "sd3.json"
+        path.write_text(dumps_canonical(complex_document(cx, z2=True)))
+        env = {**os.environ, "PYTHONPATH": str(Path(bistellar.__file__).parents[1])}
+        child = subprocess.Popen([sys.executable, "-m", "bistellar", "moves", str(path)],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 bufsize=0, env=env)
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 1
+        assert first.startswith(b"removed=") and err == b""
+
     @pytest.mark.parametrize("make", [
         lambda: cross_polytope(3),
         lambda: random_z2_walk(cross_polytope(4), 40, seed=5)[0],
@@ -319,6 +346,18 @@ class TestCommands:
         # canonical labelling has no complementary edge: loud failure
         assert main(["tucker", octa_file]) == 2
 
+    def test_tucker_finds_a_complementary_edge_exit_0(self, tmp_path, capsys):
+        # labels 1, 2, 1 on the octahedron's 1, 2, 3, negated on -v: the
+        # edge (-3, 1) carries -1 and 1
+        labelling = FanLabelling({s * v: s * x for v, x in ((1, 1), (2, 2), (3, 1))
+                                  for s in (1, -1)})
+        path = tmp_path / "labelled.json"
+        path.write_text(dumps_canonical(complex_document(
+            cross_polytope(3), z2=True, labelling=labelling)))
+        assert main(["tucker", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out == "complementary edge: [-3, 1] (labels -1 and 1)\n" and err == ""
+
     def test_tucker_on_a_labelled_torus_exit_2(self, tmp_path, capsys):
         torus = kuhn_torus()
         path = tmp_path / "torus.json"
@@ -337,6 +376,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "outcome: reduced" in out
         assert "replay verified: True" in out
+
+    def test_reduce_log_replays(self, octa_file, tmp_path, capsys):
+        # the --log document parses and replays onto the cross polytope
+        walked, log = tmp_path / "walked.json", tmp_path / "seq.json"
+        main(["walk", octa_file, "--steps", "8", "--seed", "3",
+              "-o", str(walked)])
+        assert main(["reduce", str(walked), "--z2", "--seed", "1",
+                     "--log", str(log)]) == 0
+        sequence = parse_sequence_document(log.read_text())
+        _, source, _ = parse_complex_document(walked.read_text())
+        assert sequence.z2 and len(sequence) > 0
+        assert replay_verify(source, sequence, cross_polytope(3))
 
     def test_reduce_inconclusive_exit_3(self, octa_file, tmp_path, capsys):
         walked = tmp_path / "walked.json"
@@ -366,6 +417,18 @@ class TestCommands:
         doc = json.loads(cert.read_text())
         assert doc["alpha_positive"] == 1
         assert doc["parity"] == 1
+
+    def test_certify_labels_from_the_file(self, tmp_path, capsys):
+        # --labels file is the default; --out holds the library's certificate
+        walked, _ = random_z2_walk(cross_polytope(3), 12, seed=5)
+        labelling = random_fan_labelling(walked, 5, 2)
+        path, cert = tmp_path / "labelled.json", tmp_path / "cert.json"
+        path.write_text(dumps_canonical(complex_document(
+            walked, z2=True, labelling=labelling)))
+        assert main(["certify", str(path), "--seed", "1", "--out", str(cert)]) == 0
+        assert "verified: alpha-positive is odd: True" in capsys.readouterr().out
+        assert cert.read_text() == dumps_canonical(certificate_document(
+            fan_certificate(walked, labelling, seed=1)))
 
     def test_certify_random_labels_on_walked(self, octa_file, tmp_path, capsys):
         walked = tmp_path / "walked.json"
