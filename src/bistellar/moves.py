@@ -119,11 +119,12 @@ class MoveIndex:
     :meth:`apply` is the one place where a flip is checked and made.
     ``_cofacets`` maps each face to the facets containing it, ``state`` is
     built from its top-dimensional keys when read, and ``_f`` counts its keys
-    by dimension for :meth:`f_vector`.  Moves are listed when the index is
-    built, by the recheck of every face, and then kept by rechecking only the
-    faces that a flip can change (:meth:`apply`): ``_links`` maps each face
-    to :meth:`_link_simplex` where that is not None (``fresh`` fills in
-    ``()`` on reading, so new vertices never dirty facet moves); ``_owners``
+    by dimension for :meth:`f_vector`.  Moves are listed on the first read,
+    by the recheck of every face (a lone flip, as :func:`apply_z2_move`
+    makes, reads none), then kept by rechecking only the faces that a flip
+    can change (:meth:`apply`): ``_links`` maps each face to
+    :meth:`_link_simplex` where that is not None (``fresh`` fills in ``()``
+    on reading, so new vertices never dirty facet moves); ``_owners``
     inverts ``_links`` and is read only for the simplices that enter or
     leave, so a face waiting on a simplex is rechecked when it comes or goes
     (a scan of the cofacets of ``inserted`` and ``removed`` less one vertex
@@ -143,7 +144,7 @@ class MoveIndex:
             raise BistellarError("a MoveIndex needs a pure complex")
         self.state, self._dimension = state, state.dimension
         self.fresh = fresh_vertex(state)
-        self._cofacets, self._links, self._owners = {}, {}, {}
+        self._cofacets, self._links = {}, None
         for facet in state.facets:
             for k in range(1, len(facet) + 1):
                 for face in combinations(facet, k):
@@ -151,8 +152,6 @@ class MoveIndex:
                         self._cofacets.setdefault(face, []).append(facet)
         sizes = Counter(map(len, self._cofacets))
         self._f = [sizes[k] for k in range(1, state.dimension + 2)]
-        self._buckets = [[] for _ in range(state.dimension + 2)]
-        self._recheck(zip(self._cofacets, repeat(...)))
 
     @cached_property
     def state(self):
@@ -170,16 +169,24 @@ class MoveIndex:
         """``face``, or on a symmetric index the smaller face of its pair."""
         return _negated(face) if self.z2 and face and face[0] + face[-1] > 0 else face
 
+    def _listed(self):
+        """The buckets, listed on first use: a lone flip needs none."""
+        if self._links is None:
+            self._links, self._owners = {}, {}
+            self._buckets = [[] for _ in range(self._dimension + 2)]
+            self._recheck(zip(self._cofacets, repeat(...)))
+        return self._buckets
+
     def __len__(self):
-        return sum(map(len, self._buckets))
+        return sum(map(len, self._listed()))
 
     def __iter__(self):
-        return map(self._move, chain.from_iterable(self._buckets))
+        return map(self._move, chain.from_iterable(self._listed()))
 
     def __getitem__(self, position):
         """The move at ``position``, counted from the end if negative."""
         at = position + len(self) if position < 0 else position
-        for bucket in self._buckets:
+        for bucket in self._listed():
             if 0 <= at < len(bucket):
                 return self._move(bucket[at])
             at -= len(bucket)
@@ -191,7 +198,7 @@ class MoveIndex:
     def lowest(self):
         """``(facet_delta, count)`` of the first, most downhill moves:
         ``facet_delta`` is ``2 * len(removed) - (dimension + 2)``."""
-        for k, bucket in enumerate(self._buckets):
+        for k, bucket in enumerate(self._listed()):
             if bucket:
                 return 2 * k - self._dimension - 2, len(bucket)
 
@@ -214,8 +221,10 @@ class MoveIndex:
         if self.z2 and not set(B).isdisjoint(map(neg, B)):
             raise InterferingAntipodalMove(
                 f"{move} inserts a simplex that meets its antipode")
-        waiting = [*self._owners.get(key, ()), *self._owners.get(target, ())]
-        self._recheck([*self._flip(move), *zip(waiting, repeat(...))])
+        changed = self._flip(move)
+        if self._links is not None:
+            waiting = [*self._owners.get(key, ()), *self._owners.get(target, ())]
+            self._recheck([*changed, *zip(waiting, repeat(...))])
         vars(self).pop("state", None)
         if len(removed) == 1:  # ids below fresh were used; this one may be free
             self.fresh = min(self.fresh, abs(removed[0]))

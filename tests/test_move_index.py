@@ -198,6 +198,7 @@ def test_a_flip_rechecks_every_face_it_changes(base, picks):
     # those of the union (and its antipode) containing ``inserted`` or
     # ``removed``, as the plan says.
     index = MoveIndex(base)
+    len(index)  # list it, so that each flip rechecks
     rechecked, recheck = [], index._recheck
     index._recheck = lambda faces: (rechecked.extend(f for f, _ in faces),
                                     recheck(faces))
@@ -231,19 +232,20 @@ def test_a_flip_rechecks_every_face_it_changes(base, picks):
 @given(picks=choices)
 @settings(max_examples=15, deadline=None)
 def test_an_index_never_read_keeps_its_moves(base, picks):
-    # An index lists its moves when it is built: one that is only given a
-    # walk's moves, and never read until the end, must list what an index
-    # built afresh on its state lists.
+    # An index lists its moves on the first read, and a flip before it
+    # rechecks nothing: one that is only given a walk's moves, and read only
+    # at the end, must list what an index built afresh on its state lists.
     walker, replayed = MoveIndex(base), MoveIndex(base)
     for pick in picks:
         move = walker[pick % len(walker)]
         walker.apply(move)
         replayed.apply(move)
+    assert replayed._links is None
     rebuilt = MoveIndex(replayed.state)
+    assert list(replayed) == list(rebuilt) == list(walker)
     assert replayed._links == rebuilt._links
     assert {k: sorted(v) for k, v in replayed._owners.items()} \
         == {k: sorted(v) for k, v in rebuilt._owners.items()}
-    assert list(replayed) == list(rebuilt) == list(walker)
 
 
 def test_blocked_face_is_released_when_its_simplex_goes():
