@@ -18,9 +18,9 @@ worker processes.
 import hashlib
 import json
 from collections import Counter
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, combinations, pairwise, permutations
-from operator import lt
+from operator import itemgetter, lt
 
 from .errors import (
     BistellarError,
@@ -284,34 +284,37 @@ class SimplicialComplex:
 
         Returns ``(subdivision, face_map)``, the subdivision a plain complex.
 
-        Each facet's nonempty faces are named once, in ``combinations``
-        order.  Its chains come from a plan worked out once per facet size
-        in each call: one list of positions into those names per vertex
-        order.  So a facet of ``n`` vertices costs one name per face, of
-        ``2**n - 1``, and one sort of ``n`` ints per chain, of ``n!``.
+        The faces are named in one pass.  Each facet then looks up the names
+        of its nonempty faces, in ``combinations`` order, and its chains
+        come from :func:`_chain_plan`, cached per facet size: one
+        ``itemgetter`` over those names for every vertex order, cut into
+        chains of ``n``.  So a facet of ``n`` vertices costs one lookup per
+        face, of ``2**n - 1``, and one sort of ``n`` ids per chain, of
+        ``n!``, in a few C-level calls.  Every chain holds its facet's name,
+        so the chains of an antichain are distinct and never nest.
         """
         names = {}
         next_id = max(map(abs, self.vertices), default=0) + 1
-        for d in range(self.dimension, 0, -1):
-            for f in self.faces(d):
-                if f not in names:
-                    names.update(zip(self._orbit(f), (next_id, -next_id)))
-                    next_id += 1
+        # by non-increasing size, then lexicographically (the sort is stable)
+        for f in sorted(sorted(self._faces(range(2, self.dimension + 2))),
+                        key=len, reverse=True):
+            if f not in names:
+                names.update(zip(self._orbit(f), (next_id, -next_id)))
+                next_id += 1
         face_map = {v: (v,) for v in self.vertices}
         for f, v in names.items():
             face_map[v] = f
 
-        plans, out = {}, []
+        out = []
         for facet in self.facets:
-            sizes = range(1, len(facet) + 1)
-            if len(facet) not in plans:  # positions of each vertex order's prefixes
-                at = {f: i for i, f in enumerate(chain.from_iterable(
-                    combinations(range(len(facet)), k) for k in sizes))}
-                plans[len(facet)] = [[at[tuple(sorted(p[:k]))] for k in sizes]
-                                     for p in permutations(range(len(facet)))]
-            ids = [*facet, *(names[f] for k in sizes[1:] for f in combinations(facet, k))]
-            out.extend(tuple(sorted([ids[i] for i in p])) for p in plans[len(facet)])
-        return SimplicialComplex(_canonical_facets(out)), face_map
+            n = len(facet)
+            if n < 2:  # () and a lone vertex are their own only chain
+                out.append(facet)
+                continue
+            ids = [*facet, *map(names.__getitem__, chain.from_iterable(
+                combinations(facet, k) for k in range(2, n + 1)))]
+            out += map(tuple, map(sorted, zip(*[iter(_chain_plan(n)(ids))] * n)))
+        return SimplicialComplex(tuple(sorted(out))), face_map
 
     def __eq__(self, other):
         return type(other) is type(self) and self.facets == other.facets
@@ -322,6 +325,17 @@ class SimplicialComplex:
     def __repr__(self):
         fv = self.f_vector().counts
         return f"{type(self).__name__}(dim={self.dimension}, f={fv})"
+
+
+@cache
+def _chain_plan(n):
+    """An ``itemgetter`` that reads, from the names of an ``n``-vertex
+    facet's nonempty faces in ``combinations`` order by size, the names of
+    each vertex order's ``n`` prefixes, one order after another."""
+    at = {f: i for i, f in enumerate(chain.from_iterable(
+        combinations(range(n), k) for k in range(1, n + 1)))}
+    return itemgetter(*(at[tuple(sorted(p[:k]))] for p in permutations(range(n))
+                        for k in range(1, n + 1)))
 
 
 def boundary_of_simplex(face):

@@ -186,6 +186,13 @@ class TestFVector:
             FVector(counts)
         assert FVector(iter([4, 6, 4])) == (4, 6, 4)
 
+    def test_dimension_iteration_and_repr(self, tetra_boundary):
+        fv = tetra_boundary.f_vector()
+        assert fv.dimension == 2
+        assert list(fv) == [4, 6, 4]
+        assert repr(fv) == "FVector(4, 6, 4)"
+        assert FVector([]).dimension == -1 and list(FVector([])) == []
+
 
 class TestLinkStar:
     def test_vertex_link_in_tetra_boundary(self, tetra_boundary):
@@ -355,12 +362,14 @@ _SMALL_IDS = st.integers(-6, 6).filter(bool)
 @example(cx=cross_polytope(5), twice=False)
 @example(cx=simplex_boundary(5), twice=False)
 @example(cx=SimplicialComplex.from_facets([[1, 2, 3], [3, 4]]), twice=True)
+@example(cx=SimplicialComplex.from_facets([[1, 2, 3], [3, 4], [5]]), twice=True)
 @example(cx=SimplicialComplex.from_facets([[-3], [1], [2]]), twice=False)
 @example(cx=SimplicialComplex.from_facets([[-5, -1, 2], [-5, 3], [-4, -2]]), twice=True)
 @example(cx=cross_polytope(3), twice=True)
 def test_barycentric_subdivide_matches_the_per_permutation_oracle(cx, twice):
-    # the chains come from one plan of positions per facet size; the oracle
-    # sorts every prefix of every vertex order
+    # the chains come from one cached getter per facet size, and a facet of
+    # one vertex is its own chain; the oracle sorts every prefix of every
+    # vertex order
     if twice and len(cx.facets) <= 16:  # the subdivision of a subdivision
         cx = cx.equivariant_sd()[0] if isinstance(cx, Z2Complex) \
             else cx.barycentric_subdivide()[0]
@@ -636,6 +645,10 @@ class TestBoundaryOfSimplex:
 
     def test_triangle(self):
         assert boundary_of_simplex((1, 2, 3)).f_vector().counts == (3, 3)
+
+    def test_empty_simplex_raises(self):
+        with pytest.raises(EmptyComplex, match="the empty simplex has no boundary"):
+            boundary_of_simplex(())
 
     @given(st.lists(st.integers(-9, 9).filter(bool), min_size=1, max_size=5,
                     unique=True))

@@ -438,6 +438,25 @@ def walk_against_reference(k, walk_seed, label_seed, steps):
     return nudges
 
 
+class TestMapping:
+    def test_unlabelled_vertex_raises(self):
+        lab = FanLabelling({1: 1, -1: -1})
+        assert lab[-1] == -1
+        with pytest.raises(IncompleteLabelling, match="vertex 2 is unlabelled"):
+            lab[2]
+
+    def test_membership(self):
+        lab = FanLabelling({1: 1, -1: -1})
+        assert 1 in lab and -1 in lab
+        assert 2 not in lab and 0 not in lab
+
+    def test_repr_elides_past_six_labels(self):
+        six = FanLabelling({v: -v for v in range(6, 0, -1)})
+        assert repr(six) == "FanLabelling({1:-1, 2:-2, 3:-3, 4:-4, 5:-5, 6:-6})"
+        seven = FanLabelling({v: v for v in range(-3, 5) if v})
+        assert repr(seven) == "FanLabelling({-3:-3, -2:-2, -1:-1, 1:1, 2:2, 3:3, ...})"
+
+
 class TestIntegerize:
     def test_rational_example(self):
         lab = FanLabelling({1: 5, 2: -2, 3: 1})

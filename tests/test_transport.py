@@ -12,6 +12,8 @@ ranks like the rational reference's.
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
+from itertools import combinations_with_replacement as multisets
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,6 +42,7 @@ from bistellar import (
 )
 from bistellar import reduction
 from bistellar.fan import _transport
+from bistellar.moves import _replaced
 from conftest import naive_alpha, naive_ranks, naive_star, rational_relabel
 
 SPHERES = {
@@ -219,3 +222,56 @@ def test_step_rejects_a_complementary_new_edge(octahedron):
     MoveIndex(octahedron).apply(move)
     with pytest.raises(BistellarError, match=r"new edge \(2, 4\) is complementary"):
         _transport(labels, move)
+
+
+# -- the local parity step over every labelled star -----------------------------
+
+
+def star_labellings(removed, inserted):
+    """Labels of ``removed`` and (unless it is one fresh vertex) ``inserted``,
+    one per signed weak order up to permuting ``removed`` and ``inserted``
+    within themselves, that leave no old edge complementary: every pair of
+    labelled vertices is an old edge but ``inserted`` itself when it has two
+    vertices.  Magnitudes run over 1..m with none skipped, and each vertex's
+    antipode gets the negated label."""
+    labelled = inserted if len(inserted) > 1 else ()
+    vertices = removed + labelled
+    for top in range(1, len(vertices) + 1):
+        values = [s * x for x in range(1, top + 1) for s in (1, -1)]
+        for ours, theirs in product(multisets(values, len(removed)),
+                                    multisets(values, len(labelled))):
+            chosen = ours + theirs
+            if len({abs(x) for x in chosen}) < top:
+                continue
+            labels = dict(zip(vertices, chosen))
+            if any(labels[a] + labels[b] == 0 for a, b in combinations(vertices, 2)
+                   if (a, b) != labelled):
+                continue
+            labels.update({-v: -x for v, x in labels.items()})
+            yield labels
+
+
+# orbit representatives per (d, k = |removed|): 9002 signed weak orders of
+# five labels with no complementary pair fall into 594 orbits at (3, 1)
+STARS = {(2, 1): 162, (2, 2): 238, (2, 3): 18,
+         (3, 1): 594, (3, 2): 1026, (3, 3): 1086, (3, 4): 54}
+
+
+@pytest.mark.parametrize("d, k", sorted(STARS))
+def test_transport_keeps_the_parity_of_every_labelled_star(d, k):
+    # the paper's local step: each symmetric move, labels carried by
+    # _transport, keeps the labels antipodal, makes no new edge
+    # complementary and changes the positive alternating count by an even
+    # amount
+    move = BistellarMove(range(1, k + 1), range(k + 1, d + 3))
+    _, added = _replaced(move, True)
+    seen = 0
+    for labels in star_labellings(move.removed, move.inserted):
+        case = dict(labels)
+        positive, _ = _transport(labels, move)
+        assert positive % 2 == 0, case
+        assert all(labels[-v] == -x for v, x in labels.items()), case
+        assert not any(labels[a] + labels[b] == 0
+                       for f in added for a, b in combinations(f, 2)), case
+        seen += 1
+    assert seen == STARS[d, k]
