@@ -29,6 +29,7 @@ from .moves import (
     random_z2_walk,
 )
 from .reduction import (
+    _BUDGET,
     fan_certificate,
     reduce_to_boundary_simplex,
     replay_verify,
@@ -250,15 +251,14 @@ def _emit(doc, path=None):
         raise BistellarError(f"{path}: {exc}") from exc
 
 
-def _load(path, pure=False):
-    """``(cx, labelling)``, ``cx`` a Z2Complex exactly when the file is marked "z2"."""
+def _load(path):
+    """``(cx, labelling)`` from the document at ``path``, ``cx`` a Z2Complex
+    exactly when it is marked "z2"; only an unreadable file names the path."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             complex_, signed, labelling = parse_complex_document(handle.read())
     except (OSError, UnicodeDecodeError, _UnreadableJSON) as exc:
         raise BistellarError(f"{path}: {exc}") from exc
-    if pure and not complex_.is_pure():
-        raise BistellarError(f"{path}: moves need a pure complex")
     return complex_ if signed is None else signed, labelling
 
 
@@ -312,7 +312,7 @@ def cmd_info(args):
 
 
 def cmd_moves(args):
-    cx, _ = _load(args.file, pure=True)
+    cx, _ = _load(args.file)
     found = list(MoveIndex(cx))
     for move in found:
         print(f"removed={list(move.removed)} inserted={list(move.inserted)}")
@@ -321,15 +321,14 @@ def cmd_moves(args):
 
 
 def cmd_flip(args):
-    cx, _ = _load(args.file, pure=True)
-    index = MoveIndex(cx)
+    index = MoveIndex(_load(args.file)[0])
     index.apply(BistellarMove(_parse_face(args.removed), _parse_face(args.inserted)))
     _emit(complex_document(index.state, z2=index.z2), args.output)
     return 0
 
 
 def cmd_walk(args):
-    cx, _ = _load(args.file, pure=True)
+    cx, _ = _load(args.file)
     final, sequence = random_z2_walk(_need_z2(cx, args.file), args.steps, args.seed)
     _emit(complex_document(final, z2=True), args.output)
     if args.log:
@@ -400,6 +399,8 @@ def cmd_reduce(args):
 
 
 def cmd_certify(args):
+    if args.labels != "random" and (args.label_bound, args.label_seed) != (None, None):
+        raise BistellarError("--label-bound and --label-seed need --labels random")
     cx, labelling = _load(args.file)
     signed = _need_z2(cx, args.file)
     if args.labels == "file":
@@ -408,7 +409,7 @@ def cmd_certify(args):
         labelling = FanLabelling({v: v for v in signed.vertices})
     else:
         bound = signed.dimension + 2 if args.label_bound is None else args.label_bound
-        labelling = random_fan_labelling(signed, bound, args.label_seed)
+        labelling = random_fan_labelling(signed, bound, args.label_seed or 0)
     try:
         certificate = fan_certificate(signed, labelling, budget=args.budget,
                                       seed=args.seed)
@@ -479,7 +480,7 @@ def build_parser():
     p = add("reduce", cmd_reduce, "heuristic reduction to the canonical sphere")
     p.add_argument("--z2", action="store_true",
                    help="symmetric reduction to the cross polytope")
-    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument("--budget", type=int, default=_BUDGET)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--log", help="write the flip sequence here")
 
@@ -490,8 +491,9 @@ def build_parser():
                         "or a random Fan labelling")
     p.add_argument("--label-bound", type=int,
                    help="bound for random labels (default: dimension + 2)")
-    p.add_argument("--label-seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument("--label-seed", type=int,
+                   help="seed for random labels (default: 0)")
+    p.add_argument("--budget", type=int, default=_BUDGET)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", help="write the certificate document here")
 
@@ -511,7 +513,3 @@ def main(argv=None):
     except BistellarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

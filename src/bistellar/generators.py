@@ -1,9 +1,9 @@
 """Canonical instances: simplex boundaries, cross polytopes, and labellings."""
 
 import random
-from itertools import combinations, product
+from itertools import product
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, boundary_of_simplex
 from .errors import GenerationFailed, InvalidDimension
 from .fan import FanLabelling
 from .z2 import Z2Complex, _checked_kind
@@ -20,7 +20,7 @@ def _checked_dimension(k):
 def simplex_boundary(k):
     """The boundary of the k-simplex on vertices 1..k+1 (a (k-1)-sphere)."""
     _checked_dimension(k)
-    return SimplicialComplex(tuple(combinations(range(1, k + 2), k)))
+    return boundary_of_simplex(range(1, k + 2))
 
 
 def cross_polytope(k):

@@ -25,7 +25,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain, combinations, count, repeat
-from operator import neg
 
 from .complexes import FVector, SimplicialComplex, _checked_face, complex_digest
 from .errors import (
@@ -141,7 +140,7 @@ class MoveIndex:
     def __init__(self, state):
         self.z2 = isinstance(state, Z2Complex)
         if not state.is_pure():
-            raise BistellarError("a MoveIndex needs a pure complex")
+            raise BistellarError("moves need a pure complex")
         self.state, self._dimension = state, state.dimension
         self.fresh = fresh_vertex(state)
         self._cofacets, self._links = {}, None
@@ -218,7 +217,7 @@ class MoveIndex:
         if link is None or not (link == B if link else len(B) == 1) \
                 or (target := self._key(B)) in self._cofacets:
             raise MoveNotAdmissible(f"{move} is not admissible here")
-        if self.z2 and not set(B).isdisjoint(map(neg, B)):
+        if self.z2 and B[0] + B[-1] == 0:  # B is the link simplex, as in _recheck
             raise InterferingAntipodalMove(
                 f"{move} inserts a simplex that meets its antipode")
         changed = self._flip(move)

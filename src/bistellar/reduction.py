@@ -29,6 +29,7 @@ from .z2 import _checked_kind
 _START_TEMPERATURE = 2.0
 _COOLING = 0.995
 _RESTART_BELOW = 0.05
+_BUDGET = 100_000  # tried flips, by default
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ def _search(start, budget, seed):
         flips, applied, restarts, index.f_vector().counts, budget, seed), index.state
 
 
-def reduce_to_boundary_simplex(complex_, budget=100_000, seed=0):
+def reduce_to_boundary_simplex(complex_, budget=_BUDGET, seed=0):
     """Try to flip a closed pseudomanifold down to a simplex boundary.
 
     Success certifies that the input is a combinatorial sphere; an
@@ -120,7 +121,7 @@ def reduce_to_boundary_simplex(complex_, budget=100_000, seed=0):
     return _search(_checked_kind(complex_, False), budget, seed)[0]
 
 
-def z2_reduce_to_cross_polytope(z2complex, budget=100_000, seed=0):
+def z2_reduce_to_cross_polytope(z2complex, budget=_BUDGET, seed=0):
     """Like :func:`reduce_to_boundary_simplex`, but with symmetric move
     pairs only, aiming at the cross polytope boundary of the same
     dimension; success is reached at its 2(d + 1) vertices.  Raises
@@ -164,7 +165,7 @@ class FanCertificate:
     final_counts: tuple
 
 
-def fan_certificate(z2complex, labelling, budget=100_000, seed=0):
+def fan_certificate(z2complex, labelling, budget=_BUDGET, seed=0):
     """Reduce to the cross polytope while transporting the labelling,
     recording the positive alternating facet count mod 2 at every step.
 

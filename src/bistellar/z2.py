@@ -21,7 +21,7 @@ def antipode(face):
     >>> antipode((1, -2, 3))
     (-3, -1, 2)
     """
-    return tuple(sorted(-v for v in face))
+    return _negated(tuple(sorted(face)))
 
 
 def _negated(face):

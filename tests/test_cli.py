@@ -40,6 +40,8 @@ from bistellar.cli import (
 )
 from conftest import kuhn_torus, naive_dumps_canonical
 
+_OCTAHEDRON = complex_document(cross_polytope(3), z2=True)  # unlabelled
+
 
 @pytest.fixture
 def octa_file(tmp_path):
@@ -189,6 +191,10 @@ class TestCommands:
         assert "f-vector: (6, 12, 8)" in out
         assert "valid Fan labelling" in out
 
+    def test_info_prints_the_alternating_counts(self, octa_file, capsys):
+        assert main(["info", octa_file]) == 0
+        assert "alternating facets: +1 / -1" in capsys.readouterr().out.splitlines()
+
     def test_fan_check_ok(self, octa_file, capsys):
         assert main(["fan-check", octa_file]) == 0
         assert "+1 / -1" in capsys.readouterr().out
@@ -301,6 +307,12 @@ class TestCommands:
         cx, _, _ = parse_complex_document(out.read_text())
         assert cx.euler_characteristic() == 2
 
+    def test_subdivide_stellar_at_an_edge_adds_one_vertex(self, octa_file, tmp_path):
+        out = tmp_path / "st.json"
+        assert main(["subdivide", octa_file, "--stellar", "1,2", "-o", str(out)]) == 0
+        cx, _, _ = parse_complex_document(out.read_text())
+        assert cx.f_vector().counts == (7, 15, 10)
+
     def test_subdivide_map_records_the_canonical_face(self, octa_file, tmp_path):
         # the face used to be recorded as typed: [4, [2, 1, 1]]
         out, face_map = tmp_path / "out.json", tmp_path / "map.json"
@@ -396,6 +408,17 @@ class TestCommands:
         assert main(["reduce", str(walked), "--z2", "--seed", "1",
                      "--budget", "2"]) == 3
 
+    def test_reduce_the_subdivided_octahedron(self, octa_file, tmp_path, capsys):
+        # within 40 flips the best state is printed and the exit is 3; with
+        # the default budget the logged sequence replays
+        sd, log = tmp_path / "sd.json", tmp_path / "seq.json"
+        assert main(["subdivide", octa_file, "--barycentric", "-o", str(sd)]) == 0
+        assert main(["reduce", str(sd), "--z2", "--seed", "3", "--budget", "40"]) == 3
+        assert "best f-vector: (18, 48, 32)" in capsys.readouterr().out.splitlines()
+        assert main(["reduce", str(sd), "--z2", "--seed", "3", "--log", str(log)]) == 0
+        assert "replay verified: True" in capsys.readouterr().out.splitlines()
+        assert parse_sequence_document(log.read_text()).z2
+
     def test_certify_inconclusive_exit_3(self, octa_file, tmp_path, capsys):
         walked = tmp_path / "walked.json"
         main(["walk", octa_file, "--steps", "8", "--seed", "3",
@@ -443,6 +466,24 @@ class TestCommands:
         path.write_text("{not json")
         assert main(["info", str(path)]) == 2
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, argv, needle", [
+        (_OCTAHEDRON, ["subdivide", "--stellar", "1,2", "--fresh", "3"],
+         "already present"),
+        (_OCTAHEDRON, ["subdivide", "--barycentric", "--fresh", "5"],
+         "--fresh needs --stellar"),
+        (_OCTAHEDRON, ["tucker"], "carries no 'labels'"),
+        (complex_document(simplex_boundary(3), z2=True), ["info"],
+         "has no antipodal facet"),
+    ], ids=["stellar-fresh-taken", "fresh-without-stellar", "tucker-unlabelled",
+            "tetrahedron-marked-z2"])
+    def test_rejected_input_prints_only_an_error(self, tmp_path, capsys, doc, argv,
+                                                  needle):
+        path = tmp_path / "in.json"
+        path.write_text(dumps_canonical(doc))
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and needle in err
 
     def test_missing_z2_flag_rejected(self, tmp_path, capsys):
         doc = complex_document(cross_polytope(3).complex)  # no z2 marker
@@ -584,15 +625,20 @@ class TestMalformedInput:
         (["subdivide", "--stellar", " , "], "the empty face has no stellar"),
         (["subdivide", "--stellar", ""], "the empty face has no stellar"),
         (["subdivide", "--barycentric", "--fresh", "5"], "--fresh needs --stellar"),
+        (["certify", "--labels", "canon", "--label-bound", "5", "--seed", "1"],
+         "--label-bound and --label-seed need --labels random"),
+        (["certify", "--label-seed", "0", "--seed", "1"],
+         "--label-bound and --label-seed need --labels random"),
     ], ids=["walk-steps", "reduce-z2-budget", "reduce-budget", "certify-budget",
             "label-bound-zero", "stellar-blank", "stellar-empty",
-            "fresh-without-stellar"])
+            "fresh-without-stellar", "label-bound-without-random",
+            "label-seed-without-random"])
     def test_bad_counts_and_empty_faces_rejected(self, octa_file, capsys, argv,
                                                  needle):
         # each used to exit 0: a negative count ran no step, a label bound
         # of 0 fell back to dimension + 2, an empty stellar face wrote
         # {"facets": []} or ran the barycentric subdivision, and --fresh
-        # beside --barycentric was ignored
+        # beside --barycentric, or a label option beside other labels, was ignored
         assert main([argv[0], octa_file] + argv[1:]) == 2
         out = capsys.readouterr().err
         assert out.startswith("error: ") and needle in out

@@ -122,7 +122,7 @@ def test_move_index_checks_the_complex_when_built():
     from_facets = bistellar.SimplicialComplex.from_facets
     dangling = from_facets([[1, 2, 3], [-3, -2, -1], [3, 4], [-4, -3]])
     for state in (dangling, bistellar.Z2Complex.from_complex(dangling)):
-        with pytest.raises(bistellar.BistellarError, match="needs a pure complex"):
+        with pytest.raises(bistellar.BistellarError, match="need a pure complex"):
             bistellar.MoveIndex(state)
 
 

@@ -1,5 +1,6 @@
 """Reduction engine, replay certification, and the certificate pipeline."""
 
+from dataclasses import replace
 from functools import cache
 from itertools import combinations
 
@@ -312,7 +313,7 @@ class TestFanCertificate:
         assert certificate.initial_counts == (1, 1)
         assert reaches_target(signed, certificate.sequence)
 
-    @pytest.mark.parametrize("case", ["first", "last", "drift"])
+    @pytest.mark.parametrize("case", ["first", "last", "drift", "parity", "even"])
     def test_corrupted_transport_raises(self, octahedron, monkeypatch, case):
         walked, _ = random_z2_walk(octahedron, 20, seed=7)
         labelling = random_fan_labelling(walked, 4, seed=3)
@@ -325,6 +326,8 @@ class TestFanCertificate:
             calls.append(move)
             if len(calls) != (steps if case == "last" else 1):
                 return delta
+            if case == "parity":  # one positive facet too many
+                return delta[0] + 1, delta[1]
             if case == "drift":
                 # Swap the labels of two pairs: still a Fan labelling, but
                 # some facet changes class behind the running counts.
@@ -340,10 +343,21 @@ class TestFanCertificate:
                 labels[v] += 1
             return delta
 
-        monkeypatch.setattr(reduction, "_transport", corrupting)
+        def even(*args):
+            # One positive facet too many, counted on the input and on the
+            # final complex alike: the running counts agree, but are even.
+            counts = alternating_counts(*args)
+            return replace(counts, positive=counts.positive + 1)
+
+        if case == "even":
+            monkeypatch.setattr(reduction, "alternating_counts", even)
+        else:
+            monkeypatch.setattr(reduction, "_transport", corrupting)
         expected = {"first": "not antipodal",
                     "last": f"invalid after step {steps - 1}",
-                    "drift": f"drifted from the recount .* by step {steps - 1}"}
+                    "drift": f"drifted from the recount .* by step {steps - 1}",
+                    "parity": "parity trace broke at step 0",
+                    "even": "trace does not end at 1"}
         with pytest.raises(BistellarError, match=expected[case]):
             fan_certificate(walked, labelling, seed=1)
 
