@@ -269,7 +269,8 @@ class SimplicialComplex:
         return SimplicialComplex(_canonical_facets(out))
 
     def _orbit(self, face):
-        """The faces named with ``face`` in a subdivision: ``face`` alone here."""
+        """The faces the involution identifies with ``face``, ``face`` alone here:
+        a subdivision names them together and :func:`find_isomorphism` pairs them."""
         return (face,)
 
     def barycentric_subdivide(self):
@@ -387,9 +388,9 @@ def is_closed_pseudomanifold(complex_):
 def find_isomorphism(left, right):
     """A face-preserving vertex bijection from ``left`` onto ``right``, or None.
 
-    On two :class:`Z2Complex` sides it also commutes with negation, the
-    involution both carry; a mixed pair, or anything that is not a
-    :class:`SimplicialComplex`, raises :class:`TypeError`.  Different
+    On two :class:`Z2Complex` sides it also commutes with negation, mapping
+    each vertex's ``_orbit`` onto its image's; a mixed pair, or anything that
+    is not a :class:`SimplicialComplex`, raises :class:`TypeError`.  Different
     f-vectors, or one side that is not a closed pseudomanifold, give None;
     two such sides raise :class:`NotClosedPseudomanifold`.
     On closed pseudomanifolds a map between two facets extends across each
@@ -402,10 +403,8 @@ def find_isomorphism(left, right):
     >>> find_isomorphism(square, square.stellar_subdivide((1,), 5))
     {1: 2, 2: 3, 3: 4, 4: 5}
     """
-    from .z2 import Z2Complex  # z2 builds on this module
-    signed = isinstance(left, Z2Complex)
     if not (isinstance(left, SimplicialComplex) and isinstance(right, SimplicialComplex)
-            and isinstance(right, Z2Complex) == signed):
+            and type(left)._orbit is type(right)._orbit):
         raise TypeError("expected two complexes, both Z2Complex or neither")
     ridges = _closed_ridges(left), _closed_ridges(right)
     if left.f_vector() != right.f_vector() or ridges.count(None) == 1:
@@ -419,11 +418,10 @@ def find_isomorphism(left, right):
     def propagate(i, j, image):
         mapping, inverse = {}, {}
 
-        def assign(u, w):  # u -> w, and -u -> -w if signed; degrees must agree
-            us, ws = ((u, -u), (w, -w)) if signed else ((u,), (w,))
-            return all(
-                degrees[0][a] == degrees[1][b] and mapping.setdefault(a, b) == b
-                and inverse.setdefault(b, a) == a for a, b in zip(us, ws))
+        def assign(u, w):  # u's orbit onto w's, in order; degrees must agree
+            return all(degrees[0][a] == degrees[1][b] and mapping.setdefault(a, b) == b
+                       and inverse.setdefault(b, a) == a
+                       for (a,), (b,) in zip(left._orbit((u,)), right._orbit((w,))))
 
         if not all(map(assign, left.facets[i], image)):
             return None

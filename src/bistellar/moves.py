@@ -173,7 +173,7 @@ class MoveIndex:
         if self._links is None:
             self._links, self._owners = {}, {}
             self._buckets = [[] for _ in range(self._dimension + 2)]
-            self._recheck(zip(self._cofacets, repeat(...)))
+            self._recheck(self._cofacets)
         return self._buckets
 
     def __len__(self):
@@ -223,7 +223,7 @@ class MoveIndex:
         changed = self._flip(move)
         if self._links is not None:
             waiting = [*self._owners.get(key, ()), *self._owners.get(target, ())]
-            self._recheck([*changed, *zip(waiting, repeat(...))])
+            self._recheck(changed + waiting)
         vars(self).pop("state", None)
         if len(removed) == 1:  # ids below fresh were used; this one may be free
             self.fresh = min(self.fresh, abs(removed[0]))
@@ -252,40 +252,38 @@ class MoveIndex:
         """Swap the gone and added facets in one pass over the faces of
         :func:`_halves` that :func:`_flip_plan` lays out; each swapped facet
         is one of these faces, the union less one vertex, at the position the
-        plan names.  Returns ``(face, link)`` for each face whose cofacet count
-        was or is ``need``, with its link simplex if it enters or leaves, else
-        ``...``."""
+        plan names.  Returns the faces whose link can change: those that enter
+        or leave, and those whose cofacet count was or is ``need``."""
         cofacets, f, z2, changed = self._cofacets, self._f, self.z2, []
         for faces, at in _halves(move, z2):
-            for face, rest, (need, left, joined) in zip(
-                    faces, reversed(faces), _flip_plan(len(faces[-1]) + 1, at)):
+            for face, (need, left, joined) in zip(
+                    faces, _flip_plan(len(faces[-1]) + 1, at)):
                 if z2 and face[0] + face[-1] > 0:
                     continue
                 if not left:  # in no gone facet: it contains inserted and enters
                     cofacets[face] = [*map(faces.__getitem__, joined)]
                     f[len(face) - 1] += 1
-                    changed.append((face, rest if need > 1 else ()))
                 elif not joined:  # in no added facet: it contains removed and leaves
                     del cofacets[face]
                     f[len(face) - 1] -= 1
-                    changed.append((face, None))
                 else:
                     containing = cofacets[face]
                     was = len(containing) == need
                     for j in left:
                         containing.remove(faces[j])
                     containing += map(faces.__getitem__, joined)
-                    if was or len(containing) == need:
-                        changed.append((face, ...))
+                    if not (was or len(containing) == need):
+                        continue
+                changed.append(face)
         return changed
 
     def _recheck(self, faces):
-        """Update links, owners and buckets for ``(face, link)`` pairs, ``...``
-        for a link not known, keying links as :meth:`_key` does."""
+        """Update links, owners and buckets for ``faces``, each link read from
+        :meth:`_link_simplex` and keyed as :meth:`_key` does."""
         links, owners, buckets, z2 = self._links, self._owners, self._buckets, self.z2
         cofacets, link_simplex = self._cofacets, self._link_simplex
-        for face, link in faces:
-            old, link = links.get(face), link_simplex(face) if link is ... else link
+        for face in faces:
+            old, link = links.get(face), link_simplex(face)
             k = _negated(link) if z2 and link and link[0] + link[-1] > 0 else link
             if link != old:
                 if old:

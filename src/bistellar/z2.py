@@ -89,7 +89,7 @@ class Z2Complex(SimplicialComplex):
     # -- subdivision and quotient ---------------------------------------------
 
     def _orbit(self, face):
-        """``face`` and its antipode, which a subdivision names ``±id``."""
+        """``face`` and its antipode: named ``±id``, mapped to an antipodal pair."""
         return face, _negated(face)
 
     def equivariant_sd(self):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bistellar import (
     BistellarMove,
+    CertificateUnavailable,
     FanLabelling,
     IncompleteLabelling,
     InvalidLabelling,
@@ -23,6 +24,7 @@ from bistellar import (
     canonical_cross_labelling,
     cross_polytope,
     enumerate_z2_moves,
+    fan_certificate,
     random_fan_labelling,
     random_z2_walk,
     relabel_move,
@@ -262,6 +264,33 @@ def test_edge_scan_matches_whole_edge_list(case, drop):
         with pytest.raises(IncompleteLabelling) as raised:
             check(sphere, FanLabelling(labels))
         assert str(raised.value) == f"vertex {missing} is unlabelled"
+
+
+@settings(max_examples=5, deadline=None)
+@given(walk=st.tuples(st.just(3), st.integers(0, 20))
+       | st.tuples(st.just(4), st.integers(0, 8)), seed=st.integers(0, 99))
+@example(walk=(3, 0), seed=0)
+@example(walk=(4, 0), seed=0)
+def test_flag_labellings_certify_at_the_tight_bound(walk, seed):
+    """Labelling each vertex of sd(K) by its sign times the size of the face
+    it subdivides is a Fan labelling into 1..d + 1: an edge of sd(K) joins
+    nested faces of different sizes, and ``equivariant_sd`` names the
+    antipode of a face ``-w``.  Its positive alternating count is odd, as
+    the certificate checks along the reduction."""
+    walked, _ = random_z2_walk(cross_polytope(walk[0]), walk[1], seed)
+    sd, face_map = walked.equivariant_sd()
+    labels = FanLabelling({w: (1 if w > 0 else -1) * len(face_map[w])
+                           for w in sd.vertices})
+    d = sd.dimension
+    assert validate_fan(sd, labels) == []
+    assert {abs(x) for x in labels.labels.values()} == set(range(1, d + 2))
+    counts = alternating_counts(sd, labels)
+    assert counts.positive % 2 == 1 and counts.positive == counts.negative
+    try:
+        certificate = fan_certificate(sd, labels, seed=1)
+    except CertificateUnavailable:
+        return
+    assert set(certificate.parity_trace) == {1}
 
 
 def test_edge_scan_on_a_non_pure_complex():

@@ -192,16 +192,15 @@ def naive_listing(facets, z2):
 @settings(max_examples=15, deadline=None)
 def test_a_flip_rechecks_every_face_it_changes(base, picks):
     # A flip rechecks only the faces whose cofacet count was or is the one
-    # a link needs (those that enter or leave with their link known) and
-    # those waiting on ``removed`` or ``inserted``; every face whose link or
-    # listing differs must be among them.  The faces that enter or leave are
+    # a link needs, those that enter or leave, and those waiting on
+    # ``removed`` or ``inserted``; every face whose link or listing differs
+    # must be among them.  The faces that enter or leave are
     # those of the union (and its antipode) containing ``inserted`` or
     # ``removed``, as the plan says.
     index = MoveIndex(base)
     len(index)  # list it, so that each flip rechecks
     rechecked, recheck = [], index._recheck
-    index._recheck = lambda faces: (rechecked.extend(f for f, _ in faces),
-                                    recheck(faces))
+    index._recheck = lambda faces: (rechecked.extend(faces), recheck(faces))
     kept = (lambda a: min(a, antipode(a))) if index.z2 else (lambda a: a)
     for pick in picks:
         move = index[pick % len(index)]

@@ -318,6 +318,20 @@ class TestIsASimplicialComplex:
         assert find_isomorphism(tagged, octahedron.complex) == {
             v: v for v in octahedron.vertices}
 
+        class Signed(Z2Complex):  # and subclasses of Z2Complex as signed
+            pass
+
+        walked, _ = random_z2_walk(cross_polytope(3), 6, seed=2)
+        for left, right in ((Signed(walked.complex), walked),
+                            (Signed(octahedron.complex), cross_polytope(3))):
+            mapping = find_isomorphism(left, right)
+            assert mapping is not None
+            assert all(mapping[-v] == -w for v, w in mapping.items())
+            with pytest.raises(TypeError):
+                find_isomorphism(left, right.complex)
+            with pytest.raises(TypeError):
+                find_isomorphism(right.complex, left)
+
     def test_from_facets_validates_the_involution(self):
         rows = [list(f) for f in cross_polytope(3).facets]
         assert Z2Complex.from_facets(reversed(rows)) == cross_polytope(3)
