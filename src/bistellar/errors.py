@@ -50,7 +50,7 @@ class MoveNotAdmissible(BistellarError):
 
 
 class InterferingAntipodalMove(MoveNotAdmissible):
-    """Applying one half of a symmetric move pair invalidated the other half."""
+    """A symmetric move pair whose inserted simplex meets its antipode."""
 
 
 # -- labellings ------------------------------------------------------------

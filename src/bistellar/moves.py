@@ -25,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain, combinations, count, repeat
+from operator import itemgetter
 
 from .complexes import FVector, SimplicialComplex, _checked_face, complex_digest
 from .errors import (
@@ -113,7 +114,7 @@ def find_move(complex_, face):
 class MoveIndex:
     """The moves of a pure complex (symmetric pairs for a :class:`Z2Complex`):
     ``index[i]`` is the ``i``-th in enumeration order, iterating walks the
-    buckets once, and these moves and their inverses are built unchecked.
+    listing once, and these moves and their inverses are built unchecked.
 
     :meth:`apply` is the one place where a flip is checked and made.
     ``_cofacets`` maps each face to the facets containing it, ``state`` is
@@ -127,14 +128,15 @@ class MoveIndex:
     inverts ``_links`` and is read only for the simplices that enter or
     leave, so a face waiting on a simplex is rechecked when it comes or goes
     (a scan of the cofacets of ``inserted`` and ``removed`` less one vertex
-    in its place measured searches 10-16 % slower); ``_buckets[k]`` sorts
-    the listed ``k``-vertex faces, and a face is put in or taken out by
-    bisection only when it enters or leaves the listing.  A symmetric index keeps
-    all of these for the smaller face of each antipodal pair only, the face
-    ``(a, ..., b)`` with ``a + b < 0`` (``a + b == 0`` would put ``a`` and
-    ``-a`` in one face), and looks any face up as that one (:meth:`_key`).
-    It is built only on a pure complex; a :class:`Z2Complex` is checked when
-    built, as is a symmetric ``state``.
+    in its place measured searches 10-16 % slower); ``_listing`` sorts the
+    pairs ``(len(face), face)`` of the listed faces, which is enumeration
+    order, so a move's position is its index there, and a pair is put in or
+    taken out by bisection only when its face enters or leaves the listing.
+    A symmetric index keeps all of these for the smaller face of each
+    antipodal pair only, the face ``(a, ..., b)`` with ``a + b < 0``
+    (``a + b == 0`` would put ``a`` and ``-a`` in one face), and looks any
+    face up as that one (:meth:`_key`).  It is built only on a pure complex;
+    a :class:`Z2Complex` is checked when built, as is a symmetric ``state``.
     """
 
     def __init__(self, state):
@@ -169,37 +171,34 @@ class MoveIndex:
         return _negated(face) if self.z2 and face and face[0] + face[-1] > 0 else face
 
     def _listed(self):
-        """The buckets, listed on first use: a lone flip needs none."""
+        """The listing, built on first use: a lone flip needs none."""
         if self._links is None:
-            self._links, self._owners = {}, {}
-            self._buckets = [[] for _ in range(self._dimension + 2)]
+            self._links, self._owners, self._listing = {}, {}, []
             self._recheck(self._cofacets)
-        return self._buckets
+        return self._listing
 
     def __len__(self):
-        return sum(map(len, self._listed()))
+        return len(self._listed())
 
     def __iter__(self):
-        return map(self._move, chain.from_iterable(self._listed()))
+        return map(self._move, map(itemgetter(1), self._listed()))
 
     def __getitem__(self, position):
         """The move at ``position``, counted from the end if negative."""
-        at = position + len(self) if position < 0 else position
-        for bucket in self._listed():
-            if 0 <= at < len(bucket):
-                return self._move(bucket[at])
-            at -= len(bucket)
-        raise IndexError(f"position {position} is out of range for {len(self)} moves")
+        listing = self._listed()
+        if not -len(listing) <= position < len(listing):
+            raise IndexError(f"position {position} is out of range for {len(listing)} moves")
+        return self._move(listing[position][1])
 
     def _move(self, face):
         return _trusted(face, self._links[face] or (self.fresh,))
 
     def lowest(self):
-        """``(facet_delta, count)`` of the first, most downhill moves:
+        """``(facet_delta, count)`` of the first, most downhill moves, or None:
         ``facet_delta`` is ``2 * len(removed) - (dimension + 2)``."""
-        for k, bucket in enumerate(self._listed()):
-            if bucket:
-                return 2 * k - self._dimension - 2, len(bucket)
+        if listing := self._listed():
+            k = listing[0][0]
+            return 2 * k - self._dimension - 2, bisect_left(listing, (k + 1,))
 
     def apply(self, move):
         """Check ``move`` (and its antipodal image, see :func:`apply_z2_move`)
@@ -278,9 +277,9 @@ class MoveIndex:
         return changed
 
     def _recheck(self, faces):
-        """Update links, owners and buckets for ``faces``, each link read from
-        :meth:`_link_simplex` and keyed as :meth:`_key` does."""
-        links, owners, buckets, z2 = self._links, self._owners, self._buckets, self.z2
+        """Update links, owners and the listing for ``faces``, each link read
+        from :meth:`_link_simplex` and keyed as :meth:`_key` does."""
+        links, owners, listing, z2 = self._links, self._owners, self._listing, self.z2
         cofacets, link_simplex = self._cofacets, self._link_simplex
         for face in faces:
             old, link = links.get(face), link_simplex(face)
@@ -303,13 +302,13 @@ class MoveIndex:
                 k not in cofacets and not (z2 and link[0] + link[-1] == 0)))
             if old is None and not listed:  # nor was it listed
                 continue
-            bucket = buckets[len(face)]
-            i = bisect_left(bucket, face)
-            if i < len(bucket) and bucket[i] == face:
+            entry = (len(face), face)
+            i = bisect_left(listing, entry)
+            if i < len(listing) and listing[i] == entry:
                 if not listed:
-                    del bucket[i]
+                    del listing[i]
             elif listed:
-                bucket.insert(i, face)
+                listing.insert(i, entry)
 
 
 def _halves(move, z2):

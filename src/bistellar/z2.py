@@ -69,7 +69,7 @@ class Z2Complex(SimplicialComplex):
         _checked_symmetric(complex_.facets)
         super().__init__(complex_.facets)
         vars(self).update(vars(complex_))  # and what it has cached so far
-        self.complex = complex_
+        self.complex = getattr(complex_, "complex", complex_)
 
     @classmethod
     def from_complex(cls, complex_):

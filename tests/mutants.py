@@ -55,6 +55,54 @@ MUTANTS = [
      "self.fresh = min(self.fresh, abs(removed[0]))",
      "pass",
      ["tests/test_move_index.py"]),
+    ("_flip_plan names the gone facets by i, not ~i", "moves.py",
+     "tuple(~i for i in at if i not in face)",
+     "tuple(i for i in at if i not in face)",
+     ["tests/test_move_index.py"]),
+    ("an uphill try drops the energy multiplier", "reduction.py",
+     "-delta * multiplier / temperature)",
+     "-delta / temperature)",
+     ["tests/test_trajectories.py"]),
+    ("_recheck lists a move whose inserted simplex meets its antipode", "moves.py",
+     "k not in cofacets and not (z2 and link[0] + link[-1] == 0)))",
+     "k not in cofacets))",
+     ["tests/test_move_index.py"]),
+    ("_mask_class takes x then -x for a rise in rank", "fan.py",
+     "bit >> 1 <= below >> 1",
+     "bit >> 1 < below >> 1",
+     ["tests/test_fan.py"]),
+    ("Z2Complex skips its symmetry check", "z2.py",
+     "        _checked_symmetric(complex_.facets)\n",
+     "        pass\n",
+     ["tests/test_z2.py", "tests/test_public_surface.py"]),
+    ("quotient never finds a vertex adjacent to both ±w", "z2.py",
+     "if tuple(sorted((a, -b))) in present:",
+     "if False:",
+     ["tests/test_z2.py"]),
+    ("_certify never checks the parity after a flip", "reduction.py",
+     "if trace[-1] != parity:",
+     "if False:",
+     ["tests/test_reduction.py::TestFanCertificate::test_corrupted_transport_raises"]),
+    ("the chain plan looks faces up unsorted", "complexes.py",
+     "at[tuple(sorted(p[:k]))]",
+     "at[tuple(p[:k])]",
+     ["tests/test_complexes.py"]),
+    ("a face and its antipode get the same barycenter id", "complexes.py",
+     "(next_id, -next_id)",
+     "(next_id, next_id)",
+     ["tests/test_z2.py"]),
+    ("alternating_counts gives positive labels the sign bit", "fan.py",
+     "1 << (rank[abs(x)] + (x < 0))",
+     "1 << (rank[abs(x)] + (x > 0))",
+     ["tests/test_fan.py"]),
+    ("lowest counts no move of the lowest size", "moves.py",
+     "(k + 1,)",
+     "(k,)",
+     ["tests/test_move_index.py"]),
+    ("_recheck never takes a face out of the listing", "moves.py",
+     "del listing[i]",
+     "pass",
+     ["tests/test_move_index.py"]),
 ]
 
 # Loaded into the unmutated run by ``-p``: records which package the tests imported.

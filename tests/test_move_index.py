@@ -29,6 +29,7 @@ from bistellar import (
     SimplicialComplex,
     Z2Complex,
     antipode,
+    boundary_of_simplex,
     cross_polytope,
     enumerate_moves,
     enumerate_z2_moves,
@@ -91,6 +92,7 @@ def check_index(index, before=None, move=None):
     assert naive_pairs(listed, cx.dimension) == oracle
     assert listed == sorted(listed, key=lambda m: (len(m.removed), m.removed,
                                                    m.inserted))
+    assert [index[p] for p in range(-len(listed), 0)] == listed
     delta, count = index.lowest()
     assert [m.facet_delta() for m in listed[:count + 1]].count(delta) == count
     assert delta == min(m.facet_delta() for m in listed)
@@ -336,6 +338,12 @@ def test_reads_past_the_end():
                 index[position]
             assert str(raised.value) == \
                 f"position {position} is out of range for 4 moves"
+    # the (-1)-sphere has no moves at all
+    index = MoveIndex(boundary_of_simplex((1,)))
+    assert len(index) == 0 and index.lowest() is None
+    with pytest.raises(IndexError) as raised:
+        index[0]
+    assert str(raised.value) == "position 0 is out of range for 0 moves"
 
 
 @pytest.mark.parametrize("base", [simplex_boundary(4), cross_polytope(3),

@@ -48,8 +48,13 @@ class TestAntipode:
 
 class TestMakeSigned:
     def test_octahedron_valid(self, octahedron):
-        again = Z2Complex.from_complex(octahedron.complex)
-        assert again.complex == octahedron.complex
+        # built from the plain complex or from a Z2Complex, .complex is plain
+        for source in (octahedron.complex, octahedron):
+            for again in (Z2Complex(source), Z2Complex.from_complex(source)):
+                assert type(again.complex) is SimplicialComplex
+                assert again.complex == octahedron.complex
+                assert enumerate_moves(again.complex) == \
+                    enumerate_moves(octahedron.complex)
 
     def test_antipodal_pair_in_facet(self):
         cx = SimplicialComplex.from_facets([[1, -1]])
