@@ -296,8 +296,7 @@ def _label_report(cx, labelling):
     return 0
 
 
-def cmd_info(args):
-    cx, labelling = _load(args.file)
+def cmd_info(args, cx, labelling):
     fv = cx.f_vector()
     print(f"dimension: {cx.dimension}")
     print(f"f-vector: {fv.counts}")
@@ -311,8 +310,7 @@ def cmd_info(args):
     return 0 if labelling is None else _label_report(cx, labelling)
 
 
-def cmd_moves(args):
-    cx, _ = _load(args.file)
+def cmd_moves(args, cx, _):
     found = list(MoveIndex(cx))
     for move in found:
         print(f"removed={list(move.removed)} inserted={list(move.inserted)}")
@@ -320,15 +318,14 @@ def cmd_moves(args):
     return 0
 
 
-def cmd_flip(args):
-    index = MoveIndex(_load(args.file)[0])
+def cmd_flip(args, cx, _):
+    index = MoveIndex(cx)
     index.apply(BistellarMove(_parse_face(args.removed), _parse_face(args.inserted)))
     _emit(complex_document(index.state, z2=index.z2), args.output)
     return 0
 
 
-def cmd_walk(args):
-    cx, _ = _load(args.file)
+def cmd_walk(args, cx, _):
     final, sequence = random_z2_walk(_need_z2(cx, args.file), args.steps, args.seed)
     _emit(complex_document(final, z2=True), args.output)
     if args.log:
@@ -336,10 +333,9 @@ def cmd_walk(args):
     return 0
 
 
-def cmd_subdivide(args):
+def cmd_subdivide(args, cx, _):
     if args.fresh is not None and args.stellar is None:
         raise BistellarError("--fresh needs --stellar")
-    cx, _ = _load(args.file)
     if args.stellar is not None:
         face = _parse_face(args.stellar)
         fresh = fresh_vertex(cx) if args.fresh is None else args.fresh
@@ -355,21 +351,18 @@ def cmd_subdivide(args):
     return 0
 
 
-def cmd_quotient(args):
-    cx, _ = _load(args.file)
+def cmd_quotient(args, cx, _):
     subdivided, _ = _need_z2(cx, args.file).equivariant_sd()
     quotient, _ = subdivided.quotient()
     _emit(complex_document(quotient), args.output)
     return 0
 
 
-def cmd_fan_check(args):
-    cx, labelling = _load(args.file)
+def cmd_fan_check(args, cx, labelling):
     return _label_report(cx, _need_labels(labelling, args.file))
 
 
-def cmd_tucker(args):
-    cx, labelling = _load(args.file)
+def cmd_tucker(args, cx, labelling):
     labelling = _need_labels(labelling, args.file)
     edge = tucker_witness(cx, labelling)
     print(f"complementary edge: {list(edge)} "
@@ -377,8 +370,7 @@ def cmd_tucker(args):
     return 0
 
 
-def cmd_reduce(args):
-    cx, _ = _load(args.file)
+def cmd_reduce(args, cx, _):
     plain = cx.complex if isinstance(cx, Z2Complex) else cx  # searched without --z2
     source = _need_z2(cx, args.file) if args.z2 else plain
     reduce = z2_reduce_to_cross_polytope if args.z2 else reduce_to_boundary_simplex
@@ -398,10 +390,9 @@ def cmd_reduce(args):
     return 3
 
 
-def cmd_certify(args):
+def cmd_certify(args, cx, labelling):
     if args.labels != "random" and (args.label_bound, args.label_seed) != (None, None):
         raise BistellarError("--label-bound and --label-seed need --labels random")
-    cx, labelling = _load(args.file)
     signed = _need_z2(cx, args.file)
     if args.labels == "file":
         labelling = _need_labels(labelling, args.file)
@@ -504,7 +495,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.fn(args)
+        code = args.fn(args, *_load(args.file))
         sys.stdout.flush()  # so that a closed stdout raises here, not at exit
         return code
     except BrokenPipeError:  # the reader closed stdout, as ``| head`` does

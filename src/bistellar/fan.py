@@ -165,16 +165,17 @@ def alternating_sign(face, labelling):
     Sorted by absolute value, the labels must be pairwise distinct in
     magnitude and strictly alternate in sign; the result is the sign of
     the smallest-magnitude label, or 0 if the simplex does not
-    alternate.  Ties in absolute value never alternate.
+    alternate.  Ties in absolute value never alternate, and neither does
+    the empty face, which has no label.
     """
-    values = sorted(map(labelling.__getitem__, face), key=abs)
+    values = sorted(map(labelling.__getitem__, face), key=abs) or [0]
     left = values[0]
     for right in values[1:]:
         # of opposite signs, the two tie in magnitude only as x and -x
         if (left > 0) == (right > 0) or left == -right:
             return 0
         left = right
-    return 1 if values[0] > 0 else -1
+    return 1 if values[0] > 0 else -1 if values[0] else 0
 
 
 def _mask_class(mask, k):
@@ -190,12 +191,13 @@ def _mask_class(mask, k):
 
 def alternating_counts(complex_or_z2, labelling):
     """Count positive and negative alternating facets by size: OR each facet's
-    label bits (``2r`` or ``2r + 1`` for rank ``r``) and classify each mask once."""
+    label bits (``2r`` or ``2r + 1`` for rank ``r``) and classify each mask once.
+    An empty facet, the (-1)-sphere's one, has no label and does not alternate."""
     labels = _complete(complex_or_z2, labelling)
     rank = {m: 2 * r for r, m in enumerate(sorted(set(map(abs, labels.values()))))}
     bits = {v: 1 << (rank[abs(x)] + (x < 0)) for v, x in labels.items()}
     facets, counts = complex_or_z2.facets, Counter()
-    for k in (sizes := set(map(len, facets))):
+    for k in (sizes := set(map(len, facets)) - {0}):
         group = facets if len(sizes) == 1 else [f for f in facets if len(f) == k]
         flat = list(map(bits.__getitem__, chain.from_iterable(group)))
         masks = flat[::k]

@@ -135,14 +135,14 @@ class MoveIndex:
     A symmetric index keeps all of these for the smaller face of each
     antipodal pair only, the face ``(a, ..., b)`` with ``a + b < 0``
     (``a + b == 0`` would put ``a`` and ``-a`` in one face), and looks any
-    face up as that one (:meth:`_key`).  It is built only on a pure complex;
-    a :class:`Z2Complex` is checked when built, as is a symmetric ``state``.
+    face up as that one (:meth:`_key`).  It is built only on a pure complex
+    with a vertex; a :class:`Z2Complex` is checked when built, as is a symmetric ``state``.
     """
 
     def __init__(self, state):
         self.z2 = isinstance(state, Z2Complex)
-        if not state.is_pure():
-            raise BistellarError("moves need a pure complex")
+        if not state.is_pure() or state.dimension < 0:
+            raise BistellarError("moves need a pure complex with a vertex")
         self.state, self._dimension = state, state.dimension
         self.fresh = fresh_vertex(state)
         self._cofacets, self._links = {}, None
@@ -194,11 +194,10 @@ class MoveIndex:
         return _trusted(face, self._links[face] or (self.fresh,))
 
     def lowest(self):
-        """``(facet_delta, count)`` of the first, most downhill moves, or None:
-        ``facet_delta`` is ``2 * len(removed) - (dimension + 2)``."""
-        if listing := self._listed():
-            k = listing[0][0]
-            return 2 * k - self._dimension - 2, bisect_left(listing, (k + 1,))
+        """``(facet_delta, count)`` of the first, most downhill moves (every facet
+        has one): ``facet_delta`` is ``2 * len(removed) - (dimension + 2)``."""
+        k = self._listed()[0][0]
+        return 2 * k - self._dimension - 2, bisect_left(self._listing, (k + 1,))
 
     def apply(self, move):
         """Check ``move`` (and its antipodal image, see :func:`apply_z2_move`)

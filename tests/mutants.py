@@ -103,6 +103,42 @@ MUTANTS = [
      "del listing[i]",
      "pass",
      ["tests/test_move_index.py"]),
+    ("_link_simplex takes any need apexes for a link simplex", "moves.py",
+     "return tuple(sorted(apex)) if len(apex) == need else None",
+     "return tuple(sorted(apex))",
+     ["tests/test_move_index.py"]),
+    ("a facet move inserts no fresh vertex", "moves.py",
+     "or (self.fresh,))",
+     "or ())",
+     ["tests/test_move_index.py"]),
+    ("a reduction stops one vertex short of its target", "reduction.py",
+     "target_vertices = start.dimension + 2 - index.z2",
+     "target_vertices = start.dimension + 3 - index.z2",
+     ["tests/test_reduction.py"]),
+    ("_certify never checks that the trace ends at 1", "reduction.py",
+     "if trace[-1] != 1:",
+     "if False:",
+     ["tests/test_reduction.py"]),
+    ("_load hands a z2 document over as a plain complex", "cli.py",
+     "return complex_ if signed is None else signed, labelling",
+     "return complex_, labelling",
+     ["tests/test_cli.py"]),
+    ("MoveIndex accepts the (-1)-sphere", "moves.py",
+     "if not state.is_pure() or state.dimension < 0:",
+     "if not state.is_pure():",
+     ["tests/test_public_surface.py::test_the_minus_one_sphere_ends_in_an_error_or_a_count"]),
+    ("alternating_counts counts the empty facet", "fan.py",
+     "set(map(len, facets)) - {0}",
+     "set(map(len, facets))",
+     ["tests/test_public_surface.py::test_the_minus_one_sphere_ends_in_an_error_or_a_count"]),
+    ("alternating_sign reads the first label of the empty face", "fan.py",
+     "key=abs) or [0]",
+     "key=abs)",
+     ["tests/test_public_surface.py::test_the_minus_one_sphere_ends_in_an_error_or_a_count"]),
+    ("alternating_sign gives the empty face the sign -1", "fan.py",
+     "else -1 if values[0] else 0",
+     "else -1",
+     ["tests/test_public_surface.py::test_the_minus_one_sphere_ends_in_an_error_or_a_count"]),
 ]
 
 # Loaded into the unmutated run by ``-p``: records which package the tests imported.

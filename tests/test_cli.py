@@ -716,6 +716,13 @@ class TestFileErrors:
         assert main(["info", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
+    def test_document_loads_before_the_options_are_checked(self, tmp_path, capsys):
+        # every command gets its document from main, so an unreadable one is
+        # named even beside an option that would be refused
+        path = tmp_path / "missing.json"
+        assert main(["subdivide", str(path), "--barycentric", "--fresh", "5"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
     @pytest.mark.parametrize("argv", [
         ["flip", "--removed", "1,2,3", "--inserted", "7", "-o"],
         ["walk", "--steps", "1", "--seed", "1", "--log"],

@@ -170,6 +170,24 @@ def test_entry_points_check_the_kind_of_complex():
                        "reduce_to_boundary_simplex": "z2"}
 
 
+def test_the_minus_one_sphere_ends_in_an_error_or_a_count():
+    # The (-1)-sphere, whose one facet is empty, is a valid complex of either
+    # kind with no vertex: each call that flips refuses it with the index's
+    # error, and its empty facet, having no label, does not alternate.
+    sphere = bistellar.boundary_of_simplex((1,))
+    signed, empty = bistellar.Z2Complex(sphere), bistellar.FanLabelling({})
+    flips = [lambda: bistellar.reduce_to_boundary_simplex(sphere),
+             lambda: bistellar.z2_reduce_to_cross_polytope(signed),
+             lambda: bistellar.random_z2_walk(signed, 1, 1),
+             lambda: bistellar.fan_certificate(signed, empty)]
+    for call in flips:
+        with pytest.raises(bistellar.BistellarError,
+                           match="moves need a pure complex with a vertex"):
+            call()
+    assert bistellar.alternating_counts(signed, empty).as_tuple() == (0, 0)
+    assert bistellar.alternating_sign((), empty) == 0
+
+
 def test_isomorphism_kind_comes_from_the_inputs():
     # whether a map commutes with negation follows from the type of the
     # complexes, so no flag says it, and an index has one view of its complex
