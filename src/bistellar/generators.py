@@ -1,11 +1,11 @@
 """Canonical instances: simplex boundaries, cross polytopes, and labellings."""
 
-import random
 from itertools import product
 
 from .complexes import SimplicialComplex, boundary_of_simplex
 from .errors import GenerationFailed, InvalidDimension
-from .fan import FanLabelling
+from .fan import FanLabelling, _complementary_edges
+from .moves import _rng
 from .z2 import Z2Complex, _checked_kind
 
 _SAMPLING_ROUNDS = 64
@@ -50,9 +50,10 @@ def canonical_cross_labelling(k):
 def random_fan_labelling(z2complex, bound, seed):
     """A random Fan labelling into ±1..±bound, reproducible from the seed.
 
-    Vertices are drawn independently and antipodal partners mirrored;
-    edges whose labels sum to zero are then repaired by resampling one
-    endpoint pair from the values its neighbourhood still allows.  A repair
+    Vertices are drawn independently and antipodal partners mirrored; edges
+    whose labels sum to zero, found as :func:`~bistellar.fan.validate_fan`
+    finds them, are repaired by resampling one endpoint pair from the values
+    that its neighbours (in its facets) still allow.  A repair
     leaves no edge at the relabelled pair complementary, so each round
     rechecks only the edges that the last one left broken.  If
     repeated rounds of sampling and repair fail, :class:`GenerationFailed`
@@ -60,18 +61,18 @@ def random_fan_labelling(z2complex, bound, seed):
     dimension + 2 sample comfortably; on a sphere any bound at or below
     the dimension cannot succeed at all, since a complementary edge is
     then unavoidable.  A ``bound`` that is not an ``int`` of at least 1
-    raises :class:`GenerationFailed`, a plain complex :class:`TypeError`.
+    raises :class:`GenerationFailed`, a ``seed`` that is not an ``int``
+    :class:`BistellarError`, a plain complex :class:`TypeError`.
     """
     if type(bound) is not int or bound < 1:
         kind = "" if type(bound) is int else " (not an int)"
         raise GenerationFailed(f"label bound must be at least 1, got {bound!r}{kind}")
-    rng = random.Random(seed)
+    rng = _rng(seed)
     values = [s * a for a in range(1, bound + 1) for s in (1, -1)]
-    edges = _checked_kind(z2complex, True).faces(1)
-    neighbours = {v: set() for v in z2complex.vertices}
-    for u, v in edges:
-        neighbours[u].add(v)
-        neighbours[v].add(u)
+    neighbours = {v: set() for v in _checked_kind(z2complex, True).vertices}
+    for facet in z2complex.facets:
+        for v in facet:
+            neighbours[v].update(w for w in facet if w != v)
     reps = z2complex.positive_vertices
 
     for _ in range(_SAMPLING_ROUNDS):
@@ -80,7 +81,7 @@ def random_fan_labelling(z2complex, bound, seed):
             x = rng.choice(values)
             labels[v] = x
             labels[-v] = -x
-        broken = [e for e in edges if labels[e[0]] + labels[e[1]] == 0]
+        broken = _complementary_edges(z2complex, labels)
         for _ in range(_REPAIR_ROUNDS):
             if not broken:
                 return FanLabelling(labels)

@@ -25,7 +25,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain, combinations, count, repeat
-from operator import itemgetter
 
 from .complexes import FVector, SimplicialComplex, _checked_face, complex_digest
 from .errors import (
@@ -99,6 +98,13 @@ def _checked_count(value, name):
     return value
 
 
+def _rng(seed):
+    """A private ``random.Random(seed)`` for an ``int`` seed (not a ``bool``)."""
+    if type(seed) is not int:
+        raise BistellarError(f"seed must be an integer, not {seed!r}")
+    return random.Random(seed)
+
+
 def find_move(complex_, face):
     """The admissible move removing ``face`` that a :class:`MoveIndex` of
     the complex lists, or None.
@@ -113,8 +119,9 @@ def find_move(complex_, face):
 
 class MoveIndex:
     """The moves of a pure complex (symmetric pairs for a :class:`Z2Complex`):
-    ``index[i]`` is the ``i``-th in enumeration order, iterating walks the
-    listing once, and these moves and their inverses are built unchecked.
+    ``index[i]`` is the ``i``-th in enumeration order, read straight from the
+    listing, so iterating reads positions 0, 1, ... (Python's sequence
+    protocol), and these moves and their inverses are built unchecked.
 
     :meth:`apply` is the one place where a flip is checked and made.
     ``_cofacets`` maps each face to the facets containing it, ``state`` is
@@ -126,12 +133,11 @@ class MoveIndex:
     :meth:`_link_simplex` where that is not None (``fresh`` fills in ``()``
     on reading, so new vertices never dirty facet moves); ``_owners``
     inverts ``_links`` and is read only for the simplices that enter or
-    leave, so a face waiting on a simplex is rechecked when it comes or goes
-    (a scan of the cofacets of ``inserted`` and ``removed`` less one vertex
-    in its place measured searches 10-16 % slower); ``_listing`` sorts the
-    pairs ``(len(face), face)`` of the listed faces, which is enumeration
-    order, so a move's position is its index there, and a pair is put in or
-    taken out by bisection only when its face enters or leaves the listing.
+    leave, so a face waiting on a simplex is rechecked when it comes or goes;
+    ``_listing`` sorts the pairs ``(len(face), face)`` of the listed faces,
+    which is enumeration order, so a move's position is its index there, and
+    a pair is put in or taken out by bisection only when its face enters or
+    leaves the listing.
     A symmetric index keeps all of these for the smaller face of each
     antipodal pair only, the face ``(a, ..., b)`` with ``a + b < 0``
     (``a + b == 0`` would put ``a`` and ``-a`` in one face), and looks any
@@ -179,9 +185,6 @@ class MoveIndex:
 
     def __len__(self):
         return len(self._listed())
-
-    def __iter__(self):
-        return map(self._move, map(itemgetter(1), self._listed()))
 
     def __getitem__(self, position):
         """The move at ``position``, counted from the end if negative."""
@@ -247,15 +250,18 @@ class MoveIndex:
         return tuple(sorted(apex)) if len(apex) == need else None
 
     def _flip(self, move):
-        """Swap the gone and added facets in one pass over the faces of
-        :func:`_halves` that :func:`_flip_plan` lays out; each swapped facet
-        is one of these faces, the union less one vertex, at the position the
-        plan names.  Returns the faces whose link can change: those that enter
-        or leave, and those whose cofacet count was or is ``need``."""
+        """Swap the gone and added facets in one pass over the proper faces of
+        the sorted union ``u`` (and, if symmetric, of its antipode) in the order
+        :func:`_flip_plan` lays out, where ``u`` less its ``i``-th vertex is at
+        ``~i``.  Returns the faces whose link can change: those that enter or
+        leave, and those whose cofacet count was or is ``need``."""
         cofacets, f, z2, changed = self._cofacets, self._f, self.z2, []
-        for faces, at in _halves(move, z2):
-            for face, (need, left, joined) in zip(
-                    faces, _flip_plan(len(faces[-1]) + 1, at)):
+        union = tuple(sorted(move.removed + move.inserted))
+        halves = ((union, move.inserted), (_negated(union), _negated(move.inserted)))[:1 + z2]
+        for u, inserted in halves:
+            faces = [*chain.from_iterable(map(combinations, repeat(u), range(1, len(u))))]
+            at = tuple(map(u.index, inserted))
+            for face, (need, left, joined) in zip(faces, _flip_plan(len(u), at)):
                 if z2 and face[0] + face[-1] > 0:
                     continue
                 if not left:  # in no gone facet: it contains inserted and enters
@@ -310,16 +316,6 @@ class MoveIndex:
                 listing.insert(i, entry)
 
 
-def _halves(move, z2):
-    """``(faces, at)``: the proper faces of the sorted union of ``removed`` and
-    ``inserted`` in :func:`_flip_plan` order, and the positions of
-    ``inserted`` in the union; if ``z2``, the antipodal move's follow."""
-    union = tuple(sorted(move.removed + move.inserted))
-    pairs = ((union, move.inserted), (_negated(union), _negated(move.inserted)))
-    return [([*chain.from_iterable(map(combinations, repeat(u), range(1, len(u))))],
-             tuple(map(u.index, inserted))) for u, inserted in pairs[:1 + z2]]
-
-
 @cache
 def _flip_plan(n, at):
     """``(need, left, joined)`` for each proper face of an ``n``-vertex union
@@ -335,13 +331,13 @@ def _flip_plan(n, at):
 
 def _replaced(move, z2):
     """``(gone, added)``: the facets of ``removed * boundary(inserted)``, which
-    go, and of ``boundary(removed) * inserted``, which come, each the union
-    less one vertex, in union order; if ``z2``, the antipodal move's follow.
-    :meth:`MoveIndex._flip` reads the same facets from :func:`_flip_plan`."""
-    halves = _halves(move, z2)  # faces[~i] lacks the i-th vertex
-    return ([faces[~i] for faces, at in halves for i in at],
-            [faces[~i] for faces, at in halves
-             for i in range(len(faces[-1]) + 1) if i not in at])
+    go, and of ``boundary(removed) * inserted``, which come: the sorted union
+    less a vertex of ``inserted`` or of ``removed``, in union order; if ``z2``,
+    the antipodal move's follow.  :meth:`MoveIndex._flip` swaps the same facets."""
+    union = tuple(sorted(move.removed + move.inserted))
+    halves = ((union, move.inserted), (_negated(union), _negated(move.inserted)))[:1 + z2]
+    split = [(v in ins, u[:i] + u[i + 1:]) for u, ins in halves for i, v in enumerate(u)]
+    return [f for gone, f in split if gone], [f for gone, f in split if not gone]
 
 
 def enumerate_moves(complex_):
@@ -395,11 +391,11 @@ def random_z2_walk(z2complex, steps, seed):
     """Walk the symmetric flip graph with uniformly chosen admissible moves.
 
     Fully reproducible: candidates come in enumeration order and the
-    choice is driven by a private ``random.Random(seed)``.  Returns the
-    final complex and the replayable flip sequence; ``steps`` is an int >= 0.
+    choice is driven by a private ``random.Random(seed)``, ``seed`` an int.
+    Returns the final complex and the replayable flip sequence; ``steps`` is an int >= 0.
     """
     index = MoveIndex(_checked_kind(z2complex, True))
-    rng = random.Random(seed)
+    rng = _rng(seed)
     log = []
     for _ in range(_checked_count(steps, "steps")):
         move = index[rng.randrange(len(index))]

@@ -17,13 +17,12 @@ success.
 """
 
 import math
-import random
 from dataclasses import dataclass
 
 from .complexes import complex_digest, find_isomorphism, is_closed_pseudomanifold
 from .errors import BistellarError, CertificateUnavailable, NotClosedPseudomanifold
 from .fan import FanLabelling, _fan_labels, _transport, alternating_counts, validate_fan
-from .moves import FlipSequence, MoveIndex, _checked_count, replay
+from .moves import FlipSequence, MoveIndex, _checked_count, _rng, replay
 from .z2 import _checked_kind
 
 _START_TEMPERATURE = 2.0
@@ -63,7 +62,7 @@ def _search(start, budget, seed):
     if not is_closed_pseudomanifold(start):
         raise NotClosedPseudomanifold(
             "reduction needs a pure, closed, strongly connected complex")
-    rng = random.Random(seed)
+    rng = _rng(seed)
     index = MoveIndex(start)
     multiplier = 2 if index.z2 else 1
     # On d + 2 vertices, or d + 1 free pairs, a ridge has only the target's two
@@ -114,7 +113,8 @@ def reduce_to_boundary_simplex(complex_, budget=_BUDGET, seed=0):
     Success certifies that the input is a combinatorial sphere; an
     inconclusive outcome says nothing (the search is a heuristic, not a
     decision procedure).  ``budget`` bounds the tried flips of the fixed
-    schedule above and is an ``int`` of at least 0.  Other inputs raise
+    schedule above and is an ``int`` of at least 0, ``seed`` an ``int``, neither
+    a ``bool``.  Other complexes raise
     :class:`NotClosedPseudomanifold`, and a :class:`Z2Complex` raises
     :class:`TypeError` (reduce its ``.complex``).
     """

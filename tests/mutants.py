@@ -4,7 +4,7 @@ Each entry names a file of ``src/bistellar``, an exact snippet, its
 replacement and the tests that must fail once it is made.  For each entry
 this script copies the package to a temporary directory, patches the copy
 and runs the named tests against it, printing whether the mutant was killed
-and the seconds taken:
+and the seconds taken, then the seconds of the whole run:
 
     python3 tests/mutants.py
 
@@ -114,15 +114,15 @@ MUTANTS = [
     ("a reduction stops one vertex short of its target", "reduction.py",
      "target_vertices = start.dimension + 2 - index.z2",
      "target_vertices = start.dimension + 3 - index.z2",
-     ["tests/test_reduction.py"]),
+     ["tests/test_reduction.py::TestPlainReduction::test_identity_on_target"]),
     ("_certify never checks that the trace ends at 1", "reduction.py",
      "if trace[-1] != 1:",
      "if False:",
-     ["tests/test_reduction.py"]),
+     ["tests/test_reduction.py::TestFanCertificate::test_corrupted_transport_raises[even]"]),
     ("_load hands a z2 document over as a plain complex", "cli.py",
      "return complex_ if signed is None else signed, labelling",
      "return complex_, labelling",
-     ["tests/test_cli.py"]),
+     ["tests/test_cli.py::TestCommands::test_moves_listing"]),
     ("MoveIndex accepts the (-1)-sphere", "moves.py",
      "if not state.is_pure() or state.dimension < 0:",
      "if not state.is_pure():",
@@ -139,6 +139,23 @@ MUTANTS = [
      "else -1 if values[0] else 0",
      "else -1",
      ["tests/test_public_surface.py::test_the_minus_one_sphere_ends_in_an_error_or_a_count"]),
+    ("_replaced swaps the gone and added facets", "moves.py",
+     "(v in ins, u[:i] + u[i + 1:])",
+     "(v not in ins, u[:i] + u[i + 1:])",
+     ["tests/test_public_surface.py"
+      "::test_move_index_apply_returns_none_and_the_move_names_its_facets"]),
+    ("random_fan_labelling counts a vertex among its own neighbours", "generators.py",
+     "neighbours[v].update(w for w in facet if w != v)",
+     "neighbours[v].update(facet)",
+     ["tests/test_generators.py::TestRandomFanLabelling::test_local_repair_matches_the_rescan"]),
+    ("random_fan_labelling leaves the first complementary edge unrepaired", "generators.py",
+     "broken = _complementary_edges(z2complex, labels)",
+     "broken = _complementary_edges(z2complex, labels)[1:]",
+     ["tests/test_generators.py::TestRandomFanLabelling::test_local_repair_matches_the_rescan"]),
+    ("a bool seeds the rng", "moves.py",
+     "if type(seed) is not int:",
+     "if not isinstance(seed, int):",
+     ["tests/test_reduction.py::test_bad_seeds_rejected"]),
 ]
 
 # Loaded into the unmutated run by ``-p``: records which package the tests imported.
@@ -174,6 +191,7 @@ def fresh_copy(scratch):
 
 
 def main():
+    begin = perf_counter()
     stale = [name for name, file, snippet, _, _ in MUTANTS
              if (PACKAGE / file).read_text().count(snippet) != 1]
     for name in stale:
@@ -202,6 +220,7 @@ def main():
             survived += not killed
             result = "killed  " if killed else "SURVIVED"
             print(f"{perf_counter() - start:7.1f}  {result}  {name}")
+    print(f"{perf_counter() - begin:7.1f}  total")
     return 1 if survived else 0
 
 

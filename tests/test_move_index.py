@@ -37,7 +37,7 @@ from bistellar import (
     fresh_vertex,
     simplex_boundary,
 )
-from bistellar.moves import _flip_plan, _halves, _replaced
+from bistellar.moves import _flip_plan, _replaced
 from conftest import (
     naive_admissible_moves,
     naive_canonical_facets,
@@ -222,8 +222,11 @@ def test_a_flip_rechecks_every_face_it_changes(base, picks):
         union = sorted(move.removed + move.inserted)
         faces = [f for k in range(1, len(union)) for f in combinations(union, k)]
         planned = {"enters": set(), "leaves": set()}
-        for proper, at in _halves(move, index.z2):
-            for face, (_, left, joined) in zip(proper, _flip_plan(len(union), at)):
+        for half in (move, move.antipodal())[:1 + index.z2]:
+            u = sorted(half.removed + half.inserted)
+            proper = [f for k in range(1, len(u)) for f in combinations(u, k)]
+            at = tuple(map(u.index, half.inserted))
+            for face, (_, left, joined) in zip(proper, _flip_plan(len(u), at)):
                 if not left:
                     planned["enters"].add(kept(face))
                 if not joined:

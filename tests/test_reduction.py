@@ -138,6 +138,23 @@ def test_bad_budgets_rejected(budget, symmetric):
         reduce(source, budget=budget, seed=1)
 
 
+@pytest.mark.parametrize("seed", [None, "x", (1, 2), True], ids=repr)
+def test_bad_seeds_rejected(octahedron, seed):
+    # None used to seed from the system's entropy, so two calls walked
+    # differently; "x" seeded from its digest, True as 1, and (1, 2) ended in
+    # random's bare TypeError
+    labelling = canonical_cross_labelling(3)
+    for call in (lambda: random_z2_walk(octahedron, 20, seed),
+                 lambda: z2_reduce_to_cross_polytope(octahedron, seed=seed),
+                 lambda: reduce_to_boundary_simplex(octahedron.complex, seed=seed),
+                 lambda: fan_certificate(octahedron, labelling, seed=seed),
+                 lambda: random_fan_labelling(octahedron, 4, seed)):
+        with pytest.raises(BistellarError, match="seed must be an integer"):
+            call()
+    # a negative seed, which the CLI's --seed accepts, stays valid
+    assert random_z2_walk(octahedron, 20, -7) == random_z2_walk(octahedron, 20, -7)
+
+
 class TestSymmetricReduction:
     def test_identity_on_cross_polytope(self, octahedron):
         report = z2_reduce_to_cross_polytope(octahedron, seed=1)

@@ -257,21 +257,28 @@ STARS = {(2, 1): 162, (2, 2): 238, (2, 3): 18,
          (3, 1): 594, (3, 2): 1026, (3, 3): 1086, (3, 4): 54}
 
 
+def broken(labels, move, added):
+    """The checks of the paper's local step that carrying ``labels`` (changed
+    in place) across the symmetric ``move``, whose new facets are ``added``,
+    breaks: the step must change the positive alternating count by an even
+    amount, keep the labels antipodal and make no new edge complementary."""
+    positive, _ = _transport(labels, move)
+    checks = {
+        "odd change": positive % 2 == 0,
+        "not antipodal": all(labels[-v] == -x for v, x in labels.items()),
+        "complementary edge": not any(labels[a] + labels[b] == 0
+                                      for f in added for a, b in combinations(f, 2)),
+    }
+    return [name for name, holds in checks.items() if not holds]
+
+
 @pytest.mark.parametrize("d, k", sorted(STARS))
 def test_transport_keeps_the_parity_of_every_labelled_star(d, k):
-    # the paper's local step: each symmetric move, labels carried by
-    # _transport, keeps the labels antipodal, makes no new edge
-    # complementary and changes the positive alternating count by an even
-    # amount
     move = BistellarMove(range(1, k + 1), range(k + 1, d + 3))
     _, added = _replaced(move, True)
     seen = 0
     for labels in star_labellings(move.removed, move.inserted):
         case = dict(labels)
-        positive, _ = _transport(labels, move)
-        assert positive % 2 == 0, case
-        assert all(labels[-v] == -x for v, x in labels.items()), case
-        assert not any(labels[a] + labels[b] == 0
-                       for f in added for a, b in combinations(f, 2)), case
+        assert broken(labels, move, added) == [], case
         seen += 1
     assert seen == STARS[d, k]
