@@ -72,7 +72,9 @@ def random_fan_labelling(z2complex, bound, seed):
     neighbours = {v: set() for v in _checked_kind(z2complex, True).vertices}
     for facet in z2complex.facets:
         for v in facet:
-            neighbours[v].update(w for w in facet if w != v)
+            neighbours[v].update(facet)
+    for v, near in neighbours.items():
+        near.remove(v)
     reps = z2complex.positive_vertices
 
     for _ in range(_SAMPLING_ROUNDS):

@@ -15,12 +15,14 @@ is disjoint from its own antipode.  Every flip, by walks, searches,
 :func:`replay`, the ``apply`` functions or label transport, goes through a
 :class:`MoveIndex`, which alone decides admissibility, keeps the f-vector
 and updates itself in the star of the move, on a symmetric complex for one
-face of each antipodal pair.  The ``z2`` functions raise
-:class:`TypeError` unless given a :class:`Z2Complex`, the others if given one.
+face of each antipodal pair: the move alone gives the links of the faces it
+creates or destroys, and only the others are rechecked.  The ``z2``
+functions raise :class:`TypeError` unless given a :class:`Z2Complex`, the
+others if given one.
 """
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -127,17 +129,18 @@ class MoveIndex:
     ``_cofacets`` maps each face to the facets containing it, ``state`` is
     built from its top-dimensional keys when read, and ``_f`` counts its keys
     by dimension for :meth:`f_vector`.  Moves are listed on the first read,
-    by the recheck of every face (a lone flip, as :func:`apply_z2_move`
-    makes, reads none), then kept by rechecking only the faces that a flip
-    can change (:meth:`apply`): ``_links`` maps each face to
-    :meth:`_link_simplex` where that is not None (``fresh`` fills in ``()``
-    on reading, so new vertices never dirty facet moves); ``_owners``
-    inverts ``_links`` and is read only for the simplices that enter or
-    leave, so a face waiting on a simplex is rechecked when it comes or goes;
-    ``_listing`` sorts the pairs ``(len(face), face)`` of the listed faces,
-    which is enumeration order, so a move's position is its index there, and
-    a pair is put in or taken out by bisection only when its face enters or
-    leaves the listing.
+    by one recheck of every face and one sort (a lone flip, as
+    :func:`apply_z2_move` makes, reads none), then kept by the flip, which
+    files the faces that its move creates or destroys (:meth:`_flip`), and by
+    rechecking the few others whose link can change (:meth:`apply`):
+    ``_links`` maps each face to its link simplex where it has one
+    (``fresh`` fills in ``()`` on reading, so new vertices never dirty facet
+    moves); ``_owners`` inverts ``_links`` and is read only for the simplices
+    that enter or leave, so a face waiting on a simplex is rechecked when it
+    comes or goes; ``_listing`` sorts the pairs ``(len(face), face)`` of the
+    faces that :meth:`_recheck`'s one rule lists, which is enumeration order,
+    so a move's position is its index there, and a flip puts a pair in or
+    takes it out by bisection only when its face enters or leaves the listing.
     A symmetric index keeps all of these for the smaller face of each
     antipodal pair only, the face ``(a, ..., b)`` with ``a + b < 0``
     (``a + b == 0`` would put ``a`` and ``-a`` in one face), and looks any
@@ -151,7 +154,7 @@ class MoveIndex:
             raise BistellarError("moves need a pure complex with a vertex")
         self.state, self._dimension = state, state.dimension
         self.fresh = fresh_vertex(state)
-        self._cofacets, self._links = {}, None
+        self._cofacets, self._links, self._owners = {}, None, None
         for facet in state.facets:
             for k in range(1, len(facet) + 1):
                 for face in combinations(facet, k):
@@ -177,10 +180,12 @@ class MoveIndex:
         return _negated(face) if self.z2 and face and face[0] + face[-1] > 0 else face
 
     def _listed(self):
-        """The listing, built on first use: a lone flip needs none."""
+        """The listing, built on first use (a lone flip needs none) by one
+        recheck of every face, which collects the listed entries, and one sort."""
         if self._links is None:
             self._links, self._owners, self._listing = {}, {}, []
-            self._recheck(self._cofacets)
+            self._recheck(self._cofacets, first=True)
+            self._listing.sort()
         return self._listing
 
     def __len__(self):
@@ -196,18 +201,22 @@ class MoveIndex:
     def _move(self, face):
         return _trusted(face, self._links[face] or (self.fresh,))
 
+    def facet_delta(self, position):
+        """The facet delta ``2 * len(removed) - (dimension + 2)`` at ``position``."""
+        return 2 * self._listed()[position][0] - self._dimension - 2
+
     def lowest(self):
-        """``(facet_delta, count)`` of the first, most downhill moves (every facet
-        has one): ``facet_delta`` is ``2 * len(removed) - (dimension + 2)``."""
+        """``(facet_delta, count)`` of the first, most downhill moves (every facet has one)."""
         k = self._listed()[0][0]
-        return 2 * k - self._dimension - 2, bisect_left(self._listing, (k + 1,))
+        return self.facet_delta(0), bisect_left(self._listing, (k + 1,))
 
     def apply(self, move):
         """Check ``move`` (and its antipodal image, see :func:`apply_z2_move`)
         and make it by :meth:`_flip`; a rejected move changes nothing.  Only
-        faces of the move's union change cofacets, and only those whose count
-        was or is ``need`` can gain or lose a link.  The simplices that come or
-        go are the union's faces containing ``inserted`` or ``removed``, and a
+        faces of the move's union change cofacets; the flip files those that
+        enter or leave, and of the rest only those whose count was or is
+        ``need`` can gain or lose a link.  The simplices that come or go are
+        the union's faces containing ``inserted`` or ``removed``, and a
         face outside the union waits on no larger one, as that would put
         ``inserted`` in an old facet or ``removed`` in a cofacet of the face,
         which stays.  So two lookups find the other faces to recheck."""
@@ -221,9 +230,10 @@ class MoveIndex:
         if self.z2 and B[0] + B[-1] == 0:  # B is the link simplex, as in _recheck
             raise InterferingAntipodalMove(
                 f"{move} inserts a simplex that meets its antipode")
+        owners = self._owners or {}  # faces waiting on removed or inserted, less removed
+        waiting = [w for w in (*owners.get(key, ()), *owners.get(target, ())) if w != key]
         changed = self._flip(move)
         if self._links is not None:
-            waiting = [*self._owners.get(key, ()), *self._owners.get(target, ())]
             self._recheck(changed + waiting)
         vars(self).pop("state", None)
         if len(removed) == 1:  # ids below fresh were used; this one may be free
@@ -252,38 +262,59 @@ class MoveIndex:
     def _flip(self, move):
         """Swap the gone and added facets in one pass over the proper faces of
         the sorted union ``u`` (and, if symmetric, of its antipode) in the order
-        :func:`_flip_plan` lays out, where ``u`` less its ``i``-th vertex is at
-        ``~i``.  Returns the faces whose link can change: those that enter or
-        leave, and those whose cofacet count was or is ``need``."""
-        cofacets, f, z2, changed = self._cofacets, self._f, self.z2, []
+        :func:`_flip_plan` lays out.  On a listed index, file from the move
+        alone the faces that enter (their link is ``u`` less the face, at
+        ``~p``, or ``()``) or leave: of these only a facet, ``inserted`` (its
+        link ``removed`` has gone) and ``removed`` are listed, as any other link
+        is a proper face of one of the two, present.  Returns the other faces
+        whose link can change: those whose cofacet count was or is ``need``."""
+        cofacets, f, z2, links, changed = self._cofacets, self._f, self.z2, self._links, []
+        owners = self._owners
         union = tuple(sorted(move.removed + move.inserted))
         halves = ((union, move.inserted), (_negated(union), _negated(move.inserted)))[:1 + z2]
+        a, b = len(move.removed), len(move.inserted)
         for u, inserted in halves:
             faces = [*chain.from_iterable(map(combinations, repeat(u), range(1, len(u))))]
-            at = tuple(map(u.index, inserted))
-            for face, (need, left, joined) in zip(faces, _flip_plan(len(u), at)):
+            plan = _flip_plan(len(u), tuple(map(u.index, inserted)))
+            for p, (face, (need, left, joined)) in enumerate(zip(faces, plan)):
                 if z2 and face[0] + face[-1] > 0:
                     continue
                 if not left:  # in no gone facet: it contains inserted and enters
                     cofacets[face] = [*map(faces.__getitem__, joined)]
                     f[len(face) - 1] += 1
+                    if links is not None:
+                        link = links[face] = faces[~p] if need > 1 else ()
+                        if link:
+                            k = _negated(link) if z2 and link[0] + link[-1] > 0 else link
+                            owners.setdefault(k, []).append(face)
+                        if need == 1 or need == a:  # a new facet or inserted
+                            insort(self._listing, (len(face), face))
                 elif not joined:  # in no added facet: it contains removed and leaves
                     del cofacets[face]
                     f[len(face) - 1] -= 1
+                    if links is not None:
+                        if old := links.pop(face):
+                            o = _negated(old) if z2 and old[0] + old[-1] > 0 else old
+                            waiting = owners[o]
+                            waiting.remove(face)
+                            if not waiting:
+                                del owners[o]
+                        if need == 1 or need == b:  # a gone facet or removed
+                            del self._listing[bisect_left(self._listing, (len(face), face))]
                 else:
                     containing = cofacets[face]
                     was = len(containing) == need
                     for j in left:
                         containing.remove(faces[j])
                     containing += map(faces.__getitem__, joined)
-                    if not (was or len(containing) == need):
-                        continue
-                changed.append(face)
+                    if was or len(containing) == need:
+                        changed.append(face)
         return changed
 
-    def _recheck(self, faces):
-        """Update links, owners and the listing for ``faces``, each link read
-        from :meth:`_link_simplex` and keyed as :meth:`_key` does."""
+    def _recheck(self, faces, first=False):
+        """Update links, owners and the listing for ``faces``, faces the move
+        does not fix, each link read from :meth:`_link_simplex`; the ``first``
+        listing appends each listed entry, to be sorted once."""
         links, owners, listing, z2 = self._links, self._owners, self._listing, self.z2
         cofacets, link_simplex = self._cofacets, self._link_simplex
         for face in faces:
@@ -302,9 +333,13 @@ class MoveIndex:
                     links[face] = link
                     if link:
                         owners.setdefault(k, []).append(face)
-            # in a free complex a link simplex meets its antipode only as (-v, v)
+            # the one rule; in a free complex a link meets its antipode only as (-v, v)
             listed = link is not None and (not link or (
                 k not in cofacets and not (z2 and link[0] + link[-1] == 0)))
+            if first:
+                if listed:
+                    listing.append((len(face), face))
+                continue
             if old is None and not listed:  # nor was it listed
                 continue
             entry = (len(face), face)
@@ -320,10 +355,11 @@ class MoveIndex:
 def _flip_plan(n, at):
     """``(need, left, joined)`` for each proper face of an ``n``-vertex union
     whose positions ``at`` hold ``inserted``, in :func:`~itertools.combinations`
-    order by size, which lists their complements in reverse: ``left`` and
-    ``joined`` are the positions ``~i`` in that order of the gone and added
-    facets that contain the face, each the union less its ``i``-th vertex,
-    and ``need`` is the cofacet count of a face with a link."""
+    order by size, which lists their complements in reverse (the union less
+    the face at ``p`` is at ``~p``): ``left`` and ``joined`` are the positions
+    ``~i`` of the gone and added facets that contain the face, each the union
+    less its ``i``-th vertex, and ``need`` is the cofacet count of a face with
+    a link.  A face in no gone facet enters, one in no added facet leaves."""
     return tuple((n - k, tuple(~i for i in at if i not in face),
                   tuple(~i for i in range(n) if i not in at and i not in face))
                  for k in range(1, n) for face in combinations(range(n), k))

@@ -82,17 +82,13 @@ def _search(start, budget, seed):
             if flips == budget:
                 break
         flips += 1
-        # Moves come sorted by facet delta, so the downhill pool is a prefix.
+        # Moves come sorted by facet delta, so the downhill pool is a prefix;
+        # a move is built only once its try is accepted.
         delta, pool = index.lowest()
-        if delta < 0:
-            move = index[rng.randrange(pool)]
-            accepted = True
-        else:
-            move = index[rng.randrange(len(index))]
-            delta = move.facet_delta()
-            accepted = delta <= 0 or rng.random() < math.exp(
-                -delta * multiplier / temperature)
-        if accepted:
+        position = rng.randrange(pool if delta < 0 else len(index))
+        delta = index.facet_delta(position)
+        if delta <= 0 or rng.random() < math.exp(-delta * multiplier / temperature):
+            move = index[position]
             index.apply(move)
             log.append(move)
             applied += 1

@@ -32,85 +32,124 @@ PACKAGE = ROOT / "src" / "bistellar"
 # (name, file, snippet, replacement, tests that must fail)
 MUTANTS = [
     ("_flip rechecks only faces whose count is now need", "moves.py",
-     "if not (was or len(containing) == need):",
-     "if not len(containing) == need:",
-     ["tests/test_move_index.py"]),
+     "if was or len(containing) == need:",
+     "if len(containing) == need:",
+     ["tests/test_move_index.py"
+      "::test_a_flip_rechecks_every_face_it_changes[tetrahedron]"]),
     ("apply skips the faces waiting on inserted", "moves.py",
-     "waiting = [*self._owners.get(key, ()), *self._owners.get(target, ())]",
-     "waiting = [*self._owners.get(key, ())]",
+     "(*owners.get(key, ()), *owners.get(target, ()))",
+     "(*owners.get(key, ()),)",
      ["tests/test_move_index.py::test_blocked_face_is_released_when_its_simplex_goes"]),
+    ("apply rechecks removed, which the flip files as it goes", "moves.py",
+     "*owners.get(target, ())) if w != key]",
+     "*owners.get(target, ()))]",
+     ["tests/test_move_index.py"
+      "::test_a_flip_derives_no_link_of_a_face_it_creates_or_destroys[tetrahedron]"]),
+    ("_flip files an entering face as its own link", "moves.py",
+     "faces[~p] if need > 1 else ()",
+     "faces[p] if need > 1 else ()",
+     ["tests/test_move_index.py::test_plain_walks_keep_index_exact[triangle]"]),
+    ("_flip never lists inserted as it enters", "moves.py",
+     "if need == 1 or need == a:",
+     "if need == 1:",
+     ["tests/test_move_index.py::test_plain_walks_keep_index_exact[triangle]"]),
+    ("_flip leaves removed listed as it goes", "moves.py",
+     "if need == 1 or need == b:",
+     "if need == 1:",
+     ["tests/test_move_index.py::test_plain_walks_keep_index_exact[triangle]"]),
+    ("the first listing keeps face order, unsorted", "moves.py",
+     "self._listing.sort()",
+     "pass",
+     ["tests/test_move_index.py::test_plain_walks_keep_index_exact[triangle]"]),
+    ("facet_delta reads the first move's size, not the one at position", "moves.py",
+     "2 * self._listed()[position][0]",
+     "2 * self._listed()[0][0]",
+     ["tests/test_move_index.py"
+      "::test_a_position_gives_the_facet_delta_of_its_move[4-simplex]"]),
+    ("a search builds the move of every try", "reduction.py",
+     "delta = index.facet_delta(position)",
+     "delta = index[position].facet_delta()",
+     ["tests/test_reduction.py"
+      "::test_a_search_builds_only_the_moves_it_applies[sd-c3-2-1.9]"]),
     ("_link_simplex leaves a ridge's apexes unsorted", "moves.py",
      "return (a, b) if a < b else (b, a)",
      "return (a, b)",
-     ["tests/test_move_index.py"]),
+     ["tests/test_move_index.py::test_plain_walks_keep_index_exact[triangle]"]),
     ("find_isomorphism pairs only the first face of each orbit", "complexes.py",
      "zip(left._orbit((u,)), right._orbit((w,)))",
      "zip(left._orbit((u,))[:1], right._orbit((w,))[:1])",
-     ["tests/test_complexes.py", "tests/test_z2.py"]),
+     ["tests/test_complexes.py"
+      "::TestIsomorphism::test_z2_pair_with_unlike_involutions_is_not_isomorphic"]),
     ("_transport nudges a tied label by 2", "fan.py",
      "labels[u] += 1",
      "labels[u] += 2",
-     ["tests/test_transport.py"]),
+     ["tests/test_transport.py"
+      "::test_relabel_move_rejects_exactly_what_a_flip_rejects[C4-walked]"]),
     ("apply never lowers fresh when a vertex goes", "moves.py",
      "self.fresh = min(self.fresh, abs(removed[0]))",
      "pass",
-     ["tests/test_move_index.py"]),
+     ["tests/test_move_index.py::test_plain_walks_keep_index_exact[triangle]"]),
     ("_flip_plan names the gone facets by i, not ~i", "moves.py",
      "tuple(~i for i in at if i not in face)",
      "tuple(i for i in at if i not in face)",
-     ["tests/test_move_index.py"]),
+     ["tests/test_move_index.py::test_plain_walks_keep_index_exact[triangle]"]),
     ("an uphill try drops the energy multiplier", "reduction.py",
      "-delta * multiplier / temperature)",
      "-delta / temperature)",
-     ["tests/test_trajectories.py"]),
+     ["tests/test_trajectories.py::test_symmetric_reduction_of_sd_octahedron"]),
     ("_recheck lists a move whose inserted simplex meets its antipode", "moves.py",
      "k not in cofacets and not (z2 and link[0] + link[-1] == 0)))",
      "k not in cofacets))",
-     ["tests/test_move_index.py"]),
+     ["tests/test_move_index.py"
+      "::test_symmetric_walks_keep_index_exact[square]"]),
     ("_mask_class takes x then -x for a rise in rank", "fan.py",
      "bit >> 1 <= below >> 1",
      "bit >> 1 < below >> 1",
-     ["tests/test_fan.py"]),
+     ["tests/test_fan.py"
+      "::test_counts_match_naive_alpha_on_any_labelled_complex"]),
     ("Z2Complex skips its symmetry check", "z2.py",
      "        _checked_symmetric(complex_.facets)\n",
      "        pass\n",
-     ["tests/test_z2.py", "tests/test_public_surface.py"]),
+     ["tests/test_z2.py::TestMakeSigned::test_antipodal_pair_in_facet"]),
     ("quotient never finds a vertex adjacent to both ±w", "z2.py",
      "if tuple(sorted((a, -b))) in present:",
      "if False:",
-     ["tests/test_z2.py"]),
+     ["tests/test_z2.py::TestQuotient::test_requires_subdivision"]),
     ("_certify never checks the parity after a flip", "reduction.py",
      "if trace[-1] != parity:",
      "if False:",
-     ["tests/test_reduction.py::TestFanCertificate::test_corrupted_transport_raises"]),
+     ["tests/test_reduction.py"
+      "::TestFanCertificate::test_corrupted_transport_raises[parity]"]),
     ("the chain plan looks faces up unsorted", "complexes.py",
      "at[tuple(sorted(p[:k]))]",
      "at[tuple(p[:k])]",
-     ["tests/test_complexes.py"]),
+     ["tests/test_complexes.py::TestFVector::test_sd_of_tetra_boundary"]),
     ("a face and its antipode get the same barycenter id", "complexes.py",
      "(next_id, -next_id)",
      "(next_id, next_id)",
-     ["tests/test_z2.py"]),
+     ["tests/test_z2.py"
+      "::TestEquivariantSubdivision::test_four_cycle_to_eight_cycle"]),
     ("alternating_counts gives positive labels the sign bit", "fan.py",
      "1 << (rank[abs(x)] + (x < 0))",
      "1 << (rank[abs(x)] + (x > 0))",
-     ["tests/test_fan.py"]),
+     ["tests/test_fan.py"
+      "::test_counts_match_naive_alpha_on_any_labelled_complex"]),
     ("lowest counts no move of the lowest size", "moves.py",
      "(k + 1,)",
      "(k,)",
-     ["tests/test_move_index.py"]),
+     ["tests/test_move_index.py::test_plain_walks_keep_index_exact[triangle]"]),
     ("_recheck never takes a face out of the listing", "moves.py",
      "del listing[i]",
      "pass",
-     ["tests/test_move_index.py"]),
+     ["tests/test_move_index.py::test_plain_walks_keep_index_exact[triangle]"]),
     ("_link_simplex takes any need apexes for a link simplex", "moves.py",
      "return tuple(sorted(apex)) if len(apex) == need else None",
      "return tuple(sorted(apex))",
-     ["tests/test_move_index.py"]),
+     ["tests/test_move_index.py::test_plain_walks_keep_index_exact[disk]"]),
     ("a facet move inserts no fresh vertex", "moves.py",
      "or (self.fresh,))",
      "or ())",
-     ["tests/test_move_index.py"]),
+     ["tests/test_move_index.py::test_plain_walks_keep_index_exact[triangle]"]),
     ("a reduction stops one vertex short of its target", "reduction.py",
      "target_vertices = start.dimension + 2 - index.z2",
      "target_vertices = start.dimension + 3 - index.z2",
@@ -145,8 +184,8 @@ MUTANTS = [
      ["tests/test_public_surface.py"
       "::test_move_index_apply_returns_none_and_the_move_names_its_facets"]),
     ("random_fan_labelling counts a vertex among its own neighbours", "generators.py",
-     "neighbours[v].update(w for w in facet if w != v)",
-     "neighbours[v].update(facet)",
+     "near.remove(v)",
+     "pass",
      ["tests/test_generators.py::TestRandomFanLabelling::test_local_repair_matches_the_rescan"]),
     ("random_fan_labelling leaves the first complementary edge unrepaired", "generators.py",
      "broken = _complementary_edges(z2complex, labels)",
@@ -155,7 +194,7 @@ MUTANTS = [
     ("a bool seeds the rng", "moves.py",
      "if type(seed) is not int:",
      "if not isinstance(seed, int):",
-     ["tests/test_reduction.py::test_bad_seeds_rejected"]),
+     ["tests/test_reduction.py::test_bad_seeds_rejected[True]"]),
 ]
 
 # Loaded into the unmutated run by ``-p``: records which package the tests imported.

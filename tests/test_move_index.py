@@ -12,12 +12,14 @@ and a link for every face whose link is a simplex boundary; a symmetric
 index keeps both for the smaller face of each antipodal pair only.
 Rewound through inverse moves, the index must equal one built afresh at
 that earlier state.  Walks run in dimensions 1 to 4, so every flip plan
-size from 3 to 6 vertices is used.  A flip must recheck every face whose
-link or listing changes, and the faces that enter or leave must be those
-of the union containing ``inserted`` or ``removed``.
+size from 3 to 6 vertices is used.  A flip must file or recheck every face
+whose link or listing changes; the faces that it files, which enter or
+leave, must be those of the union containing ``inserted`` or ``removed``,
+with the links the move gives them, and it must derive no link for them.
 """
 
-from itertools import combinations
+from itertools import chain, combinations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,7 @@ from bistellar import (
     fresh_vertex,
     simplex_boundary,
 )
+from bistellar import moves
 from bistellar.moves import _flip_plan, _replaced
 from conftest import (
     naive_admissible_moves,
@@ -194,20 +197,34 @@ def naive_listing(facets, z2):
             if kept(a) == a}
 
 
+class RecordingChain:
+    """Stands in for ``itertools.chain`` in :mod:`bistellar.moves`, which
+    only ``_flip`` uses during ``apply``, and keeps the face list it lays
+    out per half."""
+
+    made = []
+
+    @classmethod
+    def from_iterable(cls, iterable):
+        cls.made.append([*chain.from_iterable(iterable)])
+        return cls.made[-1]
+
+
 @pytest.mark.parametrize("base", [simplex_boundary(2), simplex_boundary(3),
                                   cross_polytope(3), cross_polytope(4)],
                          ids=["triangle", "tetrahedron", "octahedron", "cross-4"])
 @given(picks=choices)
 @settings(max_examples=15, deadline=None)
 def test_a_flip_rechecks_every_face_it_changes(base, picks):
-    # A flip rechecks only the faces whose cofacet count was or is the one
-    # a link needs, those that enter or leave, and those waiting on
-    # ``removed`` or ``inserted``; every face whose link or listing differs
-    # must be among them.  The faces that enter or leave are
+    # A flip files the faces that enter or leave from its plan, and rechecks
+    # only the faces whose cofacet count was or is the one a link needs and
+    # those waiting on ``removed`` or ``inserted``; every face whose link or
+    # listing differs must be among them.  The faces that enter or leave are
     # those of the union (and its antipode) containing ``inserted`` or
-    # ``removed``, as the plan says.
+    # ``removed``, as the plan says, and the link filed for one that enters
+    # is the plan's own tuple for the rest of the union (``()`` for a facet).
     index = MoveIndex(base)
-    len(index)  # list it, so that each flip rechecks
+    len(index)  # list it, so that each flip files and rechecks
     rechecked, recheck = [], index._recheck
     index._recheck = lambda faces: (rechecked.extend(faces), recheck(faces))
     kept = (lambda a: min(a, antipode(a))) if index.z2 else (lambda a: a)
@@ -215,26 +232,58 @@ def test_a_flip_rechecks_every_face_it_changes(base, picks):
         move = index[pick % len(index)]
         before, keys = naive_listing(index.state.facets, index.z2), set(index._cofacets)
         rechecked.clear()
-        index.apply(move)
+        RecordingChain.made.clear()
+        with patch.object(moves, "chain", RecordingChain):
+            index.apply(move)
         after = naive_listing(index.state.facets, index.z2)
+        entered, left = set(index._cofacets) - keys, keys - set(index._cofacets)
         assert {a for a in before.keys() | after.keys()
-                if before.get(a) != after.get(a)} <= set(rechecked)
+                if before.get(a) != after.get(a)} <= entered | left | set(rechecked)
         union = sorted(move.removed + move.inserted)
         faces = [f for k in range(1, len(union)) for f in combinations(union, k)]
         planned = {"enters": set(), "leaves": set()}
-        for half in (move, move.antipodal())[:1 + index.z2]:
+        assert len(RecordingChain.made) == 1 + index.z2
+        for half, proper in zip((move, move.antipodal()), RecordingChain.made):
             u = sorted(half.removed + half.inserted)
-            proper = [f for k in range(1, len(u)) for f in combinations(u, k)]
+            assert proper == [f for k in range(1, len(u)) for f in combinations(u, k)]
             at = tuple(map(u.index, half.inserted))
-            for face, (_, left, joined) in zip(proper, _flip_plan(len(u), at)):
-                if not left:
-                    planned["enters"].add(kept(face))
+            for p, (need, gone, joined) in enumerate(_flip_plan(len(u), at)):
+                face = proper[p]
+                if kept(face) != face:
+                    continue
+                if not gone:
+                    planned["enters"].add(face)
+                    filed = index._links[face]
+                    assert filed == index._link_simplex(face)
+                    assert (filed is proper[~p]) if need > 1 else filed == ()
                 if not joined:
-                    planned["leaves"].add(kept(face))
+                    planned["leaves"].add(face)
         entering = {kept(f) for f in faces if set(move.inserted) <= set(f)}
         leaving = {kept(f) for f in faces if set(move.removed) <= set(f)}
-        assert entering == set(index._cofacets) - keys == planned["enters"]
-        assert leaving == keys - set(index._cofacets) == planned["leaves"]
+        assert entering == entered == planned["enters"]
+        assert leaving == left == planned["leaves"]
+
+
+@pytest.mark.parametrize("base", [simplex_boundary(3), simplex_boundary(4),
+                                  cross_polytope(3), cross_polytope(4)],
+                         ids=["tetrahedron", "4-simplex", "octahedron", "cross-4"])
+@given(picks=choices)
+@settings(max_examples=15, deadline=None)
+def test_a_flip_derives_no_link_of_a_face_it_creates_or_destroys(base, picks):
+    # The move alone fixes the links of the faces that enter or leave, so
+    # applying it to a listed index derives a link from cofacets only to check
+    # it, for the removed face, and then for the faces it rechecks.
+    index = MoveIndex(base)
+    len(index)
+    derived, link_simplex = [], index._link_simplex
+    index._link_simplex = lambda face: (derived.append(face), link_simplex(face))[1]
+    for pick in picks:
+        move = index[pick % len(index)]
+        keys = set(index._cofacets)
+        derived.clear()
+        index.apply(move)
+        assert derived[0] == move.removed
+        assert (keys ^ set(index._cofacets)).isdisjoint(derived[1:])
 
 
 @pytest.mark.parametrize("base", [simplex_boundary(3), cross_polytope(3),
@@ -333,6 +382,24 @@ def test_either_half_of_a_pair_applies_it(base, picks):
             assert list(fresh) == list(index)
         assert results[0] == results[1]
         index.apply(move)
+
+
+@pytest.mark.parametrize("base", [simplex_boundary(4), cross_polytope(4)],
+                         ids=["4-simplex", "cross-4"])
+@given(picks=choices)
+@settings(max_examples=15, deadline=None)
+def test_a_position_gives_the_facet_delta_of_its_move(base, picks):
+    # A search reads the facet delta of the move it tries by position and
+    # builds the move only if it takes it; a negative position counts from
+    # the end.
+    index = MoveIndex(base)
+    for pick in picks:
+        listed = list(index)
+        deltas = [m.facet_delta() for m in listed]
+        assert [index.facet_delta(p) for p in range(-len(listed), len(listed))] \
+            == deltas + deltas
+        assert index.lowest() == (min(deltas), deltas.count(min(deltas)))
+        index.apply(listed[pick % len(listed)])
 
 
 def test_reads_past_the_end():

@@ -250,6 +250,23 @@ def test_hot_restarts_rewind_from_above_the_best(monkeypatch, name, seed):
     assert report == rebuild_search(start, 400, seed)
 
 
+@pytest.mark.parametrize("name, seed, restart_below", [
+    ("sd-c3", 2, 1.9),  # 3 restarts; no seed restarts it at the real schedule
+    ("sd-simplex4", 1, reduction._RESTART_BELOW),  # one restart
+])
+def test_a_search_builds_only_the_moves_it_applies(monkeypatch, name, seed, restart_below):
+    # An uphill try reads its facet delta from the index by position, so a
+    # move is built only when its try is accepted, and a rewind applies the
+    # inverses of logged moves.
+    monkeypatch.setattr(reduction, "_RESTART_BELOW", restart_below)
+    move, built = MoveIndex._move, []
+    monkeypatch.setattr(MoveIndex, "_move",
+                        lambda self, face: (built.append(face), move(self, face))[1])
+    report, _ = reduction._search(search_input(name), 100_000, seed)
+    assert report.reduced and report.restarts > 0
+    assert len(built) == report.flips_applied < report.flips_tried
+
+
 class TestReplayVerify:
     def test_empty_sequence_identity(self, octahedron):
         _, sequence = random_z2_walk(octahedron, 0, seed=0)
