@@ -1,10 +1,11 @@
 """Canonical instances: simplex boundaries, cross polytopes, and labellings."""
 
-from itertools import product
+from itertools import compress, filterfalse, product
+from operator import add, neg, not_
 
 from .complexes import SimplicialComplex, boundary_of_simplex
 from .errors import GenerationFailed, InvalidDimension
-from .fan import FanLabelling, _complementary_edges
+from .fan import FanLabelling
 from .moves import _rng
 from .z2 import Z2Complex, _checked_kind
 
@@ -51,30 +52,30 @@ def random_fan_labelling(z2complex, bound, seed):
     """A random Fan labelling into ±1..±bound, reproducible from the seed.
 
     Vertices are drawn independently and antipodal partners mirrored; edges
-    whose labels sum to zero, found as :func:`~bistellar.fan.validate_fan`
-    finds them, are repaired by resampling one endpoint pair from the values
-    that its neighbours (in its facets) still allow.  A repair
-    leaves no edge at the relabelled pair complementary, so each round
-    rechecks only the edges that the last one left broken.  If
-    repeated rounds of sampling and repair fail, :class:`GenerationFailed`
-    is raised rather than looping forever.  Bounds of at least
-    dimension + 2 sample comfortably; on a sphere any bound at or below
-    the dimension cannot succeed at all, since a complementary edge is
-    then unavoidable.  A ``bound`` that is not an ``int`` of at least 1
-    raises :class:`GenerationFailed`, a ``seed`` that is not an ``int``
-    :class:`BistellarError`, a plain complex :class:`TypeError`.
+    whose labels sum to zero, found in edge order by one filter over the
+    sorted edge list, are repaired by resampling one endpoint pair from the
+    values that its neighbours still allow.  A repair leaves no edge at the
+    relabelled pair complementary, so each round rechecks only the edges that
+    the last one left broken, and one that repairs none ends its sampling
+    round, as each later one would repeat it.  If repeated rounds of sampling
+    and repair fail, :class:`GenerationFailed` is raised rather than looping
+    forever.  Bounds of at least dimension + 2 sample comfortably; on a sphere
+    any bound at or below the dimension cannot succeed at all, since a
+    complementary edge is then unavoidable.  A ``bound`` that is not an
+    ``int`` of at least 1 raises :class:`GenerationFailed`, a ``seed`` that is
+    not an ``int`` :class:`BistellarError`, a plain complex :class:`TypeError`.
     """
     if type(bound) is not int or bound < 1:
         kind = "" if type(bound) is int else " (not an int)"
         raise GenerationFailed(f"label bound must be at least 1, got {bound!r}{kind}")
     rng = _rng(seed)
     values = [s * a for a in range(1, bound + 1) for s in (1, -1)]
-    neighbours = {v: set() for v in _checked_kind(z2complex, True).vertices}
-    for facet in z2complex.facets:
-        for v in facet:
-            neighbours[v].update(facet)
-    for v, near in neighbours.items():
-        near.remove(v)
+    edges = _checked_kind(z2complex, True).faces(1)
+    heads, tails = [*zip(*edges)] or ((), ())
+    neighbours = {v: set() for v in z2complex.vertices}
+    for u, v in edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
     reps = z2complex.positive_vertices
 
     for _ in range(_SAMPLING_ROUNDS):
@@ -83,7 +84,8 @@ def random_fan_labelling(z2complex, bound, seed):
             x = rng.choice(values)
             labels[v] = x
             labels[-v] = -x
-        broken = _complementary_edges(z2complex, labels)
+        label = labels.__getitem__
+        broken = [*compress(edges, map(not_, map(add, map(label, heads), map(label, tails))))]
         for _ in range(_REPAIR_ROUNDS):
             if not broken:
                 return FanLabelling(labels)
@@ -91,13 +93,14 @@ def random_fan_labelling(z2complex, bound, seed):
                 if labels[u] + labels[v] != 0:
                     continue
                 w = u if abs(u) >= abs(v) else v
-                banned = {-labels[y] for y in neighbours[w]}
-                allowed = [x for x in values if x not in banned]
+                banned = {*map(neg, map(label, neighbours[w]))}
+                allowed = [*filterfalse(banned.__contains__, values)]
                 if not allowed:
                     continue
                 x = rng.choice(allowed)
                 labels[w], labels[-w] = x, -x
-            # No repair breaks an edge: the neighbours of -w are those of w negated.
-            broken = [e for e in broken if labels[e[0]] + labels[e[1]] == 0]
+            # A repair fixes its edge and breaks none (-w's neighbours are w's negated).
+            if len(broken) == len(broken := [e for e in broken if labels[e[0]] == -labels[e[1]]]):
+                break
     raise GenerationFailed(
         f"no Fan labelling with bound {bound} found after {_SAMPLING_ROUNDS} attempts")

@@ -27,6 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain, combinations, count, repeat
+from operator import add
 
 from .complexes import FVector, SimplicialComplex, _checked_face, complex_digest
 from .errors import (
@@ -137,10 +138,10 @@ class MoveIndex:
     (``fresh`` fills in ``()`` on reading, so new vertices never dirty facet
     moves); ``_owners`` inverts ``_links`` and is read only for the simplices
     that enter or leave, so a face waiting on a simplex is rechecked when it
-    comes or goes; ``_listing`` sorts the pairs ``(len(face), face)`` of the
-    faces that :meth:`_recheck`'s one rule lists, which is enumeration order,
-    so a move's position is its index there, and a flip puts a pair in or
-    takes it out by bisection only when its face enters or leaves the listing.
+    comes or goes; ``_listing`` sorts the entries ``(len(face), *face)`` of
+    the faces that :meth:`_recheck`'s one rule lists, in enumeration order, so
+    a move's position is its index there, and a flip puts an entry in or takes
+    it out by bisection only when its face enters or leaves the listing.
     A symmetric index keeps all of these for the smaller face of each
     antipodal pair only, the face ``(a, ..., b)`` with ``a + b < 0``
     (``a + b == 0`` would put ``a`` and ``-a`` in one face), and looks any
@@ -196,7 +197,7 @@ class MoveIndex:
         listing = self._listed()
         if not -len(listing) <= position < len(listing):
             raise IndexError(f"position {position} is out of range for {len(listing)} moves")
-        return self._move(listing[position][1])
+        return self._move(listing[position][1:])
 
     def _move(self, face):
         return _trusted(face, self._links[face] or (self.fresh,))
@@ -260,55 +261,57 @@ class MoveIndex:
         return tuple(sorted(apex)) if len(apex) == need else None
 
     def _flip(self, move):
-        """Swap the gone and added facets in one pass over the proper faces of
-        the sorted union ``u`` (and, if symmetric, of its antipode) in the order
-        :func:`_flip_plan` lays out.  On a listed index, file from the move
-        alone the faces that enter (their link is ``u`` less the face, at
-        ``~p``, or ``()``) or leave: of these only a facet, ``inserted`` (its
-        link ``removed`` has gone) and ``removed`` are listed, as any other link
-        is a proper face of one of the two, present.  Returns the other faces
-        whose link can change: those whose cofacet count was or is ``need``."""
-        cofacets, f, z2, links, changed = self._cofacets, self._f, self.z2, self._links, []
-        owners = self._owners
-        union = tuple(sorted(move.removed + move.inserted))
+        """Swap the gone and added facets over the proper faces of the sorted
+        union ``u`` and, if symmetric, its antipode, sorted by kind in
+        :func:`_flip_plan`; add the plan's change in face counts once, as each
+        face of a symmetric pair is kept in one half.  On a listed index, file
+        from the move alone the faces that enter (their link is ``u`` less the
+        face, at ``~p``, or ``()``) or leave, listing those the plan marks.
+        Returns the faces that stay whose cofacet count was or is ``need``."""
+        cofacets, z2, links, owners = self._cofacets, self.z2, self._links, self._owners
+        union, changed = tuple(sorted(move.removed + move.inserted)), []
         halves = ((union, move.inserted), (_negated(union), _negated(move.inserted)))[:1 + z2]
-        a, b = len(move.removed), len(move.inserted)
         for u, inserted in halves:
             faces = [*chain.from_iterable(map(combinations, repeat(u), range(1, len(u))))]
-            plan = _flip_plan(len(u), tuple(map(u.index, inserted)))
-            for p, (face, (need, left, joined)) in enumerate(zip(faces, plan)):
+            enters, leaves, stays, delta = _flip_plan(len(u), tuple(map(u.index, inserted)))
+            for p, need, joined, listed in enters:
+                face = faces[p]
                 if z2 and face[0] + face[-1] > 0:
                     continue
-                if not left:  # in no gone facet: it contains inserted and enters
-                    cofacets[face] = [*map(faces.__getitem__, joined)]
-                    f[len(face) - 1] += 1
-                    if links is not None:
-                        link = links[face] = faces[~p] if need > 1 else ()
-                        if link:
-                            k = _negated(link) if z2 and link[0] + link[-1] > 0 else link
-                            owners.setdefault(k, []).append(face)
-                        if need == 1 or need == a:  # a new facet or inserted
-                            insort(self._listing, (len(face), face))
-                elif not joined:  # in no added facet: it contains removed and leaves
-                    del cofacets[face]
-                    f[len(face) - 1] -= 1
-                    if links is not None:
-                        if old := links.pop(face):
-                            o = _negated(old) if z2 and old[0] + old[-1] > 0 else old
-                            waiting = owners[o]
-                            waiting.remove(face)
-                            if not waiting:
-                                del owners[o]
-                        if need == 1 or need == b:  # a gone facet or removed
-                            del self._listing[bisect_left(self._listing, (len(face), face))]
-                else:
-                    containing = cofacets[face]
-                    was = len(containing) == need
-                    for j in left:
-                        containing.remove(faces[j])
-                    containing += map(faces.__getitem__, joined)
-                    if was or len(containing) == need:
-                        changed.append(face)
+                cofacets[face] = [*map(faces.__getitem__, joined)]
+                if links is not None:
+                    link = links[face] = faces[~p] if need > 1 else ()
+                    if link:
+                        k = _negated(link) if z2 and link[0] + link[-1] > 0 else link
+                        owners.setdefault(k, []).append(face)
+                    if listed:
+                        insort(self._listing, (len(face), *face))
+            for p, listed in leaves:
+                face = faces[p]
+                if z2 and face[0] + face[-1] > 0:
+                    continue
+                del cofacets[face]
+                if links is not None:
+                    if old := links.pop(face):
+                        o = _negated(old) if z2 and old[0] + old[-1] > 0 else old
+                        waiting = owners[o]
+                        waiting.remove(face)
+                        if not waiting:
+                            del owners[o]
+                    if listed:
+                        del self._listing[bisect_left(self._listing, (len(face), *face))]
+            for p, need, left, joined in stays:
+                face = faces[p]
+                if z2 and face[0] + face[-1] > 0:
+                    continue
+                containing = cofacets[face]
+                was = len(containing) == need
+                for j in left:
+                    containing.remove(faces[j])
+                containing += map(faces.__getitem__, joined)
+                if was or len(containing) == need:
+                    changed.append(face)
+        self._f[:] = map(add, self._f, delta)
         return changed
 
     def _recheck(self, faces, first=False):
@@ -338,11 +341,11 @@ class MoveIndex:
                 k not in cofacets and not (z2 and link[0] + link[-1] == 0)))
             if first:
                 if listed:
-                    listing.append((len(face), face))
+                    listing.append((len(face), *face))
                 continue
             if old is None and not listed:  # nor was it listed
                 continue
-            entry = (len(face), face)
+            entry = (len(face), *face)
             i = bisect_left(listing, entry)
             if i < len(listing) and listing[i] == entry:
                 if not listed:
@@ -353,16 +356,28 @@ class MoveIndex:
 
 @cache
 def _flip_plan(n, at):
-    """``(need, left, joined)`` for each proper face of an ``n``-vertex union
-    whose positions ``at`` hold ``inserted``, in :func:`~itertools.combinations`
-    order by size, which lists their complements in reverse (the union less
-    the face at ``p`` is at ``~p``): ``left`` and ``joined`` are the positions
-    ``~i`` of the gone and added facets that contain the face, each the union
-    less its ``i``-th vertex, and ``need`` is the cofacet count of a face with
-    a link.  A face in no gone facet enters, one in no added facet leaves."""
-    return tuple((n - k, tuple(~i for i in at if i not in face),
-                  tuple(~i for i in range(n) if i not in at and i not in face))
-                 for k in range(1, n) for face in combinations(range(n), k))
+    """``(enters, leaves, stays, delta)`` for the proper faces of an ``n``-vertex
+    union whose positions ``at`` hold ``inserted``, numbered ``p`` in
+    :func:`~itertools.combinations` order by size, so the union less the face
+    at ``p`` is at ``~p``: a face in no gone facet enters, ``(p, need, joined,
+    listed)``, one in no added facet leaves, ``(p, listed)``, the rest stay,
+    ``(p, need, left, joined)``.  ``left`` and ``joined`` hold ``~i`` for each
+    gone or added facet (the union less its ``i``-th vertex) with the face;
+    ``need`` is the cofacet count of a face with a link; ``listed`` marks a
+    facet, ``inserted`` or ``removed``, as the link of any other face that comes
+    or goes is a face; ``delta[k - 1]`` is the change in the faces of size ``k``."""
+    enters, leaves, stays, delta = [], [], [], [0] * (n - 1)
+    for p, face in enumerate(f for k in range(1, n) for f in combinations(range(n), k)):
+        k, left = len(face), tuple(~i for i in at if i not in face)
+        joined = tuple(~i for i in range(n) if i not in at and i not in face)
+        if not left:
+            enters.append((p, n - k, joined, k == n - 1 or k == len(at)))
+        elif not joined:
+            leaves.append((p, k == n - 1 or k == n - len(at)))
+        else:
+            stays.append((p, n - k, left, joined))
+        delta[k - 1] += (not left) - (not joined)
+    return tuple(enters), tuple(leaves), tuple(stays), tuple(delta)
 
 
 def _replaced(move, z2):

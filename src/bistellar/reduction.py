@@ -57,7 +57,8 @@ class ReductionReport:
 def _search(start, budget, seed):
     """The reduction loop, symmetric on a :class:`Z2Complex` (towards the cross
     polytope) and plain otherwise (towards the simplex boundary); returns the
-    report and the final complex."""
+    report and the final complex.  It reads the downhill pool at the first try
+    after the start or a flip, forward or rewinding, as only a flip moves it."""
     budget = _checked_count(budget, "budget")
     if not is_closed_pseudomanifold(start):
         raise NotClosedPseudomanifold(
@@ -71,12 +72,13 @@ def _search(start, budget, seed):
 
     log, flips, applied, restarts = [], 0, 0, 0
     best = (index._f[::-1], 0)  # (energy, len(log)); the search ends at this state
-    temperature = _START_TEMPERATURE
+    temperature, lowest = _START_TEMPERATURE, None
     while not (reduced := index._f[0] == target_vertices):
         if temperature < _RESTART_BELOW or flips == budget:
             # Rewind to the best state; removed vertices come back under their ids.
             while len(log) > best[1]:
                 index.apply(log.pop().inverse())
+                lowest = None
             if temperature < _RESTART_BELOW:
                 temperature, restarts = _START_TEMPERATURE, restarts + 1
             if flips == budget:
@@ -84,14 +86,14 @@ def _search(start, budget, seed):
         flips += 1
         # Moves come sorted by facet delta, so the downhill pool is a prefix;
         # a move is built only once its try is accepted.
-        delta, pool = index.lowest()
+        delta, pool = lowest = lowest or index.lowest()
         position = rng.randrange(pool if delta < 0 else len(index))
         delta = index.facet_delta(position)
         if delta <= 0 or rng.random() < math.exp(-delta * multiplier / temperature):
             move = index[position]
             index.apply(move)
             log.append(move)
-            applied += 1
+            applied, lowest = applied + 1, None
             energy = index._f[::-1]
             if energy < best[0]:
                 best = (energy, len(log))

@@ -49,13 +49,13 @@ MUTANTS = [
      "faces[~p] if need > 1 else ()",
      "faces[p] if need > 1 else ()",
      ["tests/test_move_index.py::test_plain_walks_keep_index_exact[triangle]"]),
-    ("_flip never lists inserted as it enters", "moves.py",
-     "if need == 1 or need == a:",
-     "if need == 1:",
+    ("_flip_plan never lists inserted as it enters", "moves.py",
+     "k == n - 1 or k == len(at)",
+     "k == n - 1",
      ["tests/test_move_index.py::test_plain_walks_keep_index_exact[triangle]"]),
-    ("_flip leaves removed listed as it goes", "moves.py",
-     "if need == 1 or need == b:",
-     "if need == 1:",
+    ("_flip_plan leaves removed listed as it goes", "moves.py",
+     "k == n - 1 or k == n - len(at)",
+     "k == n - 1",
      ["tests/test_move_index.py::test_plain_walks_keep_index_exact[triangle]"]),
     ("the first listing keeps face order, unsorted", "moves.py",
      "self._listing.sort()",
@@ -184,17 +184,52 @@ MUTANTS = [
      ["tests/test_public_surface.py"
       "::test_move_index_apply_returns_none_and_the_move_names_its_facets"]),
     ("random_fan_labelling counts a vertex among its own neighbours", "generators.py",
-     "near.remove(v)",
-     "pass",
+     "neighbours[u].add(v)",
+     "neighbours[u].update((u, v))",
      ["tests/test_generators.py::TestRandomFanLabelling::test_local_repair_matches_the_rescan"]),
     ("random_fan_labelling leaves the first complementary edge unrepaired", "generators.py",
-     "broken = _complementary_edges(z2complex, labels)",
-     "broken = _complementary_edges(z2complex, labels)[1:]",
+     "map(label, tails))))]",
+     "map(label, tails))))][1:]",
      ["tests/test_generators.py::TestRandomFanLabelling::test_local_repair_matches_the_rescan"]),
     ("a bool seeds the rng", "moves.py",
      "if type(seed) is not int:",
      "if not isinstance(seed, int):",
      ["tests/test_reduction.py::test_bad_seeds_rejected[True]"]),
+    ("_flip_plan never lists an entering facet", "moves.py",
+     "k == n - 1 or k == len(at)",
+     "k == len(at)",
+     ["tests/test_move_index.py::test_plain_walks_keep_index_exact[triangle]"]),
+    ("_flip_plan leaves a gone facet listed", "moves.py",
+     "k == n - 1 or k == n - len(at)",
+     "k == n - len(at)",
+     ["tests/test_move_index.py::test_plain_walks_keep_index_exact[triangle]"]),
+    ("_flip_plan never counts a face that leaves", "moves.py",
+     "delta[k - 1] += (not left) - (not joined)",
+     "delta[k - 1] += not left",
+     ["tests/test_move_index.py::test_plain_walks_keep_index_exact[triangle]"]),
+    ("_flip adds the plan's face counts once per half", "moves.py",
+     "changed.append(face)\n        self._f[:] = map(add, self._f, delta)",
+     "changed.append(face)\n            self._f[:] = map(add, self._f, delta)",
+     ["tests/test_move_index.py::test_symmetric_walks_keep_index_exact[square]"]),
+    ("a search keeps its downhill pool across a flip", "reduction.py",
+     "applied, lowest = applied + 1, None",
+     "applied += 1",
+     ["tests/test_trajectories.py::test_symmetric_reduction_of_sd_octahedron"]),
+    ("a search keeps its downhill pool across a rewind", "reduction.py",
+     "index.apply(log.pop().inverse())\n                lowest = None",
+     "index.apply(log.pop().inverse())",
+     ["tests/test_reduction.py"
+      "::test_a_search_reads_the_downhill_pool_once_per_change[sd-c3-3-1.9]"]),
+    ("a search reads its downhill pool at every try", "reduction.py",
+     "lowest = lowest or index.lowest()",
+     "lowest = index.lowest()",
+     ["tests/test_reduction.py"
+      "::test_a_search_reads_the_downhill_pool_once_per_change[sd-simplex4-1-0.05]"]),
+    ("random_fan_labelling runs every repair round of a stuck sampling round", "generators.py",
+     "                break\n",
+     "                pass\n",
+     ["tests/test_generators.py::TestRandomFanLabelling"
+      "::test_a_stuck_sampling_round_ends_at_once"]),
 ]
 
 # Loaded into the unmutated run by ``-p``: records which package the tests imported.

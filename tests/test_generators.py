@@ -3,6 +3,8 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bistellar import (
     GenerationFailed,
@@ -17,6 +19,7 @@ from bistellar import (
     simplex_boundary,
     validate_fan,
 )
+from bistellar import generators
 from conftest import rescan_fan_labelling
 
 
@@ -158,3 +161,42 @@ class TestRandomFanLabelling:
         for generate in (random_fan_labelling, rescan_fan_labelling):
             with pytest.raises(GenerationFailed):
                 generate(walked, walked.dimension, 0)
+
+    @given(k=st.sampled_from([3, 4]), steps=st.integers(0, 40),
+           walk_seed=st.integers(0, 2**31), extra=st.integers(1, 3),
+           seed=st.integers(0, 2**31))
+    @settings(max_examples=30, deadline=None)
+    def test_random_labelling_matches_the_rescan(self, k, steps, walk_seed, extra, seed):
+        # On any walked sphere and any bound from d + 1, where sampling rounds
+        # get stuck or every one fails, to d + 3, the labelling (or the
+        # failure) is the rescan's.
+        walked, _ = random_z2_walk(cross_polytope(k), steps, walk_seed)
+        bound = walked.dimension + extra
+        assert labelling_or_failure(random_fan_labelling, walked, bound, seed) \
+            == labelling_or_failure(rescan_fan_labelling, walked, bound, seed)
+
+    def test_a_stuck_sampling_round_ends_at_once(self, monkeypatch):
+        # A round of repairs that repairs no edge leaves every label as it
+        # was, as would each later round, so its sampling round ends there.
+        # With repair rounds unbounded, each round but the last of a sampling
+        # round repairs an edge, so no sampling round runs more of them than
+        # the sphere has edges, plus one, and the labelling is the one given
+        # at the default bound, found in the fifth sampling round.
+        walked, _ = random_z2_walk(cross_polytope(4), 10, seed=1)
+        expected = random_fan_labelling(walked, 4, 0)
+        limit, rounds = len(walked.faces(1)) + 1, []
+
+        def counted_range(*args):  # counts the repair rounds of each sampling round
+            if args != (generators._REPAIR_ROUNDS,):
+                yield from range(*args)
+                return
+            rounds.append(0)
+            for i in range(*args):
+                rounds[-1] += 1
+                assert rounds[-1] <= limit, "a stuck sampling round went on"
+                yield i
+
+        monkeypatch.setattr(generators, "_REPAIR_ROUNDS", 10**6)
+        monkeypatch.setattr(generators, "range", counted_range, raising=False)
+        assert random_fan_labelling(walked, 4, 0) == expected
+        assert len(rounds) == 5

@@ -15,7 +15,8 @@ that earlier state.  Walks run in dimensions 1 to 4, so every flip plan
 size from 3 to 6 vertices is used.  A flip must file or recheck every face
 whose link or listing changes; the faces that it files, which enter or
 leave, must be those of the union containing ``inserted`` or ``removed``,
-with the links the move gives them, and it must derive no link for them.
+with the links the move gives them and the listing its plan marks, and it
+must derive no link for them.
 """
 
 from itertools import chain, combinations
@@ -217,12 +218,16 @@ class RecordingChain:
 @settings(max_examples=15, deadline=None)
 def test_a_flip_rechecks_every_face_it_changes(base, picks):
     # A flip files the faces that enter or leave from its plan, and rechecks
-    # only the faces whose cofacet count was or is the one a link needs and
-    # those waiting on ``removed`` or ``inserted``; every face whose link or
-    # listing differs must be among them.  The faces that enter or leave are
-    # those of the union (and its antipode) containing ``inserted`` or
-    # ``removed``, as the plan says, and the link filed for one that enters
-    # is the plan's own tuple for the rest of the union (``()`` for a facet).
+    # only the faces that stay whose cofacet count was or is the one a link
+    # needs and those waiting on ``removed`` or ``inserted``; every face whose
+    # link or listing differs must be among them.  The plan sorts the union's
+    # proper faces into those that enter, leave or stay, each position once:
+    # those that enter or leave are the faces of the union (and its antipode)
+    # containing ``inserted`` or ``removed``, the link filed for one that
+    # enters is the plan's own tuple for the rest of the union (``()`` for a
+    # facet), a face that comes or goes is marked listed exactly when it is
+    # listed after or before the flip, and the face counts change by the
+    # plan's delta, once for a symmetric pair.
     index = MoveIndex(base)
     len(index)  # list it, so that each flip files and rechecks
     rechecked, recheck = [], index._recheck
@@ -231,6 +236,7 @@ def test_a_flip_rechecks_every_face_it_changes(base, picks):
     for pick in picks:
         move = index[pick % len(index)]
         before, keys = naive_listing(index.state.facets, index.z2), set(index._cofacets)
+        counts = list(index._f)
         rechecked.clear()
         RecordingChain.made.clear()
         with patch.object(moves, "chain", RecordingChain):
@@ -246,18 +252,24 @@ def test_a_flip_rechecks_every_face_it_changes(base, picks):
         for half, proper in zip((move, move.antipodal()), RecordingChain.made):
             u = sorted(half.removed + half.inserted)
             assert proper == [f for k in range(1, len(u)) for f in combinations(u, k)]
-            at = tuple(map(u.index, half.inserted))
-            for p, (need, gone, joined) in enumerate(_flip_plan(len(u), at)):
+            enters, leaves, stays, delta = _flip_plan(len(u), tuple(map(u.index, half.inserted)))
+            assert sorted(entry[0] for entry in enters + leaves + stays) \
+                == list(range(len(proper)))
+            assert [b - a for a, b in zip(counts, index._f)] == list(delta)
+            for p, need, joined, listed in enters:
                 face = proper[p]
                 if kept(face) != face:
                     continue
-                if not gone:
-                    planned["enters"].add(face)
-                    filed = index._links[face]
-                    assert filed == index._link_simplex(face)
-                    assert (filed is proper[~p]) if need > 1 else filed == ()
-                if not joined:
+                planned["enters"].add(face)
+                filed = index._links[face]
+                assert filed == index._link_simplex(face)
+                assert (filed is proper[~p]) if need > 1 else filed == ()
+                assert listed == after[face][1]
+            for p, listed in leaves:
+                face = proper[p]
+                if kept(face) == face:
                     planned["leaves"].add(face)
+                    assert listed == before[face][1]
         entering = {kept(f) for f in faces if set(move.inserted) <= set(f)}
         leaving = {kept(f) for f in faces if set(move.removed) <= set(f)}
         assert entering == entered == planned["enters"]

@@ -1,5 +1,7 @@
 """Reduction engine, replay certification, and the certificate pipeline."""
 
+import random
+import re
 from dataclasses import replace
 from functools import cache
 from itertools import combinations
@@ -265,6 +267,38 @@ def test_a_search_builds_only_the_moves_it_applies(monkeypatch, name, seed, rest
     report, _ = reduction._search(search_input(name), 100_000, seed)
     assert report.reduced and report.restarts > 0
     assert len(built) == report.flips_applied < report.flips_tried
+
+
+@pytest.mark.parametrize("name, seed, restart_below", [
+    ("sd-c3", 3, 1.9),  # 3 restarts, one right after a rejected try
+    ("sd-simplex4", 1, reduction._RESTART_BELOW),  # one restart
+])
+def test_a_search_reads_the_downhill_pool_once_per_change(monkeypatch, name, seed,
+                                                          restart_below):
+    # Only a flip changes the listing, so the search reads ``lowest()`` just
+    # before its first try and before the first try after each run of flips,
+    # forward or in a rewind, and at no other time; the last flip reaches
+    # the target.  The report is the one of a search that reads it at every try.
+    monkeypatch.setattr(reduction, "_RESTART_BELOW", restart_below)
+    events, apply, lowest = [], MoveIndex.apply, MoveIndex.lowest
+    monkeypatch.setattr(MoveIndex, "apply",
+                        lambda self, move: (events.append("flip"), apply(self, move))[1])
+    monkeypatch.setattr(MoveIndex, "lowest",
+                        lambda self: (events.append("read"), lowest(self))[1])
+
+    class Tries(random.Random):  # one position is drawn per try
+        def randrange(self, *args):
+            events.append("try")
+            return super().randrange(*args)
+
+    monkeypatch.setattr(reduction, "_rng", Tries)
+    start = search_input(name)
+    report, _ = reduction._search(start, 100_000, seed)
+    assert report.reduced and report.restarts > 0
+    trace = "".join(event[0] for event in events)
+    assert re.fullmatch("(rt+f+)+", trace)
+    assert "ff" in trace  # a try flips once, so this run holds a rewind
+    assert report == rebuild_search(start, 100_000, seed)
 
 
 class TestReplayVerify:
