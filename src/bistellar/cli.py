@@ -25,6 +25,8 @@ from .moves import (
     BistellarMove,
     FlipSequence,
     MoveIndex,
+    _checked_pure,
+    _lone_flip,
     fresh_vertex,
     random_z2_walk,
 )
@@ -319,9 +321,9 @@ def cmd_moves(args, cx, _):
 
 
 def cmd_flip(args, cx, _):
-    index = MoveIndex(cx)
-    index.apply(BistellarMove(_parse_face(args.removed), _parse_face(args.inserted)))
-    _emit(complex_document(index.state, z2=index.z2), args.output)
+    _checked_pure(cx)  # an impure complex is named before a bad face
+    move = BistellarMove(_parse_face(args.removed), _parse_face(args.inserted))
+    _emit(complex_document(_lone_flip(cx, move), z2=isinstance(cx, Z2Complex)), args.output)
     return 0
 
 

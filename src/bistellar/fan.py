@@ -33,7 +33,7 @@ from .errors import (
     InvalidVertexId,
     NoWitness,
 )
-from .moves import MoveIndex, _replaced
+from .moves import _lone_flip, _replaced
 from .z2 import _checked_kind, _negated
 
 
@@ -251,7 +251,7 @@ def relabel_move(z2complex, labelling, move):
     :class:`InvalidLabelling` or :class:`IncompleteLabelling` if
     ``labelling`` is not a Fan labelling of ``z2complex``.
     """
-    MoveIndex(_checked_kind(z2complex, True)).apply(move)
+    _lone_flip(_checked_kind(z2complex, True), move)
     labels = _fan_labels(z2complex, labelling)
     _transport(labels, move)
     return FanLabelling(labels)

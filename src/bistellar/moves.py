@@ -101,6 +101,13 @@ def _checked_count(value, name):
     return value
 
 
+def _checked_pure(state):
+    """``state``, if it is pure with a vertex, as every :class:`MoveIndex` is."""
+    if not state.is_pure() or state.dimension < 0:
+        raise BistellarError("moves need a pure complex with a vertex")
+    return state
+
+
 def _rng(seed):
     """A private ``random.Random(seed)`` for an ``int`` seed (not a ``bool``)."""
     if type(seed) is not int:
@@ -129,10 +136,9 @@ class MoveIndex:
     :meth:`apply` is the one place where a flip is checked and made.
     ``_cofacets`` maps each face to the facets containing it, ``state`` is
     built from its top-dimensional keys when read, and ``_f`` counts its keys
-    by dimension for :meth:`f_vector`.  Moves are listed on the first read,
-    by one recheck of every face and one sort (a lone flip, as
-    :func:`apply_z2_move` makes, reads none), then kept by the flip, which
-    files the faces that its move creates or destroys (:meth:`_flip`), and by
+    by dimension for :meth:`f_vector`.  Moves are listed when it is built, by
+    one recheck of every face and one sort, then kept by the flip, which files
+    the faces that its move creates or destroys (:meth:`_flip`), and by
     rechecking the few others whose link can change (:meth:`apply`):
     ``_links`` maps each face to its link simplex where it has one
     (``fresh`` fills in ``()`` on reading, so new vertices never dirty facet
@@ -150,12 +156,9 @@ class MoveIndex:
     """
 
     def __init__(self, state):
-        self.z2 = isinstance(state, Z2Complex)
-        if not state.is_pure() or state.dimension < 0:
-            raise BistellarError("moves need a pure complex with a vertex")
-        self.state, self._dimension = state, state.dimension
-        self.fresh = fresh_vertex(state)
-        self._cofacets, self._links, self._owners = {}, None, None
+        self.z2 = isinstance(_checked_pure(state), Z2Complex)
+        self.state, self._dimension, self.fresh = state, state.dimension, fresh_vertex(state)
+        self._cofacets, self._links, self._owners, self._listing = {}, {}, {}, []
         for facet in state.facets:
             for k in range(1, len(facet) + 1):
                 for face in combinations(facet, k):
@@ -163,6 +166,8 @@ class MoveIndex:
                         self._cofacets.setdefault(face, []).append(facet)
         sizes = Counter(map(len, self._cofacets))
         self._f = [sizes[k] for k in range(1, state.dimension + 2)]
+        self._recheck(self._cofacets, first=True)
+        self._listing.sort()
 
     @cached_property
     def state(self):
@@ -180,21 +185,12 @@ class MoveIndex:
         """``face``, or on a symmetric index the smaller face of its pair."""
         return _negated(face) if self.z2 and face and face[0] + face[-1] > 0 else face
 
-    def _listed(self):
-        """The listing, built on first use (a lone flip needs none) by one
-        recheck of every face, which collects the listed entries, and one sort."""
-        if self._links is None:
-            self._links, self._owners, self._listing = {}, {}, []
-            self._recheck(self._cofacets, first=True)
-            self._listing.sort()
-        return self._listing
-
     def __len__(self):
-        return len(self._listed())
+        return len(self._listing)
 
     def __getitem__(self, position):
         """The move at ``position``, counted from the end if negative."""
-        listing = self._listed()
+        listing = self._listing
         if not -len(listing) <= position < len(listing):
             raise IndexError(f"position {position} is out of range for {len(listing)} moves")
         return self._move(listing[position][1:])
@@ -204,12 +200,11 @@ class MoveIndex:
 
     def facet_delta(self, position):
         """The facet delta ``2 * len(removed) - (dimension + 2)`` at ``position``."""
-        return 2 * self._listed()[position][0] - self._dimension - 2
+        return 2 * self._listing[position][0] - self._dimension - 2
 
     def lowest(self):
         """``(facet_delta, count)`` of the first, most downhill moves (every facet has one)."""
-        k = self._listed()[0][0]
-        return self.facet_delta(0), bisect_left(self._listing, (k + 1,))
+        return self.facet_delta(0), bisect_left(self._listing, (self._listing[0][0] + 1,))
 
     def apply(self, move):
         """Check ``move`` (and its antipodal image, see :func:`apply_z2_move`)
@@ -231,11 +226,9 @@ class MoveIndex:
         if self.z2 and B[0] + B[-1] == 0:  # B is the link simplex, as in _recheck
             raise InterferingAntipodalMove(
                 f"{move} inserts a simplex that meets its antipode")
-        owners = self._owners or {}  # faces waiting on removed or inserted, less removed
+        owners = self._owners  # faces waiting on removed or inserted, less removed
         waiting = [w for w in (*owners.get(key, ()), *owners.get(target, ())) if w != key]
-        changed = self._flip(move)
-        if self._links is not None:
-            self._recheck(changed + waiting)
+        self._recheck(self._flip(move) + waiting)
         vars(self).pop("state", None)
         if len(removed) == 1:  # ids below fresh were used; this one may be free
             self.fresh = min(self.fresh, abs(removed[0]))
@@ -264,9 +257,9 @@ class MoveIndex:
         """Swap the gone and added facets over the proper faces of the sorted
         union ``u`` and, if symmetric, its antipode, sorted by kind in
         :func:`_flip_plan`; add the plan's change in face counts once, as each
-        face of a symmetric pair is kept in one half.  On a listed index, file
-        from the move alone the faces that enter (their link is ``u`` less the
-        face, at ``~p``, or ``()``) or leave, listing those the plan marks.
+        face of a symmetric pair is kept in one half.  File from the move alone
+        the faces that enter (their link is ``u`` less the face, at ``~p``, or
+        ``()``) or leave, listing or unlisting those the plan marks.
         Returns the faces that stay whose cofacet count was or is ``need``."""
         cofacets, z2, links, owners = self._cofacets, self.z2, self._links, self._owners
         union, changed = tuple(sorted(move.removed + move.inserted)), []
@@ -279,27 +272,25 @@ class MoveIndex:
                 if z2 and face[0] + face[-1] > 0:
                     continue
                 cofacets[face] = [*map(faces.__getitem__, joined)]
-                if links is not None:
-                    link = links[face] = faces[~p] if need > 1 else ()
-                    if link:
-                        k = _negated(link) if z2 and link[0] + link[-1] > 0 else link
-                        owners.setdefault(k, []).append(face)
-                    if listed:
-                        insort(self._listing, (len(face), *face))
+                link = links[face] = faces[~p] if need > 1 else ()
+                if link:
+                    k = _negated(link) if z2 and link[0] + link[-1] > 0 else link
+                    owners.setdefault(k, []).append(face)
+                if listed:
+                    insort(self._listing, (len(face), *face))
             for p, listed in leaves:
                 face = faces[p]
                 if z2 and face[0] + face[-1] > 0:
                     continue
                 del cofacets[face]
-                if links is not None:
-                    if old := links.pop(face):
-                        o = _negated(old) if z2 and old[0] + old[-1] > 0 else old
-                        waiting = owners[o]
-                        waiting.remove(face)
-                        if not waiting:
-                            del owners[o]
-                    if listed:
-                        del self._listing[bisect_left(self._listing, (len(face), *face))]
+                if old := links.pop(face):
+                    o = _negated(old) if z2 and old[0] + old[-1] > 0 else old
+                    waiting = owners[o]
+                    waiting.remove(face)
+                    if not waiting:
+                        del owners[o]
+                if listed:
+                    del self._listing[bisect_left(self._listing, (len(face), *face))]
             for p, need, left, joined in stays:
                 face = faces[p]
                 if z2 and face[0] + face[-1] > 0:
@@ -400,14 +391,25 @@ def enumerate_moves(complex_):
     return list(MoveIndex(_checked_kind(complex_, False)))
 
 
+def _lone_flip(state, move):
+    """``state`` after ``move``, made by :meth:`MoveIndex.apply` on an index of the
+    facets holding ``removed`` or ``inserted``, all that its check reads, with
+    their antipodes on a :class:`Z2Complex`, or of every facet if none does."""
+    signs = (1, -1)[:1 + isinstance(_checked_pure(state), Z2Complex)]
+    probes = [{s * v for v in face} for face in (move.removed, move.inserted) for s in signs]
+    star = [f for f in state.facets if any(map(set(f).issuperset, probes))] or state.facets
+    index, kept = MoveIndex(type(state).from_facets(star)), set(star)
+    index.apply(move)
+    return type(state).from_facets(
+        sorted([f for f in state.facets if f not in kept] + [*index.state.facets]))
+
+
 def apply_move(complex_, move):
     """Apply a bistellar move and return ``(new complex, inverse move)``:
     the facets containing ``removed`` give way to one facet per vertex of
     ``removed``, joined with ``inserted``.  Raises :class:`MoveNotAdmissible`
-    if the move does not apply."""
-    index = MoveIndex(_checked_kind(complex_, False))
-    index.apply(move)
-    return index.state, move.inverse()
+    if the move does not apply; only the stars that check reads are indexed."""
+    return _lone_flip(_checked_kind(complex_, False), move), move.inverse()
 
 
 # -- symmetric pairs -----------------------------------------------------------
@@ -420,11 +422,9 @@ def apply_z2_move(z2complex, move):
     stars of ``removed`` and its antipode share no facet and every new face
     contains ``inserted``, so the pair applies, equivariant and free, unless
     ``inserted`` meets its antipode (``{v, -v}``), which raises
-    :class:`InterferingAntipodalMove`.  The result is checked when it is
-    built, as every :class:`Z2Complex` is."""
-    index = MoveIndex(_checked_kind(z2complex, True))
-    index.apply(move)
-    return index.state, move.inverse()
+    :class:`InterferingAntipodalMove`.  Only the stars the check reads are
+    indexed, and the result is checked when built, as every :class:`Z2Complex` is."""
+    return _lone_flip(_checked_kind(z2complex, True), move), move.inverse()
 
 
 def enumerate_z2_moves(z2complex):

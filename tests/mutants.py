@@ -62,8 +62,8 @@ MUTANTS = [
      "pass",
      ["tests/test_move_index.py::test_plain_walks_keep_index_exact[triangle]"]),
     ("facet_delta reads the first move's size, not the one at position", "moves.py",
-     "2 * self._listed()[position][0]",
-     "2 * self._listed()[0][0]",
+     "2 * self._listing[position][0]",
+     "2 * self._listing[0][0]",
      ["tests/test_move_index.py"
       "::test_a_position_gives_the_facet_delta_of_its_move[4-simplex]"]),
     ("a search builds the move of every try", "reduction.py",
@@ -135,8 +135,8 @@ MUTANTS = [
      ["tests/test_fan.py"
       "::test_counts_match_naive_alpha_on_any_labelled_complex"]),
     ("lowest counts no move of the lowest size", "moves.py",
-     "(k + 1,)",
-     "(k,)",
+     "(self._listing[0][0] + 1,)",
+     "(self._listing[0][0],)",
      ["tests/test_move_index.py::test_plain_walks_keep_index_exact[triangle]"]),
     ("_recheck never takes a face out of the listing", "moves.py",
      "del listing[i]",
@@ -230,6 +230,29 @@ MUTANTS = [
      "                pass\n",
      ["tests/test_generators.py::TestRandomFanLabelling"
       "::test_a_stuck_sampling_round_ends_at_once"]),
+    ("a lone flip drops the inserted probe", "moves.py",
+     "(move.removed, move.inserted)",
+     "(move.removed,)",
+     ["tests/test_lone_flip.py::test_an_inserted_face_outside_the_star_blocks_the_move"]),
+    ("a lone flip drops the antipodal probes", "moves.py",
+     "for s in signs]",
+     "for s in signs[:1]]",
+     ["tests/test_lone_flip.py::test_either_half_of_a_pair_flips_alone"]),
+    ("a lone flip skips the whole-complex purity check", "moves.py",
+     "(1, -1)[:1 + isinstance(_checked_pure(state), Z2Complex)]",
+     "(1, -1)[:1 + isinstance(state, Z2Complex)]",
+     ["tests/test_lone_flip.py"
+      "::test_an_impure_complex_is_refused_though_the_star_is_pure[plain]"]),
+    ("a lone flip indexes every facet", "moves.py",
+     "any(map(set(f).issuperset, probes))] or state.facets",
+     "True]",
+     ["tests/test_locality.py"
+      "::test_a_flip_does_the_same_work_on_a_larger_complex[plain-facet]"]),
+    ("apply rechecks every face", "moves.py",
+     "self._recheck(self._flip(move) + waiting)",
+     "self._recheck([*self._flip(move), *waiting, *self._cofacets])",
+     ["tests/test_locality.py"
+      "::test_a_flip_does_the_same_work_on_a_larger_complex[symmetric-edge]"]),
 ]
 
 # Loaded into the unmutated run by ``-p``: records which package the tests imported.

@@ -303,16 +303,15 @@ def test_a_flip_derives_no_link_of_a_face_it_creates_or_destroys(base, picks):
                          ids=["tetrahedron", "octahedron", "cross-4"])
 @given(picks=choices)
 @settings(max_examples=15, deadline=None)
-def test_an_index_never_read_keeps_its_moves(base, picks):
-    # An index lists its moves on the first read, and a flip before it
-    # rechecks nothing: one that is only given a walk's moves, and read only
-    # at the end, must list what an index built afresh on its state lists.
+def test_an_index_given_a_walks_moves_lists_what_a_rebuilt_one_lists(base, picks):
+    # An index that is only given a walk's moves, and read only at the end,
+    # must list the moves, links and owners of an index built afresh on its
+    # state.
     walker, replayed = MoveIndex(base), MoveIndex(base)
     for pick in picks:
         move = walker[pick % len(walker)]
         walker.apply(move)
         replayed.apply(move)
-    assert replayed._links is None
     rebuilt = MoveIndex(replayed.state)
     assert list(replayed) == list(rebuilt) == list(walker)
     assert replayed._links == rebuilt._links
