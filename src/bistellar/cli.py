@@ -45,12 +45,13 @@ FORMAT_VERSION = 1
 # -- document format ----------------------------------------------------------
 
 def complex_document(complex_, z2=False, labelling=None):
-    """The canonical JSON-ready form of a complex (plus optional labels)."""
-    doc = {"format": FORMAT_VERSION, "facets": list(map(list, complex_.facets))}
+    """The canonical JSON-ready form of a complex (plus optional labels); rows are
+    the library's own tuples, written as JSON arrays: copy them to edit in place."""
+    doc = {"format": FORMAT_VERSION, "facets": list(complex_.facets)}
     if z2:
         doc["z2"] = True
     if labelling is not None:
-        doc["labels"] = list(map(list, labelling.items()))
+        doc["labels"] = labelling.items()
     return doc
 
 
@@ -68,9 +69,9 @@ def _render(value, depth):
     if isinstance(value, list):
         if all(isinstance(x, (int, str, bool)) or x is None for x in value):
             return json.dumps(value)
-        if (set(map(type, value)) == {list}
+        if (set(map(type, value)) <= {list, tuple}
                 and set(map(type, chain.from_iterable(value))) <= {int}):
-            # rows of plain ints (facets, labels): one "%d" format per row length
+            # plain int rows, lists or tuples (facets, labels): one "%d" format per length
             row = {n: "[" + ", ".join(["%d"] * n) + "]" for n in set(map(len, value))}
             rows = f",\n{inner}".join([row[len(r)] for r in value])
             return f"[\n{inner}{rows % tuple(chain.from_iterable(value))}\n{pad}]"
@@ -220,6 +221,7 @@ def parse_sequence_document(text):
 
 
 def certificate_document(certificate):
+    """A certificate, JSON-ready; "final_labels" are ``final_labelling.items()``'s tuples."""
     steps = []
     for move, parity in zip(certificate.sequence.moves,
                             certificate.parity_trace[1:]):
@@ -235,7 +237,7 @@ def certificate_document(certificate):
         "alpha_negative": certificate.initial_counts[1],
         "parity": certificate.parity_trace[0],
         "steps": steps,
-        "final_labels": [[v, x] for v, x in certificate.final_labelling.items()],
+        "final_labels": certificate.final_labelling.items(),
     }
 
 

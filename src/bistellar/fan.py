@@ -48,18 +48,16 @@ def _complete(cx, labelling):
 
 
 def _complementary_edges(cx, labels):
-    """In canonical order, the edges whose labels sum to zero: the facets of
-    each size ``k`` are read as ``k`` columns of labels, and only the facets
-    whose labels add up to zero at some pair of positions are touched."""
-    hits = set()
+    """The edges whose labels sum to zero, once per facet holding them: the
+    facets of each size ``k`` are read as ``k`` columns of labels, and only the
+    facets whose labels add up to zero at some pair of positions are touched."""
     sizes = set(map(len, cx.facets))
     for k in sizes:
         group = cx.facets if len(sizes) == 1 else [f for f in cx.facets if len(f) == k]
         flat = list(map(labels.__getitem__, chain.from_iterable(group)))
         for i, j in combinations(range(k), 2):
             sums = map(add, flat[i::k], flat[j::k])
-            hits.update((f[i], f[j]) for f in compress(group, map(not_, sums)))
-    return sorted(hits)
+            yield from ((f[i], f[j]) for f in compress(group, map(not_, sums)))
 
 
 class FanLabelling:
@@ -146,7 +144,7 @@ def validate_fan(complex_or_z2, labelling):
     violations = [("antipodality", v) for v in complex_or_z2.vertices
                   if v > 0 and -v in present and labels[v] != -labels[-v]]
     violations.extend(("complementary-edge", edge)
-                      for edge in _complementary_edges(complex_or_z2, labels))
+                      for edge in sorted(set(_complementary_edges(complex_or_z2, labels))))
     return violations
 
 
@@ -212,14 +210,15 @@ def tucker_witness(z2complex, labelling):
     """Find an edge whose labels sum to zero.
 
     On a centrally symmetric sphere labelled antipodally into
-    ``±1..±n`` such an edge must exist; scanning is exhaustive in
-    canonical edge order, so the answer is deterministic.  If no edge
-    qualifies, the labels are not antipodal into ``±1..±dimension`` or the
-    complex is not a sphere, and :class:`NoWitness` names both causes.
+    ``±1..±n`` such an edge must exist; the scan is exhaustive and the
+    least edge in canonical order is returned, so the answer is
+    deterministic.  If no edge qualifies, the labels are not antipodal into
+    ``±1..±dimension`` or the complex is not a sphere, and
+    :class:`NoWitness` names both causes.
     """
     edges = _complementary_edges(z2complex, _complete(z2complex, labelling))
-    if edges:
-        return edges[0]
+    if (edge := min(edges, default=None)) is not None:
+        return edge
     raise NoWitness(
         "no complementary edge found; either the labelling is not antipodal "
         "into ±1..±dimension or the complex is not a sphere")

@@ -117,14 +117,18 @@ def _rng(seed):
 
 def find_move(complex_, face):
     """The admissible move removing ``face`` that a :class:`MoveIndex` of
-    the complex lists, or None.
+    the complex lists, or None, read from an index of the facets that meet the
+    star of ``face``, as does every facet holding its link simplex.
 
-    The complex must be pure.  When ``face`` is a facet the inserted
-    vertex is chosen as the smallest unused positive id (with its
-    negation also unused, so the same id works for symmetric pairs).
+    The complex must be pure.  A facet move inserts the smallest positive id
+    that the complex uses neither as ``v`` nor as ``-v``, as symmetric pairs do.
     """
-    face = _checked_kind(complex_, False)._star_indices(face)[0]
-    return next((m for m in MoveIndex(complex_) if m.removed == face), None)
+    face, hits = _checked_kind(complex_, False)._star_indices(face)
+    near = set(chain.from_iterable(map(complex_.facets.__getitem__, hits)))
+    index = MoveIndex(SimplicialComplex.from_facets(
+        [f for f in _checked_pure(complex_).facets if not near.isdisjoint(f)]))
+    index.fresh = fresh_vertex(complex_)  # the stars near ``face`` may miss a used id
+    return next((m for m in index if m.removed == face), None)
 
 
 class MoveIndex:

@@ -253,6 +253,26 @@ MUTANTS = [
      "self._recheck([*self._flip(move), *waiting, *self._cofacets])",
      ["tests/test_locality.py"
       "::test_a_flip_does_the_same_work_on_a_larger_complex[symmetric-edge]"]),
+    ("complex_document copies rows back into lists", "cli.py",
+     '"facets": list(complex_.facets)}',
+     '"facets": list(map(list, complex_.facets))}',
+     ["tests/test_cli.py::test_documents_hold_the_library_rows"]),
+    ("_render's fast path takes list rows only", "cli.py",
+     "set(map(type, value)) <= {list, tuple}",
+     "set(map(type, value)) == {list}",
+     ["tests/test_cli.py::test_rows_render_without_a_json_dumps_call_each"]),
+    ("tucker_witness takes max", "fan.py",
+     "min(edges, default=None)",
+     "max(edges, default=None)",
+     ["tests/test_fan.py::test_tucker_witness_is_the_first_complementary_edge_violation"]),
+    ("find_move indexes only the star", "moves.py",
+     "[f for f in _checked_pure(complex_).facets if not near.isdisjoint(f)]",
+     "[*map(_checked_pure(complex_).facets.__getitem__, hits)]",
+     ["tests/test_moves.py::TestFindMove::test_edge_of_tetra_boundary_blocked"]),
+    ("find_move uses the local index's fresh vertex", "moves.py",
+     "index.fresh = fresh_vertex(complex_)",
+     "pass",
+     ["tests/test_moves.py::test_find_move_answers_as_a_whole_index"]),
 ]
 
 # Loaded into the unmutated run by ``-p``: records which package the tests imported.

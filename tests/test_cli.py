@@ -138,7 +138,10 @@ _SCALARS = (st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20)
 _ROWS = st.lists(st.lists(st.integers(-9, 9), max_size=4)
                  | st.lists(st.integers(-9, 9) | st.booleans(), max_size=4)
                  | st.lists(st.integers(-9, 9) | st.floats(-2, 2), max_size=4)
-                 | st.lists(st.lists(st.integers(-9, 9), max_size=3), max_size=3),
+                 | st.lists(st.lists(st.integers(-9, 9), max_size=3), max_size=3)
+                 | st.lists(st.integers(-9, 9), max_size=4).map(tuple)
+                 | st.lists(st.integers(-9, 9) | st.booleans(), max_size=4).map(tuple)
+                 | st.lists(st.lists(st.integers(-9, 9), max_size=3), max_size=3).map(tuple),
                  max_size=5)
 _DOCUMENTS = st.recursive(
     _SCALARS | _ROWS,
@@ -182,6 +185,39 @@ def test_int_past_the_digit_limit_raises_as_in_the_naive_renderer(doc):
     with pytest.raises(ValueError) as rendered:
         dumps_canonical(doc)
     assert str(rendered.value) == str(naive.value)
+
+
+def test_documents_hold_the_library_rows():
+    walked, _ = random_z2_walk(cross_polytope(3), 6, seed=1)
+    labelling = random_fan_labelling(walked, 4, 1)
+    doc = complex_document(walked.complex, z2=True, labelling=labelling)
+    assert len(doc["facets"]) == len(walked.facets)
+    assert all(row is facet for row, facet in zip(doc["facets"], walked.complex.facets))
+    assert doc["labels"] == labelling.items()
+    assert {type(row) for row in doc["labels"]} == {tuple}
+    certificate = fan_certificate(walked, labelling, seed=1)
+    final = certificate_document(certificate)["final_labels"]
+    assert final == certificate.final_labelling.items()
+    assert {type(row) for row in final} == {tuple}
+
+
+def test_rows_render_without_a_json_dumps_call_each(monkeypatch):
+    # rows of plain ints, lists or tuples, take one format per row length
+    calls, dumps = [], json.dumps
+    monkeypatch.setattr(bistellar.cli.json, "dumps",
+                        lambda *args, **kwargs: (calls.append(args), dumps(*args, **kwargs))[1])
+
+    def dumps_calls(sphere, labels):
+        calls.clear()
+        dumps_canonical(complex_document(sphere.complex, z2=True, labelling=labels))
+        return len(calls)
+
+    walked, _ = random_z2_walk(cross_polytope(4), 56, seed=0)
+    assert len(walked.facets) == 228
+    pair = cross_polytope(1)
+    assert len(pair.facets) == 2
+    assert dumps_calls(walked, random_fan_labelling(walked, 5, 0)) <= \
+        dumps_calls(pair, FanLabelling({1: 1, -1: -1}))
 
 
 class TestCommands:

@@ -266,6 +266,24 @@ def test_edge_scan_matches_whole_edge_list(case, drop):
         assert str(raised.value) == f"vertex {missing} is unlabelled"
 
 
+@settings(max_examples=40, deadline=None)
+@given(k=st.sampled_from([3, 4]), steps=st.integers(0, 40), seed=st.integers(0, 99))
+def test_tucker_witness_is_the_first_complementary_edge_violation(k, steps, seed):
+    """On a walked sphere labelled antipodally into ±1..±d, tucker_witness
+    gives the least of the edges that the column scan finds, in no order and
+    with repeats, which validate_fan sorts: its first complementary edge."""
+    sphere, _ = random_z2_walk(cross_polytope(k), steps, seed)
+    rng, labels, d = random.Random(seed), {}, sphere.dimension
+    for v in sphere.positive_vertices:
+        labels[v] = rng.randint(1, d) * rng.choice((1, -1))
+        labels[-v] = -labels[v]
+    labelling = FanLabelling(labels)
+    edges = [where for kind, where in validate_fan(sphere, labelling)
+             if kind == "complementary-edge"]
+    assert edges  # Tucker's lemma
+    assert tucker_witness(sphere, labelling) == edges[0]
+
+
 @settings(max_examples=5, deadline=None)
 @given(walk=st.tuples(st.just(3), st.integers(0, 20))
        | st.tuples(st.just(4), st.integers(0, 8)), seed=st.integers(0, 99))

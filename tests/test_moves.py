@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bistellar import (
     BistellarError,
@@ -65,6 +67,25 @@ class TestFindMove:
 
     def test_fresh_vertex_skips_used_pairs(self, octahedron):
         assert fresh_vertex(octahedron.complex) == 4
+
+
+@settings(max_examples=30, deadline=None)
+@given(base=st.sampled_from([3, 4, "sd-simplex4"]), steps=st.integers(0, 150),
+       seed=st.integers(0, 99), picks=st.lists(st.integers(0, 10 ** 6), max_size=12))
+@example(base=3, steps=20, seed=0, picks=[123])  # a facet that misses vertex 1
+def test_find_move_answers_as_a_whole_index(base, steps, seed, picks):
+    """find_move indexes only the facets that meet the star of its face, yet
+    answers as an index of the whole complex does, fresh vertex included, on
+    walked C3 and C4 and on sd(boundary of the 4-simplex)."""
+    if base == "sd-simplex4":
+        cx, _ = simplex_boundary(4).barycentric_subdivide()
+    else:
+        cx = random_z2_walk(cross_polytope(base), steps, seed)[0].complex
+    whole = {move.removed: move for move in MoveIndex(cx)}
+    faces = cx.faces()
+    for pick in picks:
+        face = faces[pick % len(faces)]
+        assert find_move(cx, face) == whole.get(face)
 
 
 class TestEnumerateMoves:
