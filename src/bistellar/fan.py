@@ -14,10 +14,9 @@ Labels are integers.  Only their signs and the order of their absolute
 values matter, so a move that inserts a complementary diagonal doubles
 every label to make room for the one odd value that breaks the tie;
 :meth:`FanLabelling.integerize` maps labels back onto ``±1..±m``.
-A transport step reads only the star of its move: it checks the new edges,
-which all contain the inserted simplex or its antipode, and a removed
-vertex pair, and recounts only the replaced facets, since no other facet
-changes class.
+A transport step reads one half of its move's star, as antipodal labels give
+the other half the opposite class: its new edges, a removed vertex pair, and
+the facets it replaces, since no other facet changes class.
 """
 
 from collections import Counter
@@ -34,7 +33,7 @@ from .errors import (
     NoWitness,
 )
 from .moves import _lone_flip, _replaced
-from .z2 import _checked_kind, _negated
+from .z2 import _checked_kind
 
 
 def _complete(cx, labelling):
@@ -257,16 +256,17 @@ def relabel_move(z2complex, labelling, move):
 
 
 def _transport(labels, move):
-    """Carry ``labels`` (vertex -> label) in place across the symmetric
-    ``move``, already checked to apply, and return the change of the
-    (positive, negative) counts: only the facets that ``_replaced`` names
-    change class.  Breaking the tie of ``±u`` after a doubling changes no
-    kept facet: one with ``u`` and a ``z`` of equal magnitude did not
-    alternate and still does not, as ``z`` has the sign of ``u`` (else
-    ``uz`` would be complementary) and stays next to it in magnitude."""
+    """Carry ``labels`` (vertex -> label), antipodal as a Fan labelling's are,
+    in place across the symmetric ``move``, already checked to apply; return
+    the change of the (positive, negative) counts.  The other half is this
+    one's antipode, complementary where it is and of the opposite classes, so
+    if ``d`` more of this half's ``_replaced`` facets (all that change class)
+    alternate, each count changes by ``d``.  A doubling's tie break leaves a
+    facet with ``u`` and a ``z`` of its magnitude unalternating: ``z`` has
+    ``u``'s sign (else ``uz`` is complementary) and stays next to it."""
     removed, inserted = move.removed, move.inserted
-    gone, added = _replaced(move, True)
-    before = [alternating_sign(f, labels) for f in gone]
+    gone, added = _replaced(move, False)
+    before = sum(abs(alternating_sign(f, labels)) for f in gone)
 
     if len(inserted) == 1:
         # With no positive label on the removed facet, use the antipodal
@@ -284,11 +284,10 @@ def _transport(labels, move):
     if len(removed) == 1 and labels.pop(removed[0]) != -labels.pop(-removed[0]):
         raise BistellarError(f"the labels of ±{abs(removed[0])} are not antipodal")
 
-    if len(inserted) <= 2:  # every new face contains the inserted simplex
-        for face, simplex in ((removed, inserted), map(_negated, (removed, inserted))):
-            for rest in combinations(face, 2 - len(inserted)):
-                a, b = rest + simplex
-                if labels[a] + labels[b] == 0:
-                    raise BistellarError(f"the new edge {(a, b)} is complementary")
-    after = [alternating_sign(f, labels) for f in added]
-    return (after.count(1) - before.count(1), after.count(-1) - before.count(-1))
+    if len(inserted) <= 2 < len(removed) + len(inserted):  # a new edge holds inserted
+        for rest in combinations(removed, 2 - len(inserted)):
+            a, b = rest + inserted
+            if labels[a] + labels[b] == 0:
+                raise BistellarError(f"the new edge {(a, b)} is complementary")
+    d = sum(abs(alternating_sign(f, labels)) for f in added) - before
+    return d, d

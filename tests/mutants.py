@@ -85,6 +85,23 @@ MUTANTS = [
      "labels[u] += 2",
      ["tests/test_transport.py"
       "::test_relabel_move_rejects_exactly_what_a_flip_rejects[C4-walked]"]),
+    ("_transport classifies both halves of the move", "fan.py",
+     "gone, added = _replaced(move, False)",
+     "gone, added = _replaced(move, True)",
+     ["tests/test_locality.py"
+      "::test_a_transport_step_does_the_same_work_on_a_larger_complex[facet]"]),
+    ("_transport sums the signs of the added facets, not their alternations", "fan.py",
+     "d = sum(abs(alternating_sign(f, labels)) for f in added) - before",
+     "d = sum(alternating_sign(f, labels) for f in added) - before",
+     ["tests/test_transport.py::test_local_step_matches_full_recount"]),
+    ("_transport looks for a new edge in dimension 0", "fan.py",
+     "if len(inserted) <= 2 < len(removed) + len(inserted):",
+     "if len(inserted) <= 2:",
+     ["tests/test_transport.py::test_a_move_of_a_0_sphere_relabels_as_it_flips"]),
+    ("_transport lets a complementary new edge through", "fan.py",
+     "if labels[a] + labels[b] == 0:",
+     "if False:",
+     ["tests/test_transport.py::test_step_rejects_a_complementary_new_edge"]),
     ("apply never lowers fresh when a vertex goes", "moves.py",
      "self.fresh = min(self.fresh, abs(removed[0]))",
      "pass",

@@ -46,6 +46,8 @@ from bistellar.moves import _replaced
 from conftest import naive_alpha, naive_ranks, naive_star, rational_relabel
 
 SPHERES = {
+    "C1-walked": lambda: random_z2_walk(cross_polytope(1), 3, seed=1)[0],
+    "C2-walked": lambda: random_z2_walk(cross_polytope(2), 10, seed=2)[0],
     "C3": lambda: cross_polytope(3),
     "C4": lambda: cross_polytope(4),
     "C3-walked": lambda: random_z2_walk(cross_polytope(3), 20, seed=3)[0],
@@ -212,6 +214,14 @@ def test_local_step_matches_full_recount(base, walk_seed, label_seed, bound):
 def test_local_step_oracle_reaches_nudges():
     assert all(walk_with_oracle(SPHERES[base](), seed, seed, 40) > 0
                for base, seed in NUDGING)
+
+
+def test_a_move_of_a_0_sphere_relabels_as_it_flips():
+    # the move makes no new edge, so no check reads the removed pair's labels
+    sphere, move = cross_polytope(1), BistellarMove((-1,), (2,))
+    relabelled = relabel_move(sphere, FanLabelling({-1: 5, 1: -5}), move)
+    assert relabelled == FanLabelling({-2: -5, 2: 5})
+    assert relabelled.domain() == set(apply_z2_move(sphere, move)[0].vertices)
 
 
 def test_step_rejects_a_complementary_new_edge(octahedron):
