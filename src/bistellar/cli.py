@@ -116,12 +116,12 @@ def _integer_rows(rows, what, build, width=None):
                 raise BistellarError(f"{what}: {json.dumps(v)} is not an integer")
 
 
-def _object(pairs):
-    """A JSON object as a dict; a key that occurs twice raises, naming it."""
-    obj = dict(pairs)
+def _unique(pairs, message="key {} occurs more than once"):
+    """``dict(pairs)``; a key that occurs twice raises ``message`` naming the first repeat."""
+    obj, seen = dict(pairs), set()
     if len(obj) < len(pairs):
-        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
-        raise BistellarError(f"key {json.dumps(key)} occurs more than once")
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise BistellarError(message.format(json.dumps(key)))
     return obj
 
 
@@ -134,7 +134,7 @@ def _document(text, valid, what):
     repeats a key and its "format" is 1 or absent (older documents have none).
     Text that is not JSON, or that Python cannot read, raises _UnreadableJSON."""
     try:
-        doc = json.loads(text, object_pairs_hook=_object)
+        doc = json.loads(text, object_pairs_hook=_unique)
     except json.JSONDecodeError as exc:
         raise _UnreadableJSON(f"parse error at line {exc.lineno}, "
                               f"column {exc.colno}: {exc.msg}") from exc
@@ -149,12 +149,7 @@ def _document(text, valid, what):
 
 
 def _labelling(rows):
-    labels = {}
-    for v, x in rows:
-        if v in labels:
-            raise BistellarError(f"labels: vertex {v} is labelled twice")
-        labels[v] = x
-    return FanLabelling(labels)
+    return FanLabelling(_unique(rows, "labels: vertex {} is labelled twice"))
 
 
 def parse_complex_document(text):

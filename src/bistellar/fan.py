@@ -32,7 +32,7 @@ from .errors import (
     InvalidVertexId,
     NoWitness,
 )
-from .moves import _lone_flip, _replaced
+from .moves import _replaced, _star_check
 from .z2 import _checked_kind
 
 
@@ -249,7 +249,7 @@ def relabel_move(z2complex, labelling, move):
     :class:`InvalidLabelling` or :class:`IncompleteLabelling` if
     ``labelling`` is not a Fan labelling of ``z2complex``.
     """
-    _lone_flip(_checked_kind(z2complex, True), move)
+    _star_check(_checked_kind(z2complex, True), move)
     labels = _fan_labels(z2complex, labelling)
     _transport(labels, move)
     return FanLabelling(labels)

@@ -395,17 +395,22 @@ def enumerate_moves(complex_):
     return list(MoveIndex(_checked_kind(complex_, False)))
 
 
-def _lone_flip(state, move):
-    """``state`` after ``move``, made by :meth:`MoveIndex.apply` on an index of the
-    facets holding ``removed`` or ``inserted``, all that its check reads, with
-    their antipodes on a :class:`Z2Complex`, or of every facet if none does."""
+def _star_check(state, move):
+    """Raise unless ``move`` applies to ``state``, as :meth:`MoveIndex.apply` finds on
+    an index of the facets holding ``removed`` or ``inserted``, all that its check
+    reads, with their antipodes on a :class:`Z2Complex`, or of every facet if none does."""
     signs = (1, -1)[:1 + isinstance(_checked_pure(state), Z2Complex)]
     probes = [{s * v for v in face} for face in (move.removed, move.inserted) for s in signs]
     star = [f for f in state.facets if any(map(set(f).issuperset, probes))] or state.facets
-    index, kept = MoveIndex(type(state).from_facets(star)), set(star)
-    index.apply(move)
-    return type(state).from_facets(
-        sorted([f for f in state.facets if f not in kept] + [*index.state.facets]))
+    MoveIndex(type(state).from_facets(star)).apply(move)
+
+
+def _lone_flip(state, move):
+    """``state`` after ``move``: :func:`_star_check`, then :func:`_replaced`'s facets swap."""
+    _star_check(state, move)
+    gone, added = _replaced(move, isinstance(state, Z2Complex))
+    gone = set(gone)  # a list keeps the other facets in order: the sort merges runs
+    return type(state).from_facets(sorted([f for f in state.facets if f not in gone] + added))
 
 
 def apply_move(complex_, move):

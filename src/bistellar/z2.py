@@ -68,7 +68,6 @@ class Z2Complex(SimplicialComplex):
     def __init__(self, complex_):
         _checked_symmetric(complex_.facets)
         super().__init__(complex_.facets)
-        vars(self).update(vars(complex_))  # and what it has cached so far
         self.complex = getattr(complex_, "complex", complex_)
 
     @classmethod

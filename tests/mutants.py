@@ -228,20 +228,11 @@ MUTANTS = [
      "changed.append(face)\n        self._f[:] = map(add, self._f, delta)",
      "changed.append(face)\n            self._f[:] = map(add, self._f, delta)",
      ["tests/test_move_index.py::test_symmetric_walks_keep_index_exact[square]"]),
-    ("a search keeps its downhill pool across a flip", "reduction.py",
-     "applied, lowest = applied + 1, None",
-     "applied += 1",
-     ["tests/test_trajectories.py::test_symmetric_reduction_of_sd_octahedron"]),
-    ("a search keeps its downhill pool across a rewind", "reduction.py",
-     "index.apply(log.pop().inverse())\n                lowest = None",
-     "index.apply(log.pop().inverse())",
+    ("a search reads the start's downhill pool at every try", "reduction.py",
+     "delta, pool = index.lowest()",
+     "delta, pool = MoveIndex(start).lowest()",
      ["tests/test_reduction.py"
-      "::test_a_search_reads_the_downhill_pool_once_per_change[sd-c3-3-1.9]"]),
-    ("a search reads its downhill pool at every try", "reduction.py",
-     "lowest = lowest or index.lowest()",
-     "lowest = index.lowest()",
-     ["tests/test_reduction.py"
-      "::test_a_search_reads_the_downhill_pool_once_per_change[sd-simplex4-1-0.05]"]),
+      "::test_a_restarting_search_matches_rebuilding_one[sd-simplex4-1-0.05]"]),
     ("random_fan_labelling runs every repair round of a stuck sampling round", "generators.py",
      "                break\n",
      "                pass\n",
@@ -290,6 +281,29 @@ MUTANTS = [
      "index.fresh = fresh_vertex(complex_)",
      "pass",
      ["tests/test_moves.py::test_find_move_answers_as_a_whole_index"]),
+    ("the repeated-key rule names the last repeat", "cli.py",
+     "key = next(k for k, _ in pairs if k in seen or seen.add(k))",
+     "key = [k for k, _ in pairs if k in seen or seen.add(k)][-1]",
+     ["tests/test_cli.py::TestMalformedInput::test_the_first_repeat_is_named[keys]"]),
+    ("relabel_move checks its move by flipping the whole complex", "fan.py",
+     "from .moves import _replaced, _star_check",
+     "from .moves import _lone_flip as _star_check, _replaced",
+     ["tests/test_locality.py"
+      "::test_relabel_move_builds_no_complex_beyond_the_star[edge]"]),
+    ("relabel_move skips the star check", "fan.py",
+     "    _star_check(_checked_kind(z2complex, True), move)\n",
+     "    _checked_kind(z2complex, True)\n",
+     ["tests/test_transport.py"
+      "::test_relabel_move_rejects_exactly_what_a_flip_rejects[C4-walked]"]),
+    ("a lone flip keeps the facets it replaces", "moves.py",
+     "if f not in gone] + added",
+     "] + added",
+     ["tests/test_lone_flip.py::test_either_half_of_a_pair_flips_alone"]),
+    ("Z2Complex copies what its complex cached", "z2.py",
+     "        super().__init__(complex_.facets)\n",
+     "        super().__init__(complex_.facets)\n        vars(self).update(vars(complex_))\n",
+     ["tests/test_z2.py"
+      "::TestMakeSigned::test_what_a_complex_cached_makes_no_difference[octahedron]"]),
 ]
 
 # Loaded into the unmutated run by ``-p``: records which package the tests imported.

@@ -736,6 +736,21 @@ class TestMalformedInput:
         out = capsys.readouterr().err
         assert out == "error: labels: vertex 1 is labelled twice\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"z2": false, "facets": [[1, 2]], "facets": [[1]], "z2": true}',
+         'key "facets" occurs more than once'),
+        ('{"facets": [[1, 2]], "labels": [[2, 1], [1, 1], [1, 2], [2, 2]]}',
+         "labels: vertex 1 is labelled twice"),
+        # true and 1 are one dict key, but the row check names true first
+        ('{"facets": [[1, 2]], "labels": [[true, 1], [1, -1]]}',
+         "labels: true is not an integer"),
+    ], ids=["keys", "labels", "true-and-1"])
+    def test_the_first_repeat_is_named(self, text, message):
+        # keys and labelled vertices share one rule: the first repeat is named
+        with pytest.raises(BistellarError) as raised:
+            parse_complex_document(text)
+        assert str(raised.value) == message
+
 
 class TestFileErrors:
     """A file that cannot be read or written exits 2 with a message that

@@ -11,8 +11,9 @@ and ``S'``, plain and symmetric, must derive the same links
 (``_link_simplex``) and recheck the same faces (``_recheck``), a lone flip
 of each must index the same facets, and one label transport step of each
 must classify the ``dimension + 2`` facets that one half of the move
-replaces and no more.  The counts are of calls and faces, so they are exact
-on any host.
+replaces and no more; ``relabel_move``, which only checks its move, must
+build no complex larger than the star that a lone flip indexes.  The counts
+are of calls and faces, so they are exact on any host.
 
 The one known exception is label transport's doubling: ``fan._transport``
 doubles every label when an inserted edge's endpoint labels sum to zero,
@@ -28,6 +29,7 @@ from bistellar import (
     BistellarMove,
     FanLabelling,
     MoveIndex,
+    SimplicialComplex,
     Z2Complex,
     antipode,
     apply_move,
@@ -36,6 +38,7 @@ from bistellar import (
     fresh_vertex,
     random_fan_labelling,
     random_z2_walk,
+    relabel_move,
     validate_fan,
 )
 from bistellar import fan, moves
@@ -155,3 +158,21 @@ def test_a_transport_step_does_the_same_work_on_a_larger_complex(spheres, kind):
     step = transport_work(labellings[small], move)
     assert step[1] == small.dimension + 2  # one half's replaced facets
     assert step == transport_work(labellings[large], move)
+
+
+@pytest.mark.parametrize("kind", ["facet", "edge", "vertex"])
+def test_relabel_move_builds_no_complex_beyond_the_star(spheres, kind):
+    # relabel_move checks its move on an index of the move's star and builds
+    # no flipped complex: every complex it makes is at most that star.
+    small, _, tested, labellings = spheres
+    move = tested[kind]
+    (star,) = lone_star(small, move)
+    sizes, init = [], SimplicialComplex.__init__
+
+    def recording(self, facets):
+        sizes.append(len(facets))
+        init(self, facets)
+
+    with patch.object(SimplicialComplex, "__init__", recording):
+        relabel_move(small, FanLabelling(labellings[small]), move)
+    assert sizes and max(sizes) <= len(star) < len(small.facets)

@@ -56,6 +56,21 @@ class TestMakeSigned:
                 assert enumerate_moves(again.complex) == \
                     enumerate_moves(octahedron.complex)
 
+    @pytest.mark.parametrize("source", [cross_polytope(3), random_z2_walk(
+        cross_polytope(3), 20, 1)[0]], ids=["octahedron", "walked"])
+    def test_what_a_complex_cached_makes_no_difference(self, source):
+        # The constructor takes the facets and caches nothing of the complex
+        # it is given; what it computes again equals what that complex read.
+        read, fresh = (SimplicialComplex.from_facets(source.facets) for _ in range(2))
+        read_values = (read.vertices, read.dimension)
+        built, again = Z2Complex(read), Z2Complex(fresh)
+        assert "vertices" not in vars(built) and "dimension" not in vars(built)
+        assert built == again and built.complex is read and again.complex is fresh
+        for z2complex in (built, again):
+            assert (z2complex.vertices, z2complex.dimension) == read_values
+        assert built.positive_vertices == again.positive_vertices
+        assert built.f_vector() == again.f_vector()
+
     def test_antipodal_pair_in_facet(self):
         cx = SimplicialComplex.from_facets([[1, -1]])
         with pytest.raises(ActionNotFree):
