@@ -141,7 +141,7 @@ class MoveIndex:
     ``_cofacets`` maps each face to the facets containing it, ``state`` is
     built from its top-dimensional keys when read, and ``_f`` counts its keys
     by dimension for :meth:`f_vector`.  Moves are listed when it is built, by
-    one recheck of every face and one sort, then kept by the flip, which files
+    the recheck a flip makes, of every face, then kept by the flip, which files
     the faces that its move creates or destroys (:meth:`_flip`), and by
     rechecking the few others whose link can change (:meth:`apply`):
     ``_links`` maps each face to its link simplex where it has one
@@ -170,8 +170,7 @@ class MoveIndex:
                         self._cofacets.setdefault(face, []).append(facet)
         sizes = Counter(map(len, self._cofacets))
         self._f = [sizes[k] for k in range(1, state.dimension + 2)]
-        self._recheck(self._cofacets, first=True)
-        self._listing.sort()
+        self._recheck(self._cofacets)
 
     @cached_property
     def state(self):
@@ -309,10 +308,9 @@ class MoveIndex:
         self._f[:] = map(add, self._f, delta)
         return changed
 
-    def _recheck(self, faces, first=False):
-        """Update links, owners and the listing for ``faces``, faces the move
-        does not fix, each link read from :meth:`_link_simplex`; the ``first``
-        listing appends each listed entry, to be sorted once."""
+    def _recheck(self, faces):
+        """Update links, owners and, by bisection, the listing for ``faces``: all when
+        built, then those a flip does not fix, links read from :meth:`_link_simplex`."""
         links, owners, listing, z2 = self._links, self._owners, self._listing, self.z2
         cofacets, link_simplex = self._cofacets, self._link_simplex
         for face in faces:
@@ -334,10 +332,6 @@ class MoveIndex:
             # the one rule; in a free complex a link meets its antipode only as (-v, v)
             listed = link is not None and (not link or (
                 k not in cofacets and not (z2 and link[0] + link[-1] == 0)))
-            if first:
-                if listed:
-                    listing.append((len(face), *face))
-                continue
             if old is None and not listed:  # nor was it listed
                 continue
             entry = (len(face), *face)

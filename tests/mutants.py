@@ -57,9 +57,9 @@ MUTANTS = [
      "k == n - 1 or k == n - len(at)",
      "k == n - 1",
      ["tests/test_move_index.py::test_plain_walks_keep_index_exact[triangle]"]),
-    ("the first listing keeps face order, unsorted", "moves.py",
-     "self._listing.sort()",
-     "pass",
+    ("the build lists no move", "moves.py",
+     "self._recheck(self._cofacets)",
+     "self._recheck(())",
      ["tests/test_move_index.py::test_plain_walks_keep_index_exact[triangle]"]),
     ("facet_delta reads the first move's size, not the one at position", "moves.py",
      "2 * self._listing[position][0]",
